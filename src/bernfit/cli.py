@@ -186,6 +186,11 @@ def run(args) -> int:
                 print(f"bernfit: {name} failed at m={m}: {e}", file=sys.stderr)
                 obj, err = None, math.nan
                 failures += 1
+            else:
+                if not math.isfinite(err):
+                    print(f"bernfit: {name} has a non-finite L2 error ({err}) "
+                          f"at m={m}", file=sys.stderr)
+                    failures += 1
             row.append(err)
             if args.samples_degree == m:
                 approximants[name] = obj

@@ -1,18 +1,26 @@
-"""Exact constrained projection by exhaustive KKT active-set enumeration.
+"""Exact constrained projection onto polynomials with nonnegative elevation.
 
 Solves min (q - p)^T M (q - p) over coefficient vectors q whose degree-n
 elevation is componentwise nonnegative, optionally with the integral of q
 pinned to the integral of p (the delta switch).  Works on the interval
 (dim = 1) and on the unit right d-simplex with one code path.
 
-For every candidate active set J the reduced system
+For an active set J the reduced system
 
     sum_{j in J} (W_ij - c * delta) mu_j = -(E p)_i,   i in J,
 
 is solved, where W is half the elevated inverse-mass product U U^T and
-c = d!/2.  A candidate is accepted when the multipliers are nonnegative
-and the reconstructed elevated vector is feasible; the minimizer is unique,
-so the first acceptance in enumeration order is the answer.
+c = d!/2.  J is accepted when the multipliers are nonnegative and the
+reconstructed elevated vector is feasible.
+
+solve finds J with one nonnegative least-squares (NNLS) call: in the
+orthonormal coordinates c = lam * U^T y the problem is the least distance
+program min ||c - c_p|| subject to U c >= 0, which Lawson & Hanson
+(Solving Least Squares Problems, 1974, ch. 23) turn into an NNLS problem
+whose support is J.  The exact reduced solve on J then gives the answer.
+enumerate is the paper's reference method and the test oracle: it tries
+every subset by size, then lexicographically, and the minimizer is
+unique, so the first acceptance is the answer.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import optimize
 
 from . import bernstein, simplex
 from .bernstein import PolyCoeffs
@@ -34,16 +43,19 @@ PRIMAL_TOL = 1e-9
 DUAL_TOL = 1e-12
 SLACK_TOL = 1e-9
 RANK_TOL = 1e-11
+# -r_last of the NNLS residual is >= 1/2 for a feasible problem scaled as in
+# _nnls_active_set and 0 for an infeasible one
+INFEASIBLE_RESIDUAL = 0.25
 
 _CHUNK = 32768
 
 
 class IntractableProblemError(Exception):
-    """Raised when 2^(constraint count) exceeds the enumeration budget."""
+    """Raised when the constraint count exceeds MAX_SUBSET_BITS."""
 
 
 class NoFeasibleSubsetError(Exception):
-    """Raised when enumeration exhausts without an accepted subset.
+    """Raised when no active set passes both KKT checks.
 
     Should be impossible for a well-posed feasible problem; seeing it means
     either the constraints are infeasible (e.g. a mass constraint with
@@ -56,9 +68,9 @@ class KktProblem:
     """Constrained projection instance.
 
     target holds the Bernstein coefficients of the polynomial being
-    projected, at degree m (length m+1 for dim=1, C(dim+m, dim) otherwise).
-    delta=1 additionally pins the integral.  upper is accepted for oracle
-    use only; the enumerator rejects it.
+    projected, at degree m (length m+1 for dim=1, C(dim+m, dim) otherwise),
+    and must be finite.  delta=1 additionally pins the integral.  upper is
+    accepted for oracle use only; solve and enumerate reject it.
     """
 
     dim: int
@@ -79,6 +91,8 @@ class KktProblem:
         want = math.comb(self.dim + self.m, self.dim)
         if t.shape != (want,):
             raise ValueError(f"target must have shape ({want},), got {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("target coefficients must be finite")
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "target", t)
@@ -139,6 +153,12 @@ class _ProblemData:
     c_delta: float           # d!/2, subtracted from W on the active block
     c_eq: float              # m!/(m+d)!: integral of one degree-m basis function
     d_factorial: float
+
+    def __post_init__(self):
+        # instances are cached and shared by every caller
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 @lru_cache(maxsize=64)
@@ -219,6 +239,45 @@ def _candidate_solution(data, problem, J, mu_J):
     return mu, nu, y
 
 
+def _check_size(problem: KktProblem) -> None:
+    if problem.upper is not None:
+        raise ValueError(
+            "upper bounds are handled by the penalty oracle, not the KKT solvers"
+        )
+    N = problem.num_constraints
+    if N > MAX_SUBSET_BITS:
+        raise IntractableProblemError(
+            f"{N} constraints means 2^{N} subsets; the enumeration budget "
+            f"is 2^{MAX_SUBSET_BITS}"
+        )
+
+
+def _accepted(data, problem: KktProblem, ep, chunk, counters: dict):
+    """Yield (J, mu, nu, y) for every row of chunk passing both KKT checks.
+
+    chunk stacks subsets of one size as rows of constraint indices; the
+    accepted ones come out in row order.
+    """
+    batch, k = chunk.shape
+    counters["subsets"] += batch
+    if k == 0:
+        x, fullrank = np.zeros((batch, 0)), np.ones(batch, dtype=bool)
+    else:
+        A = data.W[chunk[:, :, None], chunk[:, None, :]]
+        if problem.delta:
+            A = A - data.c_delta
+        x, fullrank = _batched_solve(A, -ep[chunk])
+    counters["rank_skips"] += int(batch - fullrank.sum())
+    counters["solved"] += int(fullrank.sum())
+    dual_ok = fullrank & np.all(x >= -DUAL_TOL, axis=1)
+    for idx in np.flatnonzero(dual_ok):
+        J = tuple(int(c) for c in chunk[idx])
+        mu, nu, y = _candidate_solution(data, problem, J, x[idx])
+        counters["reconstructed"] += 1
+        if y.min() >= -PRIMAL_TOL:
+            yield J, mu, nu, y
+
+
 def _enumerate_accepted(problem: KktProblem, counters: dict):
     """Yield (J, mu, nu, y) for every subset passing both KKT checks.
 
@@ -227,31 +286,16 @@ def _enumerate_accepted(problem: KktProblem, counters: dict):
     PSD matrix of rank r is singular beyond size r, so the rank guard would
     reject every such subset anyway.
     """
-    if problem.upper is not None:
-        raise ValueError(
-            "upper bounds are handled by the penalty oracle, not the enumerator"
-        )
+    _check_size(problem)
     N = problem.num_constraints
-    if N > MAX_SUBSET_BITS:
-        raise IntractableProblemError(
-            f"{N} constraints means 2^{N} subsets; the enumeration budget "
-            f"is 2^{MAX_SUBSET_BITS}"
-        )
     data = _problem_data(problem.dim, problem.m, problem.n)
     ep = data.E @ problem.target
 
     n_unknowns = problem.target.shape[0]
     max_card = min(N, n_unknowns - 1 if problem.delta else n_unknowns)
 
-    for k in range(max_card + 1):
-        if k == 0:
-            counters["subsets"] += 1
-            counters["solved"] += 1
-            mu, nu, y = _candidate_solution(data, problem, (), ())
-            counters["reconstructed"] += 1
-            if y.min() >= -PRIMAL_TOL:
-                yield (), mu, nu, y
-            continue
+    yield from _accepted(data, problem, ep, np.empty((1, 0), dtype=np.intp), counters)
+    for k in range(1, max_card + 1):
         combos = itertools.combinations(range(N), k)
         while True:
             chunk = np.fromiter(
@@ -260,21 +304,38 @@ def _enumerate_accepted(problem: KktProblem, counters: dict):
             ).reshape(-1, k)
             if chunk.shape[0] == 0:
                 break
-            counters["subsets"] += chunk.shape[0]
-            A = data.W[chunk[:, :, None], chunk[:, None, :]]
-            if problem.delta:
-                A = A - data.c_delta
-            b = -ep[chunk]
-            x, fullrank = _batched_solve(A, b)
-            counters["rank_skips"] += int(chunk.shape[0] - fullrank.sum())
-            counters["solved"] += int(fullrank.sum())
-            dual_ok = fullrank & np.all(x >= -DUAL_TOL, axis=1)
-            for idx in np.flatnonzero(dual_ok):
-                J = tuple(int(c) for c in chunk[idx])
-                mu, nu, y = _candidate_solution(data, problem, J, x[idx])
-                counters["reconstructed"] += 1
-                if y.min() >= -PRIMAL_TOL:
-                    yield J, mu, nu, y
+            yield from _accepted(data, problem, ep, chunk, counters)
+
+
+def _nnls_active_set(problem: KktProblem, data, ep) -> tuple[int, ...]:
+    """The active set, as the support of one NNLS solution.
+
+    With x = c - c_p the problem is min ||x|| subject to G x >= h, where
+    G = Umn and h = -E p; with delta = 1 the constant column 0 of Umn is
+    dropped, so the integral stays fixed.  Lawson & Hanson solve it as
+    min ||A u - e_last|| over u >= 0 with A = [G^T; h^T].  h is scaled to
+    max |h| = 1, which leaves the support unchanged and bounds the distance
+    to the feasible set by ||p||_L2 / max |E p| <= 1, so a feasible problem
+    has residual r_last = -1 / (1 + ||x||^2) <= -1/2 and an infeasible one
+    has r_last = 0.
+    """
+    G = data.Umn[:, 1:] if problem.delta else data.Umn
+    h = -ep / np.abs(ep).max()
+    A = np.vstack([G.T, h])
+    b = np.zeros(A.shape[0])
+    b[-1] = 1.0
+    u, _ = optimize.nnls(A, b)
+    if (A @ u - b)[-1] > -INFEASIBLE_RESIDUAL:
+        raise NoFeasibleSubsetError(
+            f"NNLS finds the {problem.num_constraints} constraints infeasible "
+            f"(m={problem.m}, n={problem.n}, dim={problem.dim}, "
+            f"delta={problem.delta})"
+        )
+    return tuple(int(j) for j in np.flatnonzero(u))
+
+
+def _counters() -> dict:
+    return dict(subsets=0, solved=0, reconstructed=0, rank_skips=0)
 
 
 def _finish(problem: KktProblem, data, J, mu, nu, y, counters) -> KktSolution:
@@ -305,14 +366,42 @@ def _finish(problem: KktProblem, data, J, mu, nu, y, counters) -> KktSolution:
     )
 
 
-def solve(problem: KktProblem, exhaustive: bool = False) -> KktSolution:
+def solve(problem: KktProblem) -> KktSolution:
     """Find the unique constrained minimizer.
+
+    A target whose elevation is feasible is its own answer (J = ()).
+    Otherwise NNLS names the active set J, and the reduced system on J,
+    checked as in enumerate, gives the solution.  The counters report the
+    one or two subsets this examines.
+    """
+    _check_size(problem)
+    counters = _counters()
+    data = _problem_data(problem.dim, problem.m, problem.n)
+    ep = data.E @ problem.target
+    empty = np.empty((1, 0), dtype=np.intp)
+    found = next(_accepted(data, problem, ep, empty, counters), None)
+    if found is None:
+        J = _nnls_active_set(problem, data, ep)
+        chunk = np.array([J], dtype=np.intp)
+        found = next(_accepted(data, problem, ep, chunk, counters), None)
+        if found is None:
+            raise NoFeasibleSubsetError(
+                f"the active set {J} found by NNLS failed the KKT checks "
+                f"(m={problem.m}, n={problem.n}, dim={problem.dim}, "
+                f"delta={problem.delta})"
+            )
+    return _finish(problem, data, *found, counters)
+
+
+# shadows the builtin enumerate inside this module, which does not use it
+def enumerate(problem: KktProblem, exhaustive: bool = False) -> KktSolution:
+    """The reference method: the first accepted subset in enumeration order.
 
     With exhaustive=True the enumeration is not stopped at the first
     accepted subset; the first one is still returned (uniqueness makes all
     accepted subsets reconstruct the same polynomial, which tests verify).
     """
-    counters = dict(subsets=0, solved=0, reconstructed=0, rank_skips=0)
+    counters = _counters()
     data = _problem_data(problem.dim, problem.m, problem.n)
     found = None
     for J, mu, nu, y in _enumerate_accepted(problem, counters):
@@ -331,8 +420,7 @@ def solve(problem: KktProblem, exhaustive: bool = False) -> KktSolution:
 
 def accepted_subsets(problem: KktProblem) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """All accepted (J, elevated vector) pairs, for uniqueness checks."""
-    counters = dict(subsets=0, solved=0, reconstructed=0, rank_skips=0)
-    return [(J, y) for J, _, _, y in _enumerate_accepted(problem, counters)]
+    return [(J, y) for J, _, _, y in _enumerate_accepted(problem, _counters())]
 
 
 def objective(problem: KktProblem, qvec) -> float:

@@ -137,6 +137,16 @@ class TestFailureHandling:
         err = capsys.readouterr().err
         assert "bernstein" in err and "m=0" in err
 
+    def test_every_nan_cell_has_a_note(self, tmp_path, capsys):
+        out = tmp_path / "errors.csv"
+        rc = main(["--func", "x/0", "--mmax", "3", "--methods", "project,kkt",
+                   "--out", str(out)])
+        assert rc == 2
+        _, rows = read_table(out)
+        notes = [ln for ln in capsys.readouterr().err.splitlines()
+                 if ln.startswith("bernfit: ")]
+        assert int(np.isnan(rows[:, 1:]).sum()) == len(notes) == 8
+
     def test_subset_guard_becomes_nan(self, tmp_path):
         out = tmp_path / "errors.csv"
         rc = main(["--func", "f1", "--mmin", "12", "--mmax", "12",

@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernfit import bernstein as bn
 from bernfit import kkt
@@ -208,7 +211,7 @@ class TestOptimalityProperties:
             m = int(rng.integers(0, 3))
             n = int(rng.integers(m, 5))
             prob = kkt.KktProblem(dim=1, m=m, n=n, target=rng.uniform(-1, 1, m + 1))
-            first = kkt.solve(prob)
+            first = kkt.enumerate(prob)
             accepted = kkt.accepted_subsets(prob)
             assert accepted[0][0] == first.active_set
             data = kkt._problem_data(1, m, n)
@@ -222,7 +225,7 @@ class TestOptimalityProperties:
         for _ in range(5):
             m = int(rng.integers(1, 5))
             prob = kkt.KktProblem(dim=1, m=m, n=m, target=rng.uniform(-1, 1, m + 1))
-            sol = kkt.solve(prob, exhaustive=True)
+            sol = kkt.enumerate(prob, exhaustive=True)
             assert sol.rank_skips == 0
 
     def test_subset_counters_reported(self):
@@ -231,3 +234,97 @@ class TestOptimalityProperties:
         assert sol.subsets_examined >= 1
         assert sol.systems_solved >= 1
         assert sol.candidates_reconstructed >= 1
+
+
+@st.composite
+def instances(draw, nonnegative=False):
+    """Instances small enough for the enumerator, with n > m allowed.
+
+    Mass-preserving targets get a positive mean, since a negative target
+    integral makes the constraint set empty.
+    """
+    d = draw(st.sampled_from((1, 2)))
+    m = draw(st.integers(0, 6 if d == 1 else 3))
+    n = draw(st.integers(m, m + 6 if d == 1 else 4))
+    delta = draw(st.sampled_from((0, 1)))
+    lo = 0.0 if nonnegative else -1.0
+    size = math.comb(d + m, d)
+    t = np.array(draw(st.lists(st.floats(lo, 1.0), min_size=size, max_size=size)))
+    if delta and t.mean() < 0.05:
+        t = t + (0.05 - t.mean())
+    return kkt.KktProblem(dim=d, m=m, n=n, target=t, delta=delta)
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestAgainstEnumerator:
+    @PROPERTY_SETTINGS
+    @given(instances())
+    def test_same_polynomial_and_kkt_residuals(self, prob):
+        sol = kkt.solve(prob)
+        ref = kkt.enumerate(prob)
+        assert np.max(np.abs(sol.q.coeffs - ref.q.coeffs)) <= 1e-9
+        assert kkt.verify_kkt(prob, sol, 1e-9).passed
+
+    @PROPERTY_SETTINGS
+    @given(instances(), st.floats(1e-3, 1e3))
+    def test_positive_scaling(self, prob, c):
+        scaled = kkt.KktProblem(
+            dim=prob.dim, m=prob.m, n=prob.n, target=c * prob.target, delta=prob.delta
+        )
+        got = kkt.solve(scaled).q.coeffs
+        want = c * kkt.solve(prob).q.coeffs
+        # feasibility is tested against the absolute PRIMAL_TOL, so an
+        # elevated value inside that band at one scale and outside it at
+        # the other moves the answer by about PRIMAL_TOL
+        assert np.max(np.abs(got - want)) <= 1e-9 * c + 10 * kkt.PRIMAL_TOL
+
+    @PROPERTY_SETTINGS
+    @given(instances(nonnegative=True))
+    def test_feasible_target_returns_itself(self, prob):
+        sol = kkt.solve(prob)
+        assert sol.active_set == ()
+        assert np.max(np.abs(sol.q.coeffs - prob.target)) <= 1e-12
+        assert not sol.mu.any()
+
+    @PROPERTY_SETTINGS
+    @given(instances())
+    def test_cost_nonincreasing_in_n(self, prob):
+        top = prob.n + (4 if prob.dim == 1 else 1)
+        costs = []
+        for n in range(prob.m, top + 1):
+            p = kkt.KktProblem(
+                dim=prob.dim, m=prob.m, n=n, target=prob.target, delta=prob.delta
+            )
+            costs.append(kkt.objective(p, kkt.solve(p).q.coeffs))
+        for lo, hi in zip(costs[1:], costs[:-1]):
+            assert lo <= hi + 1e-12
+
+    def test_budget_edge_is_fast(self):
+        # 22 constraints: the enumerator needs about 16 s here
+        rng = np.random.default_rng(12)
+        prob = kkt.KktProblem(dim=1, m=12, n=21, target=rng.uniform(-1, 1, 13))
+        assert prob.num_constraints == kkt.MAX_SUBSET_BITS
+        start = time.perf_counter()
+        sol = kkt.solve(prob)
+        assert time.perf_counter() - start < 1.0
+        assert kkt.verify_kkt(prob, sol, 1e-9).passed
+        assert sol.subsets_examined == 2
+
+
+class TestInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, bad):
+        with pytest.raises(ValueError):
+            kkt.KktProblem(dim=1, m=1, n=1, target=np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cached_problem_data_is_read_only(self, dim):
+        data = kkt._problem_data(dim, 2, 3)
+        arrays = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 6
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
