@@ -41,7 +41,6 @@ MAX_SUBSET_BITS = 22
 
 PRIMAL_TOL = 1e-9
 DUAL_TOL = 1e-12
-SLACK_TOL = 1e-9
 RANK_TOL = 1e-11
 # -r_last of the NNLS residual is >= 1/2 for a feasible problem scaled as in
 # _nnls_active_set and 0 for an infeasible one
@@ -166,14 +165,14 @@ def _problem_data(dim: int, m: int, n: int) -> _ProblemData:
     if dim == 1:
         E = bernstein.elevation_matrix(m, n).entries
         fac = bernstein.spectral_factors(m, n)
-        fmm = bernstein.spectral_factors(m, m)
+        fmm = fac if n == m else bernstein.spectral_factors(m, m)
         lam = fac.eigenvalues
         M = bernstein.mass_matrix(m).entries
         c_eq = 1.0 / (m + 1)
     else:
         E = simplex.simplex_elevation(dim, m, n)
         fac = simplex.simplex_spectral_factors(dim, m, n)
-        fmm = simplex.simplex_spectral_factors(dim, m, m)
+        fmm = fac if n == m else simplex.simplex_spectral_factors(dim, m, m)
         lam = fac.eigenvalues
         M = simplex.simplex_mass_matrix(dim, m)
         c_eq = bernstein._factorial_ratio((m,), (m + dim,))

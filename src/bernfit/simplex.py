@@ -133,6 +133,7 @@ def simplex_basis_values(d: int, n: int, points) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def _elevation_step(d: int, k: int) -> sparse.csr_matrix:
     """Single-step elevation k -> k+1: c'_a = sum_j (a_j/(k+1)) c_{a-e_j}."""
     upper = multiindices(d, k + 1)
@@ -150,7 +151,6 @@ def _elevation_step(d: int, k: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
-@lru_cache(maxsize=None)
 def elevation_steps(d: int, m: int, n: int) -> tuple[sparse.csr_matrix, ...]:
     """The single-step factors whose product elevates degree m to degree n."""
     if not 0 <= m <= n:
@@ -174,22 +174,18 @@ def simplex_elevation(d: int, m: int, n: int) -> np.ndarray:
 def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
     """Gram matrix of the degree-n simplex basis.
 
-    Entry (a, b) = (n!)^2 (a+b)! / (a! b! (2n+d)!), with multiindex
-    factorials.
+    Entry (a, b) = C(n, a) C(n, b) / C(2n, a+b) * (2n)!/(2n+d)!, with the
+    multinomials C(n, a) = n!/a!: the product of two basis functions is
+    C(n, a) C(n, b) / C(2n, a+b) times B^{2n}_{a+b}, and every degree-2n
+    basis function integrates to (2n)!/(2n+d)!.
     """
     if d < 1 or n < 0:
         raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
-    idx = multiindices(d, n)
-    N = len(idx)
-    M = np.empty((N, N))
-    for p in range(N):
-        for q in range(p, N):
-            a, b = idx[p], idx[q]
-            M[p, q] = M[q, p] = _factorial_ratio(
-                (n, n) + tuple(ai + bi for ai, bi in zip(a, b)),
-                tuple(a) + tuple(b) + (2 * n + d,),
-            )
-    return M
+    fact = np.array([math.factorial(k) for k in range(2 * n + 1)], dtype=float)
+    idx = np.array(multiindices(d, n))
+    c_n = fact[n] / fact[idx].prod(axis=1)
+    c_2n = fact[2 * n] / fact[idx[:, None, :] + idx[None, :, :]].prod(axis=2)
+    return np.outer(c_n, c_n) / c_2n * _factorial_ratio((2 * n,), (2 * n + d,))
 
 
 def simplex_mass_eigenvalues(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,50 +204,19 @@ def simplex_mass_eigenvalues(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def orthogonal_complement_basis(d: int, j: int) -> np.ndarray:
     """Degree-j coefficients of a basis for the part of P^j orthogonal to P^{j-1}.
 
-    Columns are mutually M^{d,j}-orthogonal and M^{d,j}-orthogonal to every
-    column of the elevation from degree j-1; there are C(d+j-1, d-1) of them.
-    Built by modified Gram-Schmidt in the M^{d,j} inner product with one
-    re-orthogonalization pass.
+    That part is the lam_j eigenspace of M^{d,j}, the null space of E^T M^{d,j}
+    for the elevation E from degree j-1; it has dimension C(d+j-1, d-1).  Its
+    basis is the trailing columns of one complete QR of M^{d,j} E, made
+    M^{d,j}-orthonormal by one eigendecomposition of their Gram matrix.
+    j = 0 gives the constant polynomial 1, not normalized.
     """
-    Nj = math.comb(d + j, d)
     if j == 0:
-        return np.ones((Nj, 1))
+        return np.ones((1, 1))
     M = simplex_mass_matrix(d, j)
-    E = simplex_elevation(d, j - 1, j)
-    want = math.comb(d + j - 1, d - 1)
-
-    # M-orthonormalize the elevated lower-degree space once up front.
-    basis: list[np.ndarray] = []
-    for col in E.T:
-        v = col.copy()
-        for _ in range(2):
-            for u in basis:
-                v -= (u @ M @ v) * u
-        nrm = math.sqrt(v @ M @ v)
-        if nrm < 1e-13:
-            raise RuntimeError("elevated lower-degree space is rank deficient")
-        basis.append(v / nrm)
-
-    picked: list[np.ndarray] = []
-    for k in range(Nj):
-        v = np.zeros(Nj)
-        v[k] = 1.0
-        scale = math.sqrt(v @ M @ v)
-        for _ in range(2):
-            for u in basis:
-                v -= (u @ M @ v) * u
-        nrm = math.sqrt(max(v @ M @ v, 0.0))
-        if nrm > 1e-8 * scale:
-            basis.append(v / nrm)
-            picked.append(v)
-            if len(picked) == want:
-                break
-    if len(picked) != want:
-        raise RuntimeError(
-            f"Gram-Schmidt collapsed: found {len(picked)} of {want} "
-            f"complement directions for d={d}, j={j}"
-        )
-    return np.column_stack(picked)
+    ME = M @ _elevation_step(d, j - 1).toarray()
+    L = np.linalg.qr(ME, mode="complete")[0][:, ME.shape[1] :]
+    w, V = np.linalg.eigh(L.T @ M @ L)
+    return L @ (V / np.sqrt(w))
 
 
 @dataclass(frozen=True)
@@ -276,31 +241,30 @@ class SimplexSpectralFactors:
 
 
 def simplex_spectral_factors(d: int, m: int, n: int) -> SimplexSpectralFactors:
-    """Assemble the U block matrix from normalized elevated complement bases."""
+    """Stack the M-orthonormal complement blocks j = 0..m, elevated to degree n.
+
+    One sweep climbs from degree 0 to n: each step elevates the blocks stacked
+    so far by one degree and, up to degree m, appends the next complement
+    block.  Elevation preserves the L2 inner product, so the columns of U are
+    M^{d,n}-orthonormal eigenvectors of M^{d,n}.
+    """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    blocks = []
-    lam_rep = []
-    mults = []
-    lam_n, _ = simplex_mass_eigenvalues(d, n)
-    for j in range(m + 1):
-        L = orthogonal_complement_basis(d, j)
-        Mj = simplex_mass_matrix(d, j)
-        norms = np.sqrt(np.einsum("ik,ij,jk->k", L, Mj, L))
-        Q = apply_elevation(d, j, n, L / norms)
-        blocks.append(Q)
-        lam_rep.extend([lam_n[j]] * L.shape[1])
-        mults.append(L.shape[1])
-    U = np.hstack(blocks)
-    W = 0.5 * (U @ U.T)
+    lam_n, mult = simplex_mass_eigenvalues(d, n)
+    # the constant block, normalized: M^{d,0} = 1/d!
+    U = np.full((1, 1), math.sqrt(math.factorial(d)))
+    for k in range(n):
+        U = _elevation_step(d, k) @ U
+        if k < m:
+            U = np.hstack([U, orthogonal_complement_basis(d, k + 1)])
     return SimplexSpectralFactors(
         dim=d,
         m=m,
         n=n,
-        eigenvalues=np.array(lam_rep),
-        multiplicities=np.array(mults),
+        eigenvalues=np.repeat(lam_n[: m + 1], mult[: m + 1]),
+        multiplicities=mult[: m + 1],
         U=U,
-        W=W,
+        W=0.5 * (U @ U.T),
     )
 
 

@@ -181,6 +181,28 @@ class TestMassMatrix:
                 )
                 assert M[p, q] == pytest.approx(oracle, abs=1e-14)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_exact_formula(self, d):
+        # the entrywise exact-integer formula (n!)^2 (a+b)! / (a! b! (2n+d)!)
+        worst = 0.0
+        for n in range(13):
+            idx = sx.multiindices(d, n)
+            oracle = np.array(
+                [
+                    [
+                        bn._factorial_ratio(
+                            (n, n) + tuple(ai + bi for ai, bi in zip(a, b)),
+                            tuple(a) + tuple(b) + (2 * n + d,),
+                        )
+                        for b in idx
+                    ]
+                    for a in idx
+                ]
+            )
+            M = sx.simplex_mass_matrix(d, n)
+            worst = max(worst, np.max(np.abs(M - oracle) / oracle))
+        assert worst <= 1e-15
+
     def test_eigenvalue_fixture(self):
         lam, mult = sx.simplex_mass_eigenvalues(2, 1)
         assert np.allclose(lam, [1 / 6, 1 / 24])
@@ -267,6 +289,32 @@ class TestSpectralFactors:
         E = sx.simplex_elevation(d, m, n)
         Minv = np.linalg.inv(sx.simplex_mass_matrix(d, m))
         assert np.max(np.abs(E @ Minv @ E.T - S.U @ S.U.T)) < 1e-9
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_inverse_against_high_precision(self, n):
+        # U U^T = (M^{2,n})^{-1}; reference: 50-digit inverse of the exact M
+        import mpmath
+
+        mpmath.mp.dps = 50
+        f = math.factorial
+        idx = sx.multiindices(2, n)
+
+        def entry(a, b):
+            num = f(n) ** 2 * math.prod(f(x + y) for x, y in zip(a, b))
+            den = math.prod(map(f, a)) * math.prod(map(f, b)) * f(2 * n + 2)
+            return mpmath.mpf(num) / den
+
+        exact = mpmath.matrix([[entry(a, b) for b in idx] for a in idx])
+        ref = np.array(mpmath.inverse(exact).tolist(), dtype=float)
+        S = sx.simplex_spectral_factors(2, n, n)
+        assert np.max(np.abs(S.U @ S.U.T - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_orthonormal_in_degree_n_mass(self, n):
+        M = sx.simplex_mass_matrix(2, n)
+        for m in range(n):
+            U = sx.simplex_spectral_factors(2, m, n).U
+            assert np.max(np.abs(U.T @ M @ U - np.eye(U.shape[1]))) < 1e-10
 
     def test_downgrade_roundtrip(self):
         rng = np.random.default_rng(3)
