@@ -4,7 +4,6 @@ from .bernstein import (
     PolyCoeffs,
     binomial,
     binomial_float,
-    downgrade,
     elevate,
     elevation_matrix,
     evaluate,
@@ -21,7 +20,6 @@ __all__ = [
     "PolyCoeffs",
     "binomial",
     "binomial_float",
-    "downgrade",
     "elevate",
     "elevation_matrix",
     "evaluate",

@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import simplex
-from .bernstein import PolyCoeffs, evaluate, spectral_factors
-from .simplex import SimplexPoly, simplex_basis_values, simplex_spectral_factors
+from .bernstein import PolyCoeffs
+from .simplex import simplex_basis_values, simplex_spectral_factors
 
 
 @dataclass(frozen=True)
@@ -225,9 +224,7 @@ def default_rule(dim: int, points: int | None = None) -> Quadrature:
 
 
 def _basis_at_nodes(dim: int, m: int, quad: Quadrature) -> np.ndarray:
-    if dim == 1:
-        return simplex_basis_values(1, m, quad.nodes[:, None])
-    return simplex_basis_values(dim, m, quad.nodes)
+    return simplex_basis_values(dim, m, quad.nodes.reshape(-1, dim))
 
 
 def moments(f: TargetFunction, m: int, quad: Quadrature | None = None) -> np.ndarray:
@@ -240,20 +237,15 @@ def moments(f: TargetFunction, m: int, quad: Quadrature | None = None) -> np.nda
     return basis.T @ (quad.weights * np.asarray(fv, dtype=float))
 
 
-def project(
-    f: TargetFunction, m: int, quad: Quadrature | None = None
-) -> PolyCoeffs | SimplexPoly:
+def project(f: TargetFunction, m: int, quad: Quadrature | None = None) -> PolyCoeffs:
     """Unconstrained best L2 approximation of degree m.
 
     Coefficients solve the mass-matrix normal equations, applied in the
     inverse-free spectral form U U^T (moments).
     """
     mom = moments(f, m, quad)
-    if f.dim == 1:
-        U = spectral_factors(m, m).U
-        return PolyCoeffs(degree=m, coeffs=U @ (U.T @ mom))
     U = simplex_spectral_factors(f.dim, m, m).U
-    return SimplexPoly(dim=f.dim, degree=m, coeffs=U @ (U.T @ mom))
+    return PolyCoeffs(degree=m, coeffs=U @ (U.T @ mom), dim=f.dim)
 
 
 def bernstein_operator(f: TargetFunction, m: int) -> PolyCoeffs:
@@ -296,9 +288,7 @@ def p1_interpolant(f: TargetFunction, m: int) -> PiecewiseLinear:
 
 def _evaluate_candidate(q, dim: int, quad: Quadrature) -> np.ndarray:
     if isinstance(q, PolyCoeffs):
-        return evaluate(q, quad.nodes)
-    if isinstance(q, SimplexPoly):
-        return simplex_basis_values(q.dim, q.degree, quad.nodes) @ q.coeffs
+        return _basis_at_nodes(q.dim, q.degree, quad) @ q.coeffs
     if callable(q):
         return q(quad.nodes) if dim == 1 else q(*(quad.nodes.T))
     raise TypeError(f"cannot evaluate approximation of type {type(q)!r}")

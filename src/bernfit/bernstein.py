@@ -1,9 +1,11 @@
 """Univariate Bernstein-basis machinery on [0, 1].
 
 Provides evaluation (de Casteljau), degree elevation, mass (Gram) matrices,
-the Legendre-Bernstein connection, spectral factorizations of the mass
-matrix, and least-squares degree reduction.  All operations are pure
-functions over immutable values.
+the Legendre-Bernstein connection and spectral factorizations of the mass
+matrix.  All operations are pure functions over immutable values.
+Projection and the KKT solve reach the interval through simplex.py, as the
+d = 1 simplex; these closed forms are its d = 1 references in the tests
+and the univariate toolkit of the cone solver.
 """
 
 from __future__ import annotations
@@ -54,19 +56,27 @@ def binomial_float(n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class PolyCoeffs:
-    """A polynomial held as its Bernstein coefficient vector of fixed degree."""
+    """A polynomial held as its Bernstein coefficient vector of fixed degree.
+
+    dim = 1 is the interval [0, 1]; a larger dim is the unit right
+    dim-simplex, with the coefficients in simplex.multiindices order.
+    """
 
     degree: int
     coeffs: np.ndarray
+    dim: int = 1
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         if self.degree < 0:
             raise ValueError(f"degree must be nonnegative, got {self.degree}")
-        if c.ndim != 1 or c.shape[0] != self.degree + 1:
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        want = math.comb(self.dim + self.degree, self.dim)
+        if c.ndim != 1 or c.shape[0] != want:
             raise ValueError(
-                f"coefficient vector must have length degree+1 = "
-                f"{self.degree + 1}, got shape {c.shape}"
+                f"coefficient vector must have length C(dim+degree, dim) = "
+                f"{want}, got shape {c.shape}"
             )
         c = c.copy()
         c.setflags(write=False)
@@ -263,22 +273,6 @@ def spectral_factors(m: int, n: int) -> SpectralFactors:
     W = 0.5 * (U @ U.T)
     lam = mass_eigenvalues(n)[: m + 1]
     return SpectralFactors(m=m, n=n, eigenvalues=lam, U=U, W=W)
-
-
-def downgrade(m: int, n: int, y) -> PolyCoeffs:
-    """Least-squares degree reduction of a degree-n coefficient vector.
-
-    Returns the degree-m coefficients solving min_x ||E^{m,n} x - y||_2,
-    computed in the spectral form U^{m,m} diag(lam^n_0..lam^n_m) (U^{m,n})^T y.
-    Exact (up to roundoff) whenever y lies in the range of the elevation.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n + 1,):
-        raise ValueError(f"expected vector of length {n + 1}, got {y.shape}")
-    fac_mn = spectral_factors(m, n)
-    fac_mm = spectral_factors(m, m)
-    q = fac_mm.U @ (fac_mn.eigenvalues * (fac_mn.U.T @ y))
-    return PolyCoeffs(degree=m, coeffs=q)
 
 
 def l2_inner(p: PolyCoeffs, q: PolyCoeffs) -> float:

@@ -33,9 +33,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize
 
-from . import bernstein, simplex
-from .bernstein import PolyCoeffs
-from .simplex import SimplexPoly
+from . import simplex
+from .bernstein import PolyCoeffs, _factorial_ratio
 
 MAX_SUBSET_BITS = 22
 
@@ -67,9 +66,9 @@ class KktProblem:
     """Constrained projection instance.
 
     target holds the Bernstein coefficients of the polynomial being
-    projected, at degree m (length m+1 for dim=1, C(dim+m, dim) otherwise),
-    and must be finite.  delta=1 additionally pins the integral.  upper is
-    accepted for oracle use only; solve and enumerate reject it.
+    projected, at degree m (length C(dim+m, dim)), and must be finite.
+    delta=1 additionally pins the integral.  upper is accepted for oracle
+    use only; solve and enumerate reject it.
     """
 
     dim: int
@@ -103,7 +102,7 @@ class KktProblem:
 
 @dataclass(frozen=True)
 class KktSolution:
-    q: PolyCoeffs | SimplexPoly
+    q: PolyCoeffs
     mu: np.ndarray
     nu: float
     active_set: tuple[int, ...]
@@ -162,30 +161,17 @@ class _ProblemData:
 
 @lru_cache(maxsize=64)
 def _problem_data(dim: int, m: int, n: int) -> _ProblemData:
-    if dim == 1:
-        E = bernstein.elevation_matrix(m, n).entries
-        fac = bernstein.spectral_factors(m, n)
-        fmm = fac if n == m else bernstein.spectral_factors(m, m)
-        lam = fac.eigenvalues
-        M = bernstein.mass_matrix(m).entries
-        c_eq = 1.0 / (m + 1)
-    else:
-        E = simplex.simplex_elevation(dim, m, n)
-        fac = simplex.simplex_spectral_factors(dim, m, n)
-        fmm = fac if n == m else simplex.simplex_spectral_factors(dim, m, m)
-        lam = fac.eigenvalues
-        M = simplex.simplex_mass_matrix(dim, m)
-        c_eq = bernstein._factorial_ratio((m,), (m + dim,))
+    fac = simplex.simplex_spectral_factors(dim, m, n)
     dfact = float(math.factorial(dim))
     return _ProblemData(
-        E=E,
+        E=simplex.simplex_elevation(dim, m, n),
         W=fac.W,
-        Umm=fmm.U,
+        Umm=simplex.simplex_spectral_factors(dim, m, m).U,
         Umn=fac.U,
-        lam=lam,
-        M=M,
+        lam=fac.eigenvalues,
+        M=simplex.simplex_mass_matrix(dim, m),
         c_delta=dfact / 2.0,
-        c_eq=c_eq,
+        c_eq=_factorial_ratio((m,), (m + dim,)),
         d_factorial=dfact,
     )
 
@@ -337,20 +323,21 @@ def _counters() -> dict:
     return dict(subsets=0, solved=0, reconstructed=0, rank_skips=0)
 
 
-def _finish(problem: KktProblem, data, J, mu, nu, y, counters) -> KktSolution:
-    qvec = data.Umm @ (data.lam * (data.Umn.T @ y))
-    if problem.dim == 1:
-        q = PolyCoeffs(degree=problem.m, coeffs=qvec)
-    else:
-        q = SimplexPoly(dim=problem.dim, degree=problem.m, coeffs=qvec)
-    stat = (
+def _stationarity(problem: KktProblem, data, qvec, mu, nu) -> np.ndarray:
+    """Gradient of the Lagrangian at (q, mu, nu); zero at the optimum."""
+    return (
         2.0 * data.M @ (qvec - problem.target)
         - data.E.T @ mu
         - problem.delta * nu * data.c_eq
     )
+
+
+def _finish(problem: KktProblem, data, J, mu, nu, y, counters) -> KktSolution:
+    qvec = data.Umm @ (data.lam * (data.Umn.T @ y))
+    stat = _stationarity(problem, data, qvec, mu, nu)
     slack = np.abs(mu * y)
     return KktSolution(
-        q=q,
+        q=PolyCoeffs(degree=problem.m, coeffs=qvec, dim=problem.dim),
         mu=mu,
         nu=nu,
         active_set=J,
@@ -439,11 +426,7 @@ def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnost
     """Recompute every KKT residual from scratch and compare against tol."""
     data = _problem_data(problem.dim, problem.m, problem.n)
     qvec = np.asarray(sol.q.coeffs, dtype=float)
-    stat = (
-        2.0 * data.M @ (qvec - problem.target)
-        - data.E.T @ sol.mu
-        - problem.delta * sol.nu * data.c_eq
-    )
+    stat = _stationarity(problem, data, qvec, sol.mu, sol.nu)
     elevated = data.E @ qvec
     slack = np.abs(sol.mu * elevated)
     gap = (

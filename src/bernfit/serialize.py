@@ -13,6 +13,7 @@ import numpy as np
 
 from .cone import ConePoint
 from .kkt import KktProblem, KktSolution
+from .simplex import multiindices
 
 
 def format_float(x: float) -> str:
@@ -48,8 +49,6 @@ def load_matrix_csv(path, skip_header: bool = False) -> np.ndarray:
 
 def multiindex_header(d: int, n: int) -> list[str]:
     """Column labels spelling out the canonical multiindex order."""
-    from .simplex import multiindices
-
     return ["a" + "_".join(str(i) for i in alpha) for alpha in multiindices(d, n)]
 
 

@@ -4,7 +4,9 @@ The simplex is conv{0, e_1, ..., e_d}; barycentric coordinates are
 b_0 = 1 - sum(x), b_i = x_i.  Coefficient vectors are indexed by the
 multiindices of a fixed order, enumerated in descending lexicographic
 order on (a_0, ..., a_d).  At d = 1 that reduces to the usual i = 0..n
-ordering of the univariate basis, so both code paths share fixtures.
+ordering of the univariate basis: the interval is the d = 1 simplex and
+runs through the same functions.  Polynomials are bernstein.PolyCoeffs
+with their dim set.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
-from .bernstein import _factorial_ratio
+from .bernstein import PolyCoeffs, _factorial_ratio
 
 
 @lru_cache(maxsize=None)
@@ -46,31 +47,6 @@ def multi_factorial(alpha) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class SimplexPoly:
-    """Polynomial on the d-simplex as Bernstein coefficients of degree n."""
-
-    dim: int
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        want = math.comb(self.dim + self.degree, self.dim)
-        if c.ndim != 1 or c.shape[0] != want:
-            raise ValueError(
-                f"coefficient vector must have length C({self.dim}+{self.degree},"
-                f"{self.dim}) = {want}, got shape {c.shape}"
-            )
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
-def simplex_poly(d: int, n: int, coeffs) -> SimplexPoly:
-    return SimplexPoly(dim=d, degree=n, coeffs=np.asarray(coeffs, dtype=float))
-
-
 def barycentric(d: int, x) -> np.ndarray:
     """Barycentric coordinates (b_0..b_d) of point(s) x in R^d.
 
@@ -88,7 +64,7 @@ def barycentric(d: int, x) -> np.ndarray:
     return b[0] if single else b
 
 
-def simplex_evaluate(p: SimplexPoly, x) -> float | np.ndarray:
+def simplex_evaluate(p: PolyCoeffs, x) -> float | np.ndarray:
     """Evaluate p at x by the multivariate de Casteljau recurrence."""
     d, n = p.dim, p.degree
     b = barycentric(d, x)
@@ -133,42 +109,32 @@ def simplex_basis_values(d: int, n: int, points) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _elevation_step(d: int, k: int) -> sparse.csr_matrix:
-    """Single-step elevation k -> k+1: c'_a = sum_j (a_j/(k+1)) c_{a-e_j}."""
-    upper = multiindices(d, k + 1)
-    lower_map = _index_map(d, k)
-    rows, cols, vals = [], [], []
-    for r, alpha in enumerate(upper):
-        for j in range(d + 1):
-            if alpha[j] == 0:
-                continue
-            beta = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-            rows.append(r)
-            cols.append(lower_map[beta])
-            vals.append(alpha[j] / (k + 1))
-    shape = (len(upper), math.comb(d + k, d))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+def _binomials(n: int) -> np.ndarray:
+    """Table of C(a, b) for 0 <= a, b <= n, zero for b > a, by Pascal's rule.
 
-
-def elevation_steps(d: int, m: int, n: int) -> tuple[sparse.csr_matrix, ...]:
-    """The single-step factors whose product elevates degree m to degree n."""
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    return tuple(_elevation_step(d, k) for k in range(m, n))
-
-
-def apply_elevation(d: int, m: int, n: int, c: np.ndarray) -> np.ndarray:
-    """Elevate a degree-m coefficient vector (or stacked columns) to degree n."""
-    out = np.asarray(c, dtype=float)
-    for step in elevation_steps(d, m, n):
-        out = step @ out
-    return out
+    Floating-point sums of integers, so exact while entries stay below 2^53.
+    """
+    C = np.zeros((n + 1, n + 1))
+    C[:, 0] = 1.0
+    for a in range(1, n + 1):
+        C[a, 1:] = C[a - 1, 1:] + C[a - 1, :-1]
+    return C
 
 
 def simplex_elevation(d: int, m: int, n: int) -> np.ndarray:
-    """Dense elevation matrix of shape C(d+n,d) x C(d+m,d)."""
-    return apply_elevation(d, m, n, np.eye(math.comb(d + m, d)))
+    """Dense elevation matrix of shape C(d+n,d) x C(d+m,d).
+
+    Entry (a, b) = C(m; b) C(n-m; a-b) / C(n; a) with the multinomials
+    C(n; a) = n!/a!, which equals prod_i C(a_i, b_i) / C(n, m).  Numerator
+    and denominator are integers below 2^53 for the degrees used here, so
+    each entry is one correctly rounded division.
+    """
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+    upper = np.array(multiindices(d, n))
+    lower = np.array(multiindices(d, m))
+    prod = _binomials(n)[upper[:, None, :], lower[None, :, :]].prod(axis=2)
+    return prod / math.comb(n, m)
 
 
 def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
@@ -202,21 +168,27 @@ def simplex_mass_eigenvalues(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def orthogonal_complement_basis(d: int, j: int) -> np.ndarray:
-    """Degree-j coefficients of a basis for the part of P^j orthogonal to P^{j-1}.
+    """Degree-j coefficients of an M-orthonormal basis of P^j mod P^{j-1}.
 
-    That part is the lam_j eigenspace of M^{d,j}, the null space of E^T M^{d,j}
-    for the elevation E from degree j-1; it has dimension C(d+j-1, d-1).  Its
-    basis is the trailing columns of one complete QR of M^{d,j} E, made
-    M^{d,j}-orthonormal by one eigendecomposition of their Gram matrix.
-    j = 0 gives the constant polynomial 1, not normalized.
+    The part of P^j orthogonal to P^{j-1} is the lam_j eigenspace of
+    M^{d,j}; it has dimension C(d+j-1, d-1).  It is spanned by the
+    Rodrigues polynomials R_b = d^b [x^b (1 - |x|)^j] / b! over b in N^d
+    with |b| = j, whose Bernstein coefficient at a is
+    (-1)^(j-a_0) prod_{i>=1} C(b_i, a_i), and whose Gram matrix is exactly
+    (j!)^2/(2j+d)! prod_{i>=1} C(b_i+c_i, b_i)
+    (Farouki, Goodman & Sauer, CAGD 2003).  One eigendecomposition of that
+    Gram matrix makes the block M^{d,j}-orthonormal.  At d = 1 the block is
+    (-1)^j sqrt(2j+1) times the shifted Legendre polynomial; j = 0 gives
+    the constant sqrt(d!).
     """
-    if j == 0:
-        return np.ones((1, 1))
-    M = simplex_mass_matrix(d, j)
-    ME = M @ _elevation_step(d, j - 1).toarray()
-    L = np.linalg.qr(ME, mode="complete")[0][:, ME.shape[1] :]
-    w, V = np.linalg.eigh(L.T @ M @ L)
-    return L @ (V / np.sqrt(w))
+    rows = np.array(multiindices(d, j))
+    cols = np.array(multiindices(d - 1, j))
+    binom = _binomials(2 * j)
+    sign = np.where((j - rows[:, 0]) % 2, -1.0, 1.0)
+    R = sign[:, None] * binom[cols[None, :, :], rows[:, None, 1:]].prod(axis=2)
+    G = binom[cols[:, None, :] + cols[None, :, :], cols[:, None, :]].prod(axis=2)
+    w, V = np.linalg.eigh(G * _factorial_ratio((j, j), (2 * j + d,)))
+    return R @ (V / np.sqrt(w))
 
 
 @dataclass(frozen=True)
@@ -240,23 +212,22 @@ class SimplexSpectralFactors:
             a.setflags(write=False)
 
 
+@lru_cache(maxsize=128)
 def simplex_spectral_factors(d: int, m: int, n: int) -> SimplexSpectralFactors:
     """Stack the M-orthonormal complement blocks j = 0..m, elevated to degree n.
 
-    One sweep climbs from degree 0 to n: each step elevates the blocks stacked
-    so far by one degree and, up to degree m, appends the next complement
-    block.  Elevation preserves the L2 inner product, so the columns of U are
-    M^{d,n}-orthonormal eigenvectors of M^{d,n}.
+    U^{m,n} = E^{m->n} [U^{m-1,m}, L_m] with L_m the degree-m complement
+    block, so each (m, n) reuses the cached factors one degree down.
+    Elevation preserves the L2 inner product, so the columns of U are
+    M^{d,n}-orthonormal eigenvectors of M^{d,n}.  Cached: the factors are
+    read-only and shared by every caller.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     lam_n, mult = simplex_mass_eigenvalues(d, n)
-    # the constant block, normalized: M^{d,0} = 1/d!
-    U = np.full((1, 1), math.sqrt(math.factorial(d)))
-    for k in range(n):
-        U = _elevation_step(d, k) @ U
-        if k < m:
-            U = np.hstack([U, orthogonal_complement_basis(d, k + 1)])
+    lower = [simplex_spectral_factors(d, m - 1, m).U] if m else []
+    blocks = np.hstack(lower + [orthogonal_complement_basis(d, m)])
+    U = simplex_elevation(d, m, n) @ blocks
     return SimplexSpectralFactors(
         dim=d,
         m=m,
@@ -268,16 +239,24 @@ def simplex_spectral_factors(d: int, m: int, n: int) -> SimplexSpectralFactors:
     )
 
 
-def simplex_downgrade(d: int, m: int, n: int, y) -> SimplexPoly:
-    """Least-squares reduction of a degree-n coefficient vector to degree m."""
+def simplex_downgrade(d: int, m: int, n: int, y) -> PolyCoeffs:
+    """Least-squares degree reduction of a degree-n coefficient vector.
+
+    Returns the degree-m coefficients solving min_x ||E^{m,n} x - y||_2,
+    computed in the spectral form U^{m,m} diag(lam^n) (U^{m,n})^T y.  Exact
+    (up to roundoff) whenever y lies in the range of the elevation.
+    """
     y = np.asarray(y, dtype=float)
+    want = math.comb(d + n, d)
+    if y.shape != (want,):
+        raise ValueError(f"expected vector of length {want}, got {y.shape}")
     fac_mn = simplex_spectral_factors(d, m, n)
     fac_mm = simplex_spectral_factors(d, m, m)
     q = fac_mm.U @ (fac_mn.eigenvalues * (fac_mn.U.T @ y))
-    return SimplexPoly(dim=d, degree=m, coeffs=q)
+    return PolyCoeffs(degree=m, coeffs=q, dim=d)
 
 
-def simplex_integral(p: SimplexPoly) -> float:
+def simplex_integral(p: PolyCoeffs) -> float:
     """Integral over the simplex: every basis function integrates to n!/(n+d)!."""
     n, d = p.degree, p.dim
     return _factorial_ratio((n,), (n + d,)) * float(p.coeffs.sum())

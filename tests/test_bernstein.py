@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernfit import bernstein as bn
+from bernfit import simplex as sx
 
 
 def pascal_binomial(n, k):
@@ -294,27 +295,30 @@ class TestSpectralFactors:
 
 class TestDowngrade:
     def test_invert_elevation(self):
-        assert np.allclose(bn.downgrade(1, 2, [0, 0.5, 1]).coeffs, [0, 1], atol=1e-12)
+        q = sx.simplex_downgrade(1, 1, 2, [0, 0.5, 1]).coeffs
+        assert np.allclose(q, [0, 1], atol=1e-12)
 
     def test_identity_when_equal(self):
         y = np.array([0.3, -1.2, 0.5])
-        assert np.allclose(bn.downgrade(2, 2, y).coeffs, y, atol=1e-13)
+        assert np.allclose(sx.simplex_downgrade(1, 2, 2, y).coeffs, y, atol=1e-13)
 
     def test_normal_equations_oracle(self):
-        assert np.allclose(bn.downgrade(0, 1, [0, 1]).coeffs, [0.5], atol=1e-15)
+        q = sx.simplex_downgrade(1, 0, 1, [0, 1]).coeffs
+        assert np.allclose(q, [0.5], atol=1e-15)
         rng = np.random.default_rng(3)
         for m, n in [(0, 1), (2, 5), (4, 9)]:
             y = rng.uniform(-1, 1, n + 1)
             E = bn.elevation_matrix(m, n).entries
             oracle = np.linalg.lstsq(E, y, rcond=None)[0]
-            assert np.max(np.abs(bn.downgrade(m, n, y).coeffs - oracle)) < 1e-10
+            q = sx.simplex_downgrade(1, m, n, y).coeffs
+            assert np.max(np.abs(q - oracle)) < 1e-10
 
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
         for m, n in [(0, 6), (3, 5), (5, 12)]:
             c = rng.uniform(-1, 1, m + 1)
             y = bn.elevate_coeffs(c, n)
-            back = bn.downgrade(m, n, y).coeffs
+            back = sx.simplex_downgrade(1, m, n, y).coeffs
             assert np.max(np.abs(bn.elevate_coeffs(back, n) - y)) < 1e-10
 
 

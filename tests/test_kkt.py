@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bernfit import bernstein as bn
 from bernfit import kkt
+from bernfit import simplex as sx
 from bernfit.oracles import penalty_solve
 
 
@@ -175,7 +176,7 @@ class TestOptimalityProperties:
         tried = 0
         while tried < 100:
             z = rng.uniform(0, 1, 7)
-            q = bn.downgrade(3, 6, z).coeffs
+            q = sx.simplex_downgrade(1, 3, 6, z).coeffs
             if (E @ q).min() >= 0:
                 tried += 1
                 assert best <= kkt.objective(prob, q) + 1e-10

@@ -61,11 +61,11 @@ class TestEvaluate:
     def test_partition_of_unity(self, a, b):
         # map the square into the triangle
         x, y = a, b * (1 - a)
-        p = sx.simplex_poly(2, 3, np.ones(10))
+        p = bn.PolyCoeffs(3, np.ones(10), dim=2)
         assert sx.simplex_evaluate(p, [x, y]) == pytest.approx(1.0, abs=1e-12)
 
     def test_vertex_values(self):
-        p = sx.simplex_poly(2, 1, [1, 0, 0])
+        p = bn.PolyCoeffs(1, [1, 0, 0], dim=2)
         assert sx.simplex_evaluate(p, [0.0, 0.0]) == pytest.approx(1.0)
         assert sx.simplex_evaluate(p, [1.0, 0.0]) == pytest.approx(0.0)
         assert sx.simplex_evaluate(p, [0.0, 1.0]) == pytest.approx(0.0)
@@ -74,7 +74,7 @@ class TestEvaluate:
         # basis (0,1,1) of degree 2: n!/alpha! b1 b2 = 2 * (1/4) * (1/4)
         c = np.zeros(6)
         c[sx.multiindices(2, 2).index((0, 1, 1))] = 1.0
-        p = sx.simplex_poly(2, 2, c)
+        p = bn.PolyCoeffs(2, c, dim=2)
         val = sx.simplex_evaluate(p, [0.25, 0.25])
         assert val == pytest.approx(product_formula((0, 1, 1), (0.25, 0.25)))
         assert val == pytest.approx(1 / 8)
@@ -90,7 +90,7 @@ class TestEvaluate:
             for k, alpha in enumerate(idx):
                 c = np.zeros(len(idx))
                 c[k] = 1.0
-                poly = sx.simplex_poly(d, n, c)
+                poly = bn.PolyCoeffs(n, c, dim=d)
                 for point in P:
                     assert sx.simplex_evaluate(poly, point) == pytest.approx(
                         product_formula(alpha, point), abs=1e-13
@@ -99,7 +99,7 @@ class TestEvaluate:
     def test_univariate_consistency(self):
         rng = np.random.default_rng(1)
         c = rng.uniform(-1, 1, 5)
-        p1 = sx.simplex_poly(1, 4, c)
+        p1 = bn.PolyCoeffs(4, c, dim=1)
         pb = bn.poly(c)
         for x in rng.uniform(0, 1, 8):
             assert sx.simplex_evaluate(p1, [x]) == pytest.approx(
@@ -115,6 +115,12 @@ class TestElevation:
                 bn.elevation_matrix(m, n).entries,
                 atol=1e-14,
             )
+        # the CLI's whole 1-D range: m <= 12, n <= m + 10
+        for m in range(13):
+            for n in range(m, m + 11):
+                E = sx.simplex_elevation(1, m, n)
+                ref = bn.elevation_matrix(m, n).entries
+                assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_constant_column(self):
         assert np.allclose(sx.simplex_elevation(2, 0, 1), np.ones((3, 1)))
@@ -138,19 +144,11 @@ class TestElevation:
         rng = np.random.default_rng(2)
         for d, m, n in [(2, 1, 4), (3, 2, 4)]:
             c = rng.uniform(-1, 1, math.comb(d + m, d))
-            ce = sx.apply_elevation(d, m, n, c)
+            ce = sx.simplex_elevation(d, m, n) @ c
             pts = rng.dirichlet(np.ones(d + 1), size=10)[:, 1:]
-            lo = sx.simplex_evaluate(sx.simplex_poly(d, m, c), pts)
-            hi = sx.simplex_evaluate(sx.simplex_poly(d, n, ce), pts)
+            lo = sx.simplex_evaluate(bn.PolyCoeffs(m, c, dim=d), pts)
+            hi = sx.simplex_evaluate(bn.PolyCoeffs(n, ce, dim=d), pts)
             assert np.max(np.abs(lo - hi)) < 1e-12
-
-    def test_sparse_steps_match_dense(self):
-        dense = sx.simplex_elevation(2, 1, 3)
-        steps = sx.elevation_steps(2, 1, 3)
-        prod = np.eye(3)
-        for s in steps:
-            prod = s @ prod
-        assert np.allclose(dense, prod, atol=1e-15)
 
 
 class TestMassMatrix:
@@ -228,7 +226,7 @@ class TestMassMatrix:
             M = sx.simplex_mass_matrix(d, n)
             lam, _ = sx.simplex_mass_eigenvalues(d, n)
             for j in range(n + 1):
-                V = sx.apply_elevation(d, j, n, sx.orthogonal_complement_basis(d, j))
+                V = sx.simplex_elevation(d, j, n) @ sx.orthogonal_complement_basis(d, j)
                 assert np.max(np.abs(M @ V - lam[j] * V)) < 1e-10
 
 
@@ -237,9 +235,18 @@ class TestComplementBasis:
         L = sx.orthogonal_complement_basis(1, 2)
         assert L.shape == (3, 1)
         assert np.allclose(L[:, 0] / L[0, 0], [1, -2, 1], atol=1e-12)
+        # the whole block: (-1)^j sqrt(2j+1) times the shifted Legendre column
+        for j in range(13):
+            L = sx.orthogonal_complement_basis(1, j)
+            ref = (-1) ** j * math.sqrt(2 * j + 1) * bn.legendre_bernstein_coeffs(j).coeffs
+            assert L.shape == (j + 1, 1)
+            assert np.max(np.abs(L[:, 0] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_constant_block(self):
-        assert np.allclose(sx.orthogonal_complement_basis(2, 0), np.ones((3, 1)))
+        # the constant 1 has M-norm 1/sqrt(d!) on the d-simplex
+        L = sx.orthogonal_complement_basis(2, 0)
+        assert L.shape == (1, 1)
+        assert L[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_orthogonality(self):
         L = sx.orthogonal_complement_basis(2, 1)
@@ -270,6 +277,18 @@ class TestSpectralFactors:
             sign = 1.0 if abs(col[0] - ref[0]) < abs(col[0] + ref[0]) else -1.0
             assert np.max(np.abs(sign * col - ref)) < 1e-10
         assert np.allclose(S1.eigenvalues, Sb.eigenvalues, atol=1e-14)
+        # the CLI's whole 1-D range: m <= 12, n <= m + 10
+        for m in range(13):
+            for n in range(m, m + 11):
+                S1 = sx.simplex_spectral_factors(1, m, n)
+                Sb = bn.spectral_factors(m, n)
+                for j in range(m + 1):
+                    col, ref = S1.U[:, j], Sb.U[:, j]
+                    sign = 1.0 if abs(col[0] - ref[0]) < abs(col[0] + ref[0]) else -1.0
+                    scale = np.max(np.abs(ref))
+                    assert np.max(np.abs(sign * col - ref)) <= 1e-13 * scale
+                rel = np.abs(S1.eigenvalues - Sb.eigenvalues) / Sb.eigenvalues
+                assert np.max(rel) <= 1e-13
 
     def test_reconstruction(self):
         S = sx.simplex_spectral_factors(2, 1, 1)
@@ -290,24 +309,32 @@ class TestSpectralFactors:
         Minv = np.linalg.inv(sx.simplex_mass_matrix(d, m))
         assert np.max(np.abs(E @ Minv @ E.T - S.U @ S.U.T)) < 1e-9
 
-    @pytest.mark.parametrize("n", [6, 8, 10])
-    def test_inverse_against_high_precision(self, n):
-        # U U^T = (M^{2,n})^{-1}; reference: 50-digit inverse of the exact M
+    @pytest.mark.parametrize(
+        "d,n,tol",
+        [
+            pytest.param(2, 6, 1e-10, id="6"),
+            pytest.param(2, 8, 1e-10, id="8"),
+            pytest.param(2, 10, 1e-10, id="10"),
+            pytest.param(1, 12, 1e-14, id="d1-12"),
+        ],
+    )
+    def test_inverse_against_high_precision(self, d, n, tol):
+        # U U^T = (M^{d,n})^{-1}; reference: 50-digit inverse of the exact M
         import mpmath
 
         mpmath.mp.dps = 50
         f = math.factorial
-        idx = sx.multiindices(2, n)
+        idx = sx.multiindices(d, n)
 
         def entry(a, b):
             num = f(n) ** 2 * math.prod(f(x + y) for x, y in zip(a, b))
-            den = math.prod(map(f, a)) * math.prod(map(f, b)) * f(2 * n + 2)
+            den = math.prod(map(f, a)) * math.prod(map(f, b)) * f(2 * n + d)
             return mpmath.mpf(num) / den
 
         exact = mpmath.matrix([[entry(a, b) for b in idx] for a in idx])
         ref = np.array(mpmath.inverse(exact).tolist(), dtype=float)
-        S = sx.simplex_spectral_factors(2, n, n)
-        assert np.max(np.abs(S.U @ S.U.T - ref)) <= 1e-10 * np.max(np.abs(ref))
+        S = sx.simplex_spectral_factors(d, n, n)
+        assert np.max(np.abs(S.U @ S.U.T - ref)) <= tol * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_orthonormal_in_degree_n_mass(self, n):
@@ -319,18 +346,18 @@ class TestSpectralFactors:
     def test_downgrade_roundtrip(self):
         rng = np.random.default_rng(3)
         c = rng.uniform(-1, 1, 6)
-        y = sx.apply_elevation(2, 2, 4, c)
+        y = sx.simplex_elevation(2, 2, 4) @ c
         assert np.max(np.abs(sx.simplex_downgrade(2, 2, 4, y).coeffs - c)) < 1e-12
 
 
 class TestIntegral:
     def test_constant(self):
-        p = sx.simplex_poly(2, 2, np.ones(6))
+        p = bn.PolyCoeffs(2, np.ones(6), dim=2)
         assert sx.simplex_integral(p) == pytest.approx(0.5)
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(4)
         c = rng.uniform(-1, 1, 10)
-        p = sx.simplex_poly(2, 3, c)
+        p = bn.PolyCoeffs(3, c, dim=2)
         oracle = triangle_quadrature(lambda x, y: sx.simplex_evaluate(p, [x, y]))
         assert sx.simplex_integral(p) == pytest.approx(oracle, abs=1e-13)
