@@ -30,6 +30,12 @@ MAX_DEGREE_2D = 4
 KNOWN_METHODS = ("project", "kkt", "kkt-mass", "cone", "bernstein", "p1")
 SAMPLE_POINTS = 512
 
+# The n = m KKT feasible set lies inside the cone, so a cone cost above the
+# n = m KKT cost is a solver miss once it exceeds the solver's accuracy,
+# which is relative to the size of the problem p^T M p.
+CONE_RTOL = 1e-6
+CONE_ATOL = 1e-14
+
 
 class SpecError(Exception):
     """Bad experiment specification; maps to exit code 1."""
@@ -153,14 +159,29 @@ def _approximant(method, offset, f, m, quad, projection):
         if not result.converged:
             raise RuntimeError(
                 f"cone solver did not converge at m={m} "
-                f"(grad {result.grad_norm:.2e}, cond {result.condition:.2e})"
+                f"(grad {result.grad_norm:.2e}, cond {result.condition:.2e}, "
+                f"{result.evaluations} evaluations)"
             )
+        _check_cone_cost(projection, result.q)
         return result.q
     if method == "bernstein":
         return approx.bernstein_operator(f, m)
     if method == "p1":
         return approx.p1_interpolant(f, m)
     raise AssertionError(method)
+
+
+def _check_cone_cost(projection, q) -> None:
+    """Raise unless the cone cost is within tolerance of the n = m KKT cost."""
+    m = projection.degree
+    problem = kkt.KktProblem(dim=1, m=m, n=m, target=projection.coeffs)
+    bound = kkt.objective(problem, kkt.solve(problem).q.coeffs)
+    scale = kkt.objective(problem, np.zeros(m + 1))
+    cost = kkt.objective(problem, q.coeffs)
+    if cost > bound + CONE_RTOL * (bound + scale) + CONE_ATOL:
+        raise RuntimeError(
+            f"cone cost {cost:.6e} exceeds the n=m KKT cost {bound:.6e} at m={m}"
+        )
 
 
 def run(args) -> int:

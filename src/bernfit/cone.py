@@ -2,16 +2,17 @@
 
 A polynomial of degree m is nonnegative on [0, 1] exactly when its monomial
 coefficient vector can be written Omega0*(A) + Omega1*(B) with A and B
-positive semidefinite; the Omega maps are assembled from Hankel basis
-matrices and depend on the parity of m.  This module provides the forward
-and adjoint maps, the monomial-to-Bernstein change of basis, and a solver
-that minimizes the projection cost over the cone by quasi-Newton descent on
-full-rank factors A = R0 R0^T, B = R1 R1^T.
+positive semidefinite; the Omega maps sum Hankel antidiagonals and depend on
+the parity of m.  Both maps are one 0/+-1 matrix per degree, built once.
+This module provides the forward and adjoint maps, the monomial-to-Bernstein
+change of basis, and a solver that minimizes the projection cost over the
+cone by quasi-Newton descent on full-rank factors A = R0 R0^T, B = R1 R1^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import optimize
@@ -61,7 +62,8 @@ def _block_sizes(m: int) -> tuple[int, int]:
 def hankel_basis(size: int, k: int) -> np.ndarray:
     """size x size matrix with ones on the antidiagonal i + j = k.
 
-    Zero when k < 0 or k > 2(size-1).
+    Zero when k < 0 or k > 2(size-1).  The tests' reference for
+    omega_operator, which the maps use instead.
     """
     H = np.zeros((size, size))
     if 0 <= k <= 2 * (size - 1):
@@ -70,46 +72,39 @@ def hankel_basis(size: int, k: int) -> np.ndarray:
     return H
 
 
+@lru_cache(maxsize=32)
+def omega_operator(m: int) -> np.ndarray:
+    """Read-only (m+1) x (sa^2 + sb^2) matrix W of the adjoint maps.
+
+    W [vec A; vec B] = Omega0*(A) + Omega1*(B) for row-major vec, so W^T q
+    stacks vec Omega0(q) and vec Omega1(q).  Entry (i+j+s, col of A[i,j]) is
+    1 with s = m mod 2; B[i,j] adds 1 at row i+j+1-s and -1 at row i+j+2-s.
+    """
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative, got {m}")
+    sa, sb = _block_sizes(m)
+    s = m % 2
+    W = np.zeros((m + 1, sa * sa + sb * sb))
+    i, j = np.divmod(np.arange(sa * sa), sa)
+    W[i + j + s, np.arange(sa * sa)] = 1.0
+    i, j = np.divmod(np.arange(sb * sb), sb)
+    W[i + j + 1 - s, sa * sa + np.arange(sb * sb)] = 1.0
+    W[i + j + 2 - s, sa * sa + np.arange(sb * sb)] = -1.0
+    W.setflags(write=False)
+    return W
+
+
 def omega_forward(m: int, q) -> tuple[np.ndarray, np.ndarray]:
     """Images (Omega0(q), Omega1(q)) of a monomial coefficient vector."""
     q = np.asarray(q, dtype=float)
     if q.shape != (m + 1,):
         raise ValueError(f"expected {m + 1} monomial coefficients, got {q.shape}")
-    sa, sb = _block_sizes(m)
-    ell = m // 2
-    O0 = np.zeros((sa, sa))
-    O1 = np.zeros((sb, sb))
-    if m % 2 == 0:
-        for k in range(2 * ell + 1):
-            O0 += q[k] * hankel_basis(sa, k)
-        for k in range(max(2 * ell - 1, 0)):
-            O1 += (q[k + 1] - q[k + 2]) * hankel_basis(sb, k)
-    else:
-        for k in range(2 * ell + 1):
-            O0 += q[k + 1] * hankel_basis(sa, k)
-            O1 += (q[k] - q[k + 1]) * hankel_basis(sb, k)
-    return O0, O1
+    return _unpack(omega_operator(m).T @ q, *_block_sizes(m))
 
 
 def omega_adjoint(point: ConePoint) -> np.ndarray:
     """Monomial coefficients Omega0*(A) + Omega1*(B) of a cone point."""
-    m = point.m
-    sa, sb = _block_sizes(m)
-    ell = m // 2
-    q = np.zeros(m + 1)
-    if m % 2 == 0:
-        for k in range(m + 1):
-            q[k] = np.sum(point.A * hankel_basis(sa, k))
-            if sb:
-                q[k] += np.sum(
-                    point.B * (hankel_basis(sb, k - 1) - hankel_basis(sb, k - 2))
-                )
-    else:
-        for k in range(m + 1):
-            q[k] = np.sum(point.A * hankel_basis(sa, k - 1)) + np.sum(
-                point.B * (hankel_basis(sb, k) - hankel_basis(sb, k - 1))
-            )
-    return q
+    return omega_operator(point.m) @ _pack(point.A, point.B)
 
 
 def monomial_to_bernstein(m: int) -> np.ndarray:
@@ -126,10 +121,17 @@ def monomial_to_bernstein(m: int) -> np.ndarray:
     return T
 
 
+@lru_cache(maxsize=32)
+def _solver_data(m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only T and M^m of degree m, and the condition of T, built once."""
+    T = monomial_to_bernstein(m)
+    T.setflags(write=False)
+    return T, mass_matrix(m).entries, float(np.linalg.cond(T, 1))
+
+
 def t_condition(m: int) -> float:
     """1-norm condition estimate of the monomial-to-Bernstein map."""
-    T = monomial_to_bernstein(m)
-    return float(np.linalg.cond(T, 1))
+    return _solver_data(m)[2]
 
 
 def grid_min(p: PolyCoeffs, npoints: int = 10_001) -> float:
@@ -174,6 +176,8 @@ class ConeResult:
     condition: float
     restart_index: int
     iterations: int
+    # objective evaluations summed over every restart
+    evaluations: int
 
 
 def _pack(R0, R1):
@@ -190,20 +194,15 @@ def _composite(z, m, T, M, target, sa, sb):
     """Objective d_p(T (Omega0*(R0 R0^T) + Omega1*(R1 R1^T))) and its gradient.
 
     The gradient flows through the chain rule: residual -> Bernstein ->
-    monomial (T transpose) -> symmetric blocks (forward Omega maps are the
-    adjoints of the adjoint maps) -> factors.
+    monomial (T transpose) -> symmetric blocks (W transpose, the forward
+    Omega maps) -> factors.
     """
     R0, R1 = _unpack(z, sa, sb)
-    point = ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
-    mono = omega_adjoint(point)
-    bern = T @ mono
-    r = bern - target
-    val = float(r @ M @ r)
-    g_mono = T.T @ (2.0 * M @ r)
-    GA, GB = omega_forward(m, g_mono)
-    g0 = 2.0 * GA @ R0
-    g1 = 2.0 * GB @ R1
-    return val, _pack(g0, g1)
+    W = omega_operator(m)
+    r = T @ (W @ _pack(R0 @ R0.T, R1 @ R1.T)) - target
+    Mr = M @ r
+    GA, GB = _unpack(W.T @ (T.T @ (2.0 * Mr)), sa, sb)
+    return float(r @ Mr), _pack(2.0 * GA @ R0, 2.0 * GB @ R1)
 
 
 def solve_cone(
@@ -230,12 +229,12 @@ def solve_cone(
             f"on the monomial-to-Bernstein map"
         )
     sa, sb = _block_sizes(m)
-    T = monomial_to_bernstein(m)
-    M = mass_matrix(m).entries
+    T, M, condition = _solver_data(m)
     target = np.asarray(p.coeffs, dtype=float)
     rng = np.random.default_rng(seed)
 
     best = None
+    evaluations = 0
     for idx in range(restarts):
         z0 = _pack(
             rng.standard_normal((sa, sa)) * 0.5, rng.standard_normal((sb, sb)) * 0.5
@@ -248,6 +247,7 @@ def solve_cone(
             method="L-BFGS-B",
             options=dict(maxiter=max_iterations, gtol=grad_tol, ftol=1e-18, maxcor=30),
         )
+        evaluations += int(res.nfev)
         gnorm = float(np.abs(res.jac).max()) if res.jac is not None else np.inf
         cand = (res.fun, idx, res.x, gnorm, int(res.nit))
         if best is None or cand[0] < best[0]:
@@ -262,9 +262,10 @@ def solve_cone(
         objective=fun,
         grad_norm=gnorm,
         converged=gnorm <= stall_tol,
-        condition=t_condition(m),
+        condition=condition,
         restart_index=idx,
         iterations=nit,
+        evaluations=evaluations,
     )
 
 

@@ -67,8 +67,7 @@ class KktProblem:
 
     target holds the Bernstein coefficients of the polynomial being
     projected, at degree m (length C(dim+m, dim)), and must be finite.
-    delta=1 additionally pins the integral.  upper is accepted for oracle
-    use only; solve and enumerate reject it.
+    delta=1 additionally pins the integral.
     """
 
     dim: int
@@ -76,7 +75,6 @@ class KktProblem:
     n: int
     target: np.ndarray
     delta: int = 0
-    upper: float | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -225,10 +223,6 @@ def _candidate_solution(data, problem, J, mu_J):
 
 
 def _check_size(problem: KktProblem) -> None:
-    if problem.upper is not None:
-        raise ValueError(
-            "upper bounds are handled by the penalty oracle, not the KKT solvers"
-        )
     N = problem.num_constraints
     if N > MAX_SUBSET_BITS:
         raise IntractableProblemError(

@@ -32,7 +32,7 @@ class PenaltyConfig:
             raise ValueError("penalty weights must be strictly increasing")
 
 
-def _penalty_objective(q, rho, data, problem):
+def _penalty_objective(q, rho, data, problem, upper):
     r = q - problem.target
     val = r @ data.M @ r
     grad = 2.0 * data.M @ r
@@ -40,8 +40,8 @@ def _penalty_objective(q, rho, data, problem):
     neg = np.minimum(eq, 0.0)
     val += rho * float(neg @ neg)
     grad += 2.0 * rho * (data.E.T @ neg)
-    if problem.upper is not None:
-        over = np.maximum(eq - problem.upper, 0.0)
+    if upper is not None:
+        over = np.maximum(eq - upper, 0.0)
         val += rho * float(over @ over)
         grad += 2.0 * rho * (data.E.T @ over)
     if problem.delta:
@@ -51,7 +51,7 @@ def _penalty_objective(q, rho, data, problem):
     return val, grad
 
 
-def _newton_polish(q, rho, data, problem, iterations=25):
+def _newton_polish(q, rho, data, problem, upper, iterations=25):
     """Drive one penalty stage to its exact minimizer.
 
     The penalized objective is piecewise quadratic, so once the sign pattern
@@ -61,12 +61,12 @@ def _newton_polish(q, rho, data, problem, iterations=25):
     """
     E, M, c = data.E, data.M, data.c_eq
     for _ in range(iterations):
-        val, g = _penalty_objective(q, rho, data, problem)
+        val, g = _penalty_objective(q, rho, data, problem, upper)
         eq = E @ q
         active = eq < 0.0
         H = 2.0 * M + 2.0 * rho * (E[active].T @ E[active])
-        if problem.upper is not None:
-            over = eq > problem.upper
+        if upper is not None:
+            over = eq > upper
             H = H + 2.0 * rho * (E[over].T @ E[over])
         if problem.delta:
             H = H + 2.0 * rho * c * c * np.ones_like(H)
@@ -77,7 +77,7 @@ def _newton_polish(q, rho, data, problem, iterations=25):
         if not np.all(np.isfinite(step)):
             break
         trial = q + step
-        if _penalty_objective(trial, rho, data, problem)[0] <= val:
+        if _penalty_objective(trial, rho, data, problem, upper)[0] <= val:
             q = trial
         else:
             q = q + 0.5 * step
@@ -86,8 +86,12 @@ def _newton_polish(q, rho, data, problem, iterations=25):
     return q
 
 
-def penalty_solve(problem: KktProblem, config: PenaltyConfig | None = None) -> np.ndarray:
+def penalty_solve(
+    problem: KktProblem, config: PenaltyConfig | None = None, *, upper: float | None = None
+) -> np.ndarray:
     """Approximate minimizer by the quadratic-penalty method.
+
+    upper, when given, also bounds every elevated coefficient from above.
 
     Each stage is minimized by a quasi-Newton method warm-started from the
     previous stage and then polished by Newton steps on the penalized
@@ -103,7 +107,7 @@ def penalty_solve(problem: KktProblem, config: PenaltyConfig | None = None) -> n
         res = optimize.minimize(
             _penalty_objective,
             q,
-            args=(rho, data, problem),
+            args=(rho, data, problem, upper),
             jac=True,
             method="L-BFGS-B",
             options=dict(
@@ -118,7 +122,7 @@ def penalty_solve(problem: KktProblem, config: PenaltyConfig | None = None) -> n
             raise PenaltyStalledError(
                 f"stage rho={rho} hit {cfg.max_inner_iterations} iterations"
             )
-        q = _newton_polish(q, rho, data, problem)
+        q = _newton_polish(q, rho, data, problem, upper)
     return q
 
 

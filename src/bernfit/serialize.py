@@ -69,8 +69,6 @@ def problem_to_record(p: KktProblem) -> str:
         ("delta", p.delta),
         ("target", _vector_str(p.target)),
     ]
-    if p.upper is not None:
-        pairs.append(("upper", format_float(p.upper)))
     return _record_lines(pairs)
 
 
@@ -88,13 +86,15 @@ def problem_from_record(text: str) -> KktProblem:
     rec = _parse_record(text)
     if rec.get("kind") != "kkt_problem":
         raise ValueError(f"not a kkt_problem record: kind={rec.get('kind')!r}")
+    if "upper" in rec:
+        raise ValueError("kkt_problem records carry no upper bound; "
+                         "pass it to oracles.penalty_solve instead")
     return KktProblem(
         dim=int(rec["dim"]),
         m=int(rec["m"]),
         n=int(rec["n"]),
         target=np.array([float(v) for v in rec["target"].split()]),
         delta=int(rec["delta"]),
-        upper=float(rec["upper"]) if "upper" in rec else None,
     )
 
 

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bernfit import approx, kkt
+from bernfit import approx, cone, kkt
+from bernfit import bernstein as bn
 from bernfit.cli import main, samples_path
 
 
@@ -146,6 +148,24 @@ class TestFailureHandling:
         notes = [ln for ln in capsys.readouterr().err.splitlines()
                  if ln.startswith("bernfit: ")]
         assert int(np.isnan(rows[:, 1:]).sum()) == len(notes) == 8
+
+    def test_cone_cost_gate(self, tmp_path, capsys, monkeypatch):
+        argv = ["--func", "f2", "--mmin", "1", "--mmax", "3",
+                "--methods", "project,cone", "--out", str(tmp_path / "errors.csv")]
+        assert main(argv) == 0  # the solver's own answers pass the gate
+        solve_cone = cone.solve_cone
+
+        def worse(p, **kwargs):
+            res = solve_cone(p, **kwargs)
+            return dataclasses.replace(res, q=bn.PolyCoeffs(p.degree, res.q.coeffs + 0.5))
+
+        monkeypatch.setattr(cone, "solve_cone", worse)
+        assert main(argv) == 2
+        _, rows = read_table(tmp_path / "errors.csv")
+        assert np.isnan(rows[:, 2]).all() and not np.isnan(rows[:, 1]).any()
+        notes = [ln for ln in capsys.readouterr().err.splitlines()
+                 if "exceeds the n=m KKT cost" in ln]
+        assert len(notes) == 3
 
     def test_subset_guard_becomes_nan(self, tmp_path):
         out = tmp_path / "errors.csv"

@@ -93,6 +93,80 @@ class TestOmegaMaps:
             cone.omega_forward(4, np.zeros(4))
 
 
+def hankel_sum_operator(m):
+    """W(m) assembled row by row from Hankel basis matrices."""
+    sa, sb = cone._block_sizes(m)
+    s = m % 2
+    rows = []
+    for k in range(m + 1):
+        HA = cone.hankel_basis(sa, k - s)
+        HB = cone.hankel_basis(sb, k - 1 + s) - cone.hankel_basis(sb, k - 2 + s)
+        rows.append(np.concatenate([HA.ravel(), HB.ravel()]))
+    return np.array(rows)
+
+
+def loop_adjoint(m, A, B):
+    """Omega0*(A) + Omega1*(B) summed one Hankel matrix at a time."""
+    sa, sb = cone._block_sizes(m)
+    q = np.zeros(m + 1)
+    for k in range(m + 1):
+        if m % 2 == 0:
+            q[k] = np.sum(A * cone.hankel_basis(sa, k))
+            if sb:
+                HB = cone.hankel_basis(sb, k - 1) - cone.hankel_basis(sb, k - 2)
+                q[k] += np.sum(B * HB)
+        else:
+            HB = cone.hankel_basis(sb, k) - cone.hankel_basis(sb, k - 1)
+            q[k] = np.sum(A * cone.hankel_basis(sa, k - 1)) + np.sum(B * HB)
+    return q
+
+
+def loop_forward(m, q):
+    """(Omega0(q), Omega1(q)) summed one Hankel matrix at a time."""
+    sa, sb = cone._block_sizes(m)
+    ell = m // 2
+    O0, O1 = np.zeros((sa, sa)), np.zeros((sb, sb))
+    if m % 2 == 0:
+        for k in range(2 * ell + 1):
+            O0 += q[k] * cone.hankel_basis(sa, k)
+        for k in range(max(2 * ell - 1, 0)):
+            O1 += (q[k + 1] - q[k + 2]) * cone.hankel_basis(sb, k)
+    else:
+        for k in range(2 * ell + 1):
+            O0 += q[k + 1] * cone.hankel_basis(sa, k)
+            O1 += (q[k] - q[k + 1]) * cone.hankel_basis(sb, k)
+    return O0, O1
+
+
+class TestOmegaOperator:
+    @pytest.mark.parametrize("m", range(13))
+    def test_equals_hankel_sums(self, m):
+        W = cone.omega_operator(m)
+        assert np.array_equal(W, hankel_sum_operator(m))
+
+    def test_cached_and_read_only(self):
+        W = cone.omega_operator(5)
+        assert cone.omega_operator(5) is W
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            cone.omega_operator(-1)
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_maps_match_loop_formulas(self, m):
+        rng = np.random.default_rng(100 + m)
+        sa, sb = cone._block_sizes(m)
+        for _ in range(3):
+            A = rng.standard_normal((sa, sa))
+            A = A + A.T
+            B = rng.standard_normal((sb, sb))
+            B = B + B.T
+            q = rng.standard_normal(m + 1)
+            adj = cone.omega_adjoint(cone.ConePoint(m=m, A=A, B=B))
+            assert np.allclose(adj, loop_adjoint(m, A, B), rtol=0, atol=1e-13)
+            for got, want in zip(cone.omega_forward(m, q), loop_forward(m, q)):
+                assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+
 class TestBasisChange:
     def test_degree_one(self):
         assert np.allclose(cone.monomial_to_bernstein(1), [[1, 0], [1, 1]])
@@ -205,12 +279,42 @@ class TestSolveCone:
             cone.solve_cone(bn.poly(np.zeros(14)))
 
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_f2_within_kkt_cost(self, m):
+        # the n = m KKT feasible set lies inside the cone
+        from bernfit import approx
+
+        p = approx.project(approx.get_function("f2"), m, approx.default_rule(1))
+        res = cone.solve_cone(p)
+        assert res.converged and res.evaluations > 0
+        prob = kkt.KktProblem(dim=1, m=m, n=m, target=p.coeffs)
+        bound = kkt.objective(prob, kkt.solve(prob).q.coeffs)
+        scale = kkt.objective(prob, np.zeros(m + 1))
+        assert cone.cone_objective(p, res.q) <= bound + 1e-6 * (bound + scale) + 1e-14
+
+
 class TestCompositeGradient:
     def test_against_finite_differences(self):
         from bernfit.oracles import finite_diff_gradient
 
         rng = np.random.default_rng(6)
         m = 4
+        sa, sb = cone._block_sizes(m)
+        T = cone.monomial_to_bernstein(m)
+        M = bn.mass_matrix(m).entries
+        target = rng.uniform(-1, 1, m + 1)
+        z = rng.standard_normal(sa * sa + sb * sb)
+        val, grad = cone._composite(z, m, T, M, target, sa, sb)
+        fd = finite_diff_gradient(
+            lambda zz: cone._composite(zz, m, T, M, target, sa, sb)[0], z, h=1e-5
+        )
+        assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5
+
+    @pytest.mark.parametrize("m", [0, 1, 7])
+    def test_against_finite_differences_at_degree(self, m):
+        from bernfit.oracles import finite_diff_gradient
+
+        rng = np.random.default_rng(60 + m)
         sa, sb = cone._block_sizes(m)
         T = cone.monomial_to_bernstein(m)
         M = bn.mass_matrix(m).entries

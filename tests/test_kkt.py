@@ -143,11 +143,6 @@ class TestGuards:
         with pytest.raises(kkt.IntractableProblemError):
             kkt.solve(p)
 
-    def test_upper_bound_rejected_by_enumerator(self):
-        p = kkt.KktProblem(dim=1, m=1, n=1, target=np.array([2.0, 2.0]), upper=1.0)
-        with pytest.raises(ValueError):
-            kkt.solve(p)
-
     def test_infeasible_mass_constraint(self):
         # negative target integral with delta=1 has no feasible point
         p = kkt.KktProblem(dim=1, m=0, n=2, target=np.array([-1.0]), delta=1)

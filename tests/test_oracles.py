@@ -20,8 +20,8 @@ class TestPenaltySolve:
         assert np.max(np.abs(oracles.penalty_solve(p) - [0.0, 0.0])) < 1e-5
 
     def test_upper_bound_support(self):
-        p = kkt.KktProblem(dim=1, m=1, n=3, target=np.array([2.0, 2.0]), upper=1.0)
-        q = oracles.penalty_solve(p)
+        p = kkt.KktProblem(dim=1, m=1, n=3, target=np.array([2.0, 2.0]))
+        q = oracles.penalty_solve(p, upper=1.0)
         from bernfit import bernstein as bn
 
         elev = bn.elevation_matrix(1, 3).entries @ q

@@ -42,12 +42,12 @@ class TestRecords:
         assert back.dim == p.dim and back.m == p.m and back.n == p.n
         assert back.delta == p.delta
         assert np.array_equal(back.target, p.target)
-        assert back.upper is None
 
-    def test_problem_with_upper(self):
-        p = kkt.KktProblem(dim=1, m=1, n=1, target=np.array([2.0, 2.0]), upper=1.0)
-        back = serialize.problem_from_record(serialize.problem_to_record(p))
-        assert back.upper == 1.0
+    def test_record_with_upper_is_rejected(self):
+        p = kkt.KktProblem(dim=1, m=1, n=1, target=np.array([2.0, 2.0]))
+        text = serialize.problem_to_record(p) + "upper=1\n"
+        with pytest.raises(ValueError, match="upper"):
+            serialize.problem_from_record(text)
 
     def test_solution_record_and_summary(self):
         p = kkt.KktProblem(dim=1, m=1, n=1, target=np.array([-1.0, 1.0]))
