@@ -184,12 +184,24 @@ def _check_cone_cost(projection, q) -> None:
         )
 
 
+def _check_finite(f: TargetFunction, points, where: str) -> None:
+    """Reject a target that is not finite at every point, before any row."""
+    with np.errstate(all="ignore"):
+        values = f(points) if f.dim == 1 else f(*points.T)
+    if not np.all(np.isfinite(values)):
+        raise SpecError(f"target {f.ident} is not finite at every {where}")
+
+
 def run(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     elevations = args.elevate if args.elevate else [0]
     _validate(args, methods, elevations)
     f = _resolve_function(args.func, args.dim)
     quad = approx.default_rule(args.dim, args.quad_points)
+    xs = np.linspace(0.0, 1.0, SAMPLE_POINTS)
+    _check_finite(f, quad.nodes, "quadrature node")
+    if args.samples_degree is not None:
+        _check_finite(f, xs, "sample point")
     cols = _columns(methods, elevations)
 
     degrees = range(args.mmin, args.mmax + 1)
@@ -226,7 +238,6 @@ def run(args) -> int:
             fh.write(",".join(cells) + "\n")
 
     if args.samples_degree is not None:
-        xs = np.linspace(0.0, 1.0, SAMPLE_POINTS)
         columns = {"x": xs, "f": np.asarray(f(xs), dtype=float)}
         for name, _, _ in cols:
             obj = approximants.get(name)

@@ -18,14 +18,13 @@ orthonormal coordinates c = lam * U^T y the problem is the least distance
 program min ||c - c_p|| subject to U c >= 0, which Lawson & Hanson
 (Solving Least Squares Problems, 1974, ch. 23) turn into an NNLS problem
 whose support is J.  The exact reduced solve on J then gives the answer.
-enumerate is the paper's reference method and the test oracle: it tries
-every subset by size, then lexicographically, and the minimizer is
-unique, so the first acceptance is the answer.
+The paper's exhaustive search over every J is kept in the oracles
+module as the reference method the tests check solve against; it shares
+the reduced solve and its checks (_accepted) with solve.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,8 +43,6 @@ RANK_TOL = 1e-11
 # -r_last of the NNLS residual is >= 1/2 for a feasible problem scaled as in
 # _nnls_active_set and 0 for an infeasible one
 INFEASIBLE_RESIDUAL = 0.25
-
-_CHUNK = 32768
 
 
 class IntractableProblemError(Exception):
@@ -125,17 +122,6 @@ class KktDiagnostics:
     passed: bool
 
 
-def subset_iterator(num_constraints: int):
-    """All subsets of {0..num_constraints-1}: by cardinality, then lexicographic."""
-    if num_constraints > MAX_SUBSET_BITS:
-        raise IntractableProblemError(
-            f"{num_constraints} constraints means 2^{num_constraints} subsets; "
-            f"the enumeration budget is 2^{MAX_SUBSET_BITS}"
-        )
-    for k in range(num_constraints + 1):
-        yield from itertools.combinations(range(num_constraints), k)
-
-
 @dataclass(frozen=True)
 class _ProblemData:
     """Precomputed matrices shared by every subset of one instance."""
@@ -174,41 +160,6 @@ def _problem_data(dim: int, m: int, n: int) -> _ProblemData:
     )
 
 
-def _batched_solve(A: np.ndarray, b: np.ndarray):
-    """Gaussian elimination with partial pivoting over a stack of systems.
-
-    A has shape (batch, k, k) and b (batch, k).  Returns (x, full_rank)
-    where full_rank marks systems whose pivots all clear RANK_TOL * max|A|.
-    """
-    batch, k, _ = A.shape
-    U = A.copy()
-    x = b.astype(float).copy()
-    scale = np.max(np.abs(A), axis=(1, 2))
-    # a zero block is rank deficient outright; the pivot test below would
-    # otherwise accept it vacuously
-    ok = scale > 0.0
-    rows = np.arange(batch)
-    for col in range(k):
-        piv = np.argmax(np.abs(U[:, col:, col]), axis=1) + col
-        swap = piv != col
-        if np.any(swap):
-            sb = rows[swap]
-            pv = piv[swap]
-            U[sb, pv, :], U[sb, col, :] = U[sb, col, :], U[sb, pv, :].copy()
-            x[sb, pv], x[sb, col] = x[sb, col], x[sb, pv].copy()
-        pivval = U[:, col, col]
-        ok &= np.abs(pivval) >= RANK_TOL * scale
-        safe = np.where(pivval == 0.0, 1.0, pivval)
-        factors = U[:, col + 1 :, col] / safe[:, None]
-        U[:, col + 1 :, col:] -= factors[:, :, None] * U[:, None, col, col:]
-        x[:, col + 1 :] -= factors * x[:, col, None]
-    for col in range(k - 1, -1, -1):
-        acc = np.einsum("bj,bj->b", U[:, col, col + 1 :], x[:, col + 1 :])
-        pivval = U[:, col, col]
-        x[:, col] = (x[:, col] - acc) / np.where(pivval == 0.0, 1.0, pivval)
-    return x, ok
-
-
 def _candidate_solution(data, problem, J, mu_J):
     """Assemble (mu, nu, y) for a dual-feasible subset; y is the elevated q."""
     N = problem.num_constraints
@@ -222,8 +173,8 @@ def _candidate_solution(data, problem, J, mu_J):
     return mu, nu, y
 
 
-def _check_size(problem: KktProblem) -> None:
-    N = problem.num_constraints
+def _check_size(N: int) -> None:
+    """Bound the constraint count N to the exhaustive search's budget."""
     if N > MAX_SUBSET_BITS:
         raise IntractableProblemError(
             f"{N} constraints means 2^{N} subsets; the enumeration budget "
@@ -234,56 +185,28 @@ def _check_size(problem: KktProblem) -> None:
 def _accepted(data, problem: KktProblem, ep, chunk, counters: dict):
     """Yield (J, mu, nu, y) for every row of chunk passing both KKT checks.
 
-    chunk stacks subsets of one size as rows of constraint indices; the
-    accepted ones come out in row order.
+    chunk stacks subsets of one size k as rows of constraint indices; the
+    accepted ones come out in row order.  A reduced matrix whose rank at
+    tolerance RANK_TOL * max|A| is below k is skipped, a zero block too.
     """
     batch, k = chunk.shape
+    A = data.W[chunk[:, :, None], chunk[:, None, :]]
+    if problem.delta:
+        A = A - data.c_delta
+    tol = RANK_TOL * np.abs(A).max(axis=(1, 2), initial=0.0)
+    fullrank = np.linalg.matrix_rank(A, tol=tol, hermitian=True) == k
+    chunk = chunk[fullrank]
+    x = np.linalg.solve(A[fullrank], -ep[chunk][..., None])[..., 0]
     counters["subsets"] += batch
-    if k == 0:
-        x, fullrank = np.zeros((batch, 0)), np.ones(batch, dtype=bool)
-    else:
-        A = data.W[chunk[:, :, None], chunk[:, None, :]]
-        if problem.delta:
-            A = A - data.c_delta
-        x, fullrank = _batched_solve(A, -ep[chunk])
-    counters["rank_skips"] += int(batch - fullrank.sum())
-    counters["solved"] += int(fullrank.sum())
-    dual_ok = fullrank & np.all(x >= -DUAL_TOL, axis=1)
-    for idx in np.flatnonzero(dual_ok):
-        J = tuple(int(c) for c in chunk[idx])
-        mu, nu, y = _candidate_solution(data, problem, J, x[idx])
+    counters["solved"] += len(chunk)
+    counters["rank_skips"] += batch - len(chunk)
+    dual_ok = np.all(x >= -DUAL_TOL, axis=1)
+    for J, mu_J in zip(chunk[dual_ok], x[dual_ok]):
+        J = tuple(int(c) for c in J)
+        mu, nu, y = _candidate_solution(data, problem, J, mu_J)
         counters["reconstructed"] += 1
         if y.min() >= -PRIMAL_TOL:
             yield J, mu, nu, y
-
-
-def _enumerate_accepted(problem: KktProblem, counters: dict):
-    """Yield (J, mu, nu, y) for every subset passing both KKT checks.
-
-    Enumeration follows subset_iterator order.  Cardinalities above the rank
-    of the reduced-matrix family are skipped: any principal submatrix of a
-    PSD matrix of rank r is singular beyond size r, so the rank guard would
-    reject every such subset anyway.
-    """
-    _check_size(problem)
-    N = problem.num_constraints
-    data = _problem_data(problem.dim, problem.m, problem.n)
-    ep = data.E @ problem.target
-
-    n_unknowns = problem.target.shape[0]
-    max_card = min(N, n_unknowns - 1 if problem.delta else n_unknowns)
-
-    yield from _accepted(data, problem, ep, np.empty((1, 0), dtype=np.intp), counters)
-    for k in range(1, max_card + 1):
-        combos = itertools.combinations(range(N), k)
-        while True:
-            chunk = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(combos, _CHUNK)),
-                dtype=np.intp,
-            ).reshape(-1, k)
-            if chunk.shape[0] == 0:
-                break
-            yield from _accepted(data, problem, ep, chunk, counters)
 
 
 def _nnls_active_set(problem: KktProblem, data, ep) -> tuple[int, ...]:
@@ -351,10 +274,10 @@ def solve(problem: KktProblem) -> KktSolution:
 
     A target whose elevation is feasible is its own answer (J = ()).
     Otherwise NNLS names the active set J, and the reduced system on J,
-    checked as in enumerate, gives the solution.  The counters report the
+    checked as in the exhaustive search, gives the solution.  The counters report the
     one or two subsets this examines.
     """
-    _check_size(problem)
+    _check_size(problem.num_constraints)
     counters = _counters()
     data = _problem_data(problem.dim, problem.m, problem.n)
     ep = data.E @ problem.target
@@ -371,36 +294,6 @@ def solve(problem: KktProblem) -> KktSolution:
                 f"delta={problem.delta})"
             )
     return _finish(problem, data, *found, counters)
-
-
-# shadows the builtin enumerate inside this module, which does not use it
-def enumerate(problem: KktProblem, exhaustive: bool = False) -> KktSolution:
-    """The reference method: the first accepted subset in enumeration order.
-
-    With exhaustive=True the enumeration is not stopped at the first
-    accepted subset; the first one is still returned (uniqueness makes all
-    accepted subsets reconstruct the same polynomial, which tests verify).
-    """
-    counters = _counters()
-    data = _problem_data(problem.dim, problem.m, problem.n)
-    found = None
-    for J, mu, nu, y in _enumerate_accepted(problem, counters):
-        if found is None:
-            found = (J, mu, nu, y)
-            if not exhaustive:
-                break
-    if found is None:
-        raise NoFeasibleSubsetError(
-            f"no subset of {problem.num_constraints} constraints passed both "
-            f"feasibility checks (m={problem.m}, n={problem.n}, "
-            f"dim={problem.dim}, delta={problem.delta})"
-        )
-    return _finish(problem, data, *found, counters)
-
-
-def accepted_subsets(problem: KktProblem) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """All accepted (J, elevated vector) pairs, for uniqueness checks."""
-    return [(J, y) for J, _, _, y in _enumerate_accepted(problem, _counters())]
 
 
 def objective(problem: KktProblem, qvec) -> float:

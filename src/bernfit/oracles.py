@@ -1,20 +1,84 @@
-"""Brute-force oracles used by the test suite.
+"""Reference methods the test suite checks the production solvers against.
 
-penalty_solve minimizes the same quadratic cost as the active-set
-enumerator but replaces the constraints with quadratic penalty terms on an
-increasing weight schedule.  It shares no code path with the enumerator
-(no subsets, no W matrices), which is the point: agreement between the two
-is evidence, not tautology.
+enumerate_solve is the paper's exhaustive active-set search: it tries
+every subset J of the constraints by size, then lexicographically, with
+kkt's reduced solve and checks, and the minimizer is unique, so the first
+accepted J is the answer.  Its cost grows as 2^N in the constraint count N.
+
+penalty_solve minimizes the same quadratic cost but replaces the
+constraints with quadratic penalty terms on an increasing weight schedule.
+It shares no code path with kkt (no subsets, no W matrices), which is the
+point: agreement between the two is evidence, not tautology.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .kkt import KktProblem, _problem_data
+from . import kkt
+from .kkt import KktProblem, KktSolution, _problem_data
+
+# subsets of one size stacked into one batch of reduced solves
+_CHUNK = 32768
+
+
+def subset_iterator(num_constraints: int):
+    """All subsets of {0..num_constraints-1}: by cardinality, then lexicographic."""
+    kkt._check_size(num_constraints)
+    for k in range(num_constraints + 1):
+        yield from itertools.combinations(range(num_constraints), k)
+
+
+def _enumerate_accepted(problem: KktProblem, counters: dict):
+    """Yield (J, mu, nu, y) for every subset passing both KKT checks.
+
+    Subsets come in subset_iterator order.  Cardinalities above the rank of
+    the reduced-matrix family are skipped: any principal submatrix of a PSD
+    matrix of rank r is singular beyond size r, so the rank guard would
+    reject every such subset anyway.
+    """
+    data = _problem_data(problem.dim, problem.m, problem.n)
+    ep = data.E @ problem.target
+    max_card = len(problem.target) - problem.delta
+    for k, subsets in itertools.groupby(subset_iterator(problem.num_constraints), len):
+        if k > max_card:
+            break
+        while chunk := list(itertools.islice(subsets, _CHUNK)):
+            rows = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+            yield from kkt._accepted(data, problem, ep, rows, counters)
+
+
+def enumerate_solve(problem: KktProblem, exhaustive: bool = False) -> KktSolution:
+    """The first accepted subset in subset_iterator order.
+
+    With exhaustive=True the search runs to the end, so the counters cover
+    every subset; the first accepted subset is still returned (uniqueness
+    makes all accepted subsets reconstruct the same polynomial, which tests
+    verify).
+    """
+    counters = kkt._counters()
+    accepted = _enumerate_accepted(problem, counters)
+    found = next(accepted, None)
+    if found is None:
+        raise kkt.NoFeasibleSubsetError(
+            f"no subset of {problem.num_constraints} constraints passed both "
+            f"feasibility checks (m={problem.m}, n={problem.n}, "
+            f"dim={problem.dim}, delta={problem.delta})"
+        )
+    if exhaustive:
+        for _ in accepted:
+            pass
+    data = _problem_data(problem.dim, problem.m, problem.n)
+    return kkt._finish(problem, data, *found, counters)
+
+
+def accepted_subsets(problem: KktProblem) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """All accepted (J, elevated vector) pairs, for uniqueness checks."""
+    return [(J, y) for J, _, _, y in _enumerate_accepted(problem, kkt._counters())]
 
 
 class PenaltyStalledError(Exception):

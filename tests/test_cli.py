@@ -140,14 +140,15 @@ class TestFailureHandling:
         assert "bernstein" in err and "m=0" in err
 
     def test_every_nan_cell_has_a_note(self, tmp_path, capsys):
+        # bernstein and p1 at m = 0, and kkt10 at m = 12 over the subset budget
         out = tmp_path / "errors.csv"
-        rc = main(["--func", "x/0", "--mmax", "3", "--methods", "project,kkt",
-                   "--out", str(out)])
+        rc = main(["--func", "f1", "--mmin", "0", "--mmax", "12", "--elevate", "10",
+                   "--methods", "kkt,bernstein,p1", "--out", str(out)])
         assert rc == 2
         _, rows = read_table(out)
         notes = [ln for ln in capsys.readouterr().err.splitlines()
                  if ln.startswith("bernfit: ")]
-        assert int(np.isnan(rows[:, 1:]).sum()) == len(notes) == 8
+        assert int(np.isnan(rows[:, 1:]).sum()) == len(notes) == 3
 
     def test_cone_cost_gate(self, tmp_path, capsys, monkeypatch):
         argv = ["--func", "f2", "--mmin", "1", "--mmax", "3",
@@ -198,3 +199,19 @@ class TestSpecErrors:
     def test_exit_one(self, argv, tmp_path):
         argv = [a if a != "x.csv" else str(tmp_path / "x.csv") for a in argv]
         assert main(argv) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--func", "x/0", "--mmax", "2"],
+            # finite on the quadrature nodes, infinite at the sample point x = 0
+            ["--func", "1/x", "--mmax", "2", "--samples-degree", "1"],
+        ],
+        ids=["quadrature", "samples"],
+    )
+    def test_non_finite_target(self, argv, tmp_path, capsys):
+        out = tmp_path / "errors.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("bernfit: ")
+        assert not out.exists()

@@ -1,5 +1,6 @@
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernfit import bernstein as bn
-from bernfit import kkt
+from bernfit import kkt, oracles
 from bernfit import simplex as sx
 from bernfit.oracles import penalty_solve
 
@@ -118,15 +119,15 @@ class TestVerify:
 
 class TestSubsetIterator:
     def test_two(self):
-        assert list(kkt.subset_iterator(2)) == [(), (0,), (1,), (0, 1)]
+        assert list(oracles.subset_iterator(2)) == [(), (0,), (1,), (0, 1)]
 
     def test_three_counts(self):
-        subs = list(kkt.subset_iterator(3))
+        subs = list(oracles.subset_iterator(3))
         assert len(subs) == 8
         assert subs[0] == ()
 
     def test_ten_unique(self):
-        subs = list(kkt.subset_iterator(10))
+        subs = list(oracles.subset_iterator(10))
         assert len(subs) == 1024
         assert len(set(subs)) == 1024
         sizes = [len(s) for s in subs]
@@ -134,7 +135,7 @@ class TestSubsetIterator:
 
     def test_guard(self):
         with pytest.raises(kkt.IntractableProblemError):
-            next(kkt.subset_iterator(23))
+            next(oracles.subset_iterator(23))
 
 
 class TestGuards:
@@ -207,8 +208,8 @@ class TestOptimalityProperties:
             m = int(rng.integers(0, 3))
             n = int(rng.integers(m, 5))
             prob = kkt.KktProblem(dim=1, m=m, n=n, target=rng.uniform(-1, 1, m + 1))
-            first = kkt.enumerate(prob)
-            accepted = kkt.accepted_subsets(prob)
+            first = oracles.enumerate_solve(prob)
+            accepted = oracles.accepted_subsets(prob)
             assert accepted[0][0] == first.active_set
             data = kkt._problem_data(1, m, n)
             for J, y in accepted:
@@ -221,8 +222,18 @@ class TestOptimalityProperties:
         for _ in range(5):
             m = int(rng.integers(1, 5))
             prob = kkt.KktProblem(dim=1, m=m, n=m, target=rng.uniform(-1, 1, m + 1))
-            sol = kkt.enumerate(prob, exhaustive=True)
+            sol = oracles.enumerate_solve(prob, exhaustive=True)
             assert sol.rank_skips == 0
+
+    def test_zero_block_is_rank_deficient(self):
+        # W_jj - d!/2 == 0: the rank guard skips the block rather than
+        # solving a system with no pivot
+        prob = kkt.KktProblem(dim=1, m=0, n=0, target=np.array([1.0]), delta=1)
+        data = types.SimpleNamespace(W=np.full((1, 1), 0.5), c_delta=0.5)
+        counters = kkt._counters()
+        chunk = np.array([[0]], dtype=np.intp)
+        assert list(kkt._accepted(data, prob, np.array([-1.0]), chunk, counters)) == []
+        assert counters == dict(subsets=1, solved=0, reconstructed=0, rank_skips=1)
 
     def test_subset_counters_reported(self):
         prob = kkt.KktProblem(dim=1, m=1, n=2, target=np.array([-1.0, 1.0]))
@@ -259,7 +270,7 @@ class TestAgainstEnumerator:
     @given(instances())
     def test_same_polynomial_and_kkt_residuals(self, prob):
         sol = kkt.solve(prob)
-        ref = kkt.enumerate(prob)
+        ref = oracles.enumerate_solve(prob)
         assert np.max(np.abs(sol.q.coeffs - ref.q.coeffs)) <= 1e-9
         assert kkt.verify_kkt(prob, sol, 1e-9).passed
 

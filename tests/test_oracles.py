@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,97 @@ class TestPenaltySolve:
         p = kkt.KktProblem(dim=2, m=4, n=10, target=np.zeros(15))
         with pytest.raises(ValueError):
             oracles.penalty_solve(p)
+
+
+def _pinned_target(d, m, delta):
+    t = np.cos(2.3 * np.arange(math.comb(d + m, d)) + 1.1 * m + 0.7 * d)
+    if delta and t.mean() < 0.05:
+        t = t + (0.05 - t.mean())
+    return t
+
+
+# (dim, m, n, delta, active_set, subsets_examined, systems_solved,
+#  candidates_reconstructed, rank_skips) of the exhaustive search on
+# _pinned_target; the rank guard trips on several delta = 1, n > m cases
+ENUMERATOR_PINS = [
+    (1, 0, 0, 0, (), 2, 2, 1, 0),
+    (1, 0, 0, 1, (), 1, 1, 1, 0),
+    (1, 0, 1, 0, (), 3, 3, 1, 0),
+    (1, 0, 1, 1, (), 1, 1, 1, 0),
+    (1, 0, 2, 0, (), 4, 4, 1, 0),
+    (1, 0, 2, 1, (), 1, 1, 1, 0),
+    (1, 0, 3, 0, (), 5, 5, 1, 0),
+    (1, 0, 3, 1, (), 1, 1, 1, 0),
+    (1, 0, 4, 0, (), 6, 6, 1, 0),
+    (1, 0, 4, 1, (), 1, 1, 1, 0),
+    (1, 1, 1, 0, (0, 1), 4, 4, 4, 0),
+    (1, 1, 1, 1, (1,), 3, 3, 2, 0),
+    (1, 1, 2, 0, (0, 2), 7, 7, 6, 0),
+    (1, 1, 2, 1, (2,), 4, 3, 2, 1),
+    (1, 1, 3, 0, (0, 2), 11, 11, 9, 0),
+    (1, 1, 3, 1, (3,), 5, 5, 3, 0),
+    (1, 1, 4, 0, (0, 3), 16, 16, 12, 0),
+    (1, 1, 4, 1, (4,), 6, 5, 3, 1),
+    (1, 1, 5, 0, (0, 3), 22, 22, 16, 0),
+    (1, 1, 5, 1, (5,), 7, 7, 3, 0),
+    (1, 2, 2, 0, (0, 1), 8, 8, 3, 0),
+    (1, 2, 2, 1, (0, 1), 7, 7, 3, 0),
+    (1, 2, 3, 0, (0, 1), 15, 15, 5, 0),
+    (1, 2, 3, 1, (0, 1), 11, 11, 4, 0),
+    (1, 2, 4, 0, (0, 1), 26, 26, 5, 0),
+    (1, 2, 4, 1, (0, 1), 16, 14, 5, 2),
+    (1, 2, 5, 0, (0, 1), 42, 42, 6, 0),
+    (1, 2, 5, 1, (0, 1), 22, 22, 7, 0),
+    (1, 2, 6, 0, (0, 1), 64, 64, 7, 0),
+    (1, 2, 6, 1, (0, 1), 29, 28, 9, 1),
+    (1, 3, 3, 0, (0, 1, 2, 3), 16, 16, 9, 0),
+    (1, 3, 3, 1, (0, 2, 3), 15, 15, 7, 0),
+    (1, 3, 4, 0, (0, 1, 3, 4), 31, 31, 13, 0),
+    (1, 3, 4, 1, (0, 3, 4), 26, 24, 7, 2),
+    (1, 3, 5, 0, (0, 1, 4, 5), 57, 57, 20, 0),
+    (1, 3, 5, 1, (0, 4, 5), 42, 42, 7, 0),
+    (1, 3, 6, 0, (0, 1, 4, 6), 99, 99, 26, 0),
+    (1, 3, 6, 1, (0, 5, 6), 64, 56, 10, 8),
+    (1, 3, 7, 0, (0, 1, 5, 7), 163, 163, 36, 0),
+    (1, 3, 7, 1, (0, 6, 7), 93, 91, 10, 2),
+    (2, 0, 0, 0, (), 2, 2, 1, 0),
+    (2, 0, 0, 1, (), 1, 1, 1, 0),
+    (2, 0, 1, 0, (), 4, 4, 1, 0),
+    (2, 0, 1, 1, (), 1, 1, 1, 0),
+    (2, 0, 2, 0, (), 7, 7, 1, 0),
+    (2, 0, 2, 1, (), 1, 1, 1, 0),
+    (2, 0, 3, 0, (), 11, 11, 1, 0),
+    (2, 0, 3, 1, (), 1, 1, 1, 0),
+    (2, 1, 1, 0, (0, 1), 8, 8, 3, 0),
+    (2, 1, 1, 1, (0, 1), 7, 7, 3, 0),
+    (2, 1, 2, 0, (0, 1), 42, 39, 7, 3),
+    (2, 1, 2, 1, (0, 1), 22, 19, 6, 3),
+    (2, 1, 3, 0, (0, 1), 176, 161, 11, 15),
+    (2, 1, 3, 1, (0, 1), 56, 44, 13, 12),
+    (2, 2, 2, 0, (0, 1, 2, 4, 5), 64, 64, 22, 0),
+    (2, 2, 2, 1, (0, 1, 2, 5), 63, 63, 16, 0),
+    (2, 2, 3, 0, (0, 1, 2, 4, 9), 848, 766, 57, 82),
+    (2, 2, 3, 1, (0, 1, 2, 9), 638, 578, 27, 60),
+    (2, 3, 3, 0, (0, 1, 2, 4, 5, 7, 8), 1024, 1024, 51, 0),
+    (2, 3, 3, 1, (0, 1, 2, 4, 5, 7, 8, 9), 1023, 1023, 54, 0),
+]
+
+
+class TestEnumerateSolve:
+    @pytest.mark.parametrize(
+        "pin", ENUMERATOR_PINS, ids=lambda p: "d{}-m{}-n{}-delta{}".format(*p[:4])
+    )
+    def test_exhaustive_counters_pinned(self, pin):
+        d, m, n, delta, active_set, *counters = pin
+        prob = kkt.KktProblem(dim=d, m=m, n=n, target=_pinned_target(d, m, delta), delta=delta)
+        sol = oracles.enumerate_solve(prob, exhaustive=True)
+        assert sol.active_set == active_set
+        assert [
+            sol.subsets_examined,
+            sol.systems_solved,
+            sol.candidates_reconstructed,
+            sol.rank_skips,
+        ] == counters
 
 
 class TestFiniteDifferences:
