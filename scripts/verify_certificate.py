@@ -10,7 +10,8 @@ and checks, without going through the library's adjoint-map code path:
          even m=2l:  q(x) = v_l(x)^T A v_l(x) + x(1-x) v_{l-1}(x)^T B v_{l-1}(x)
          odd  m=2l+1: q(x) = x v_l(x)^T A v_l(x) + (1-x) v_l(x)^T B v_l(x)
 
-     with v_k(x) = (1, x, ..., x^k) is nonnegative on a dense grid;
+     with v_k(x) = (u^k_0(x), ..., u^k_k(x)), u^k_i(x) = x^i (1-x)^(k-i), the
+     scaled Bernstein basis, is nonnegative on a dense grid;
   3. optionally, that it matches stored Bernstein coefficients (--coeffs,
      a one-row CSV) on the same grid.
 
@@ -42,12 +43,18 @@ def read_certificate(path):
     return m, blocks["A"], blocks["B"]
 
 
+def u_basis(x, k):
+    """Columns x^i (1-x)^(k-i), i = 0..k; no columns for k < 0."""
+    i = np.arange(k + 1)
+    return x[:, None] ** i * (1.0 - x[:, None]) ** (k - i)
+
+
 def quadratic_form_values(m, A, B, x):
     ell = m // 2
-    v = np.vander(x, ell + 1, increasing=True)
+    v = u_basis(x, ell)
     qa = np.einsum("pi,ij,pj->p", v, A, v) if A.size else np.zeros_like(x)
     if m % 2 == 0:
-        w = np.vander(x, ell, increasing=True) if ell else np.zeros((x.size, 0))
+        w = u_basis(x, ell - 1)
         qb = np.einsum("pi,ij,pj->p", w, B, w) if B.size else np.zeros_like(x)
         return qa + x * (1.0 - x) * qb
     qb = np.einsum("pi,ij,pj->p", v, B, v) if B.size else np.zeros_like(x)

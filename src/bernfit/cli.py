@@ -159,7 +159,7 @@ def _approximant(method, offset, f, m, quad, projection):
         if not result.converged:
             raise RuntimeError(
                 f"cone solver did not converge at m={m} "
-                f"(grad {result.grad_norm:.2e}, cond {result.condition:.2e}, "
+                f"(grad {result.grad_norm:.2e}, dual {result.dual_min:.2e}, "
                 f"{result.evaluations} evaluations)"
             )
         _check_cone_cost(projection, result.q)
@@ -202,6 +202,10 @@ def run(args) -> int:
     _check_finite(f, quad.nodes, "quadrature node")
     if args.samples_degree is not None:
         _check_finite(f, xs, "sample point")
+    # bernstein and p1 sample the target at the control points i/m
+    if {"bernstein", "p1"} & set(methods):
+        for m in range(max(args.mmin, 1), args.mmax + 1):
+            _check_finite(f, np.arange(m + 1) / m, "control point i/m")
     cols = _columns(methods, elevations)
 
     degrees = range(args.mmin, args.mmax + 1)

@@ -1,12 +1,13 @@
 """Exact univariate nonnegativity through a pair of PSD matrices.
 
-A polynomial of degree m is nonnegative on [0, 1] exactly when its monomial
-coefficient vector can be written Omega0*(A) + Omega1*(B) with A and B
-positive semidefinite; the Omega maps sum Hankel antidiagonals and depend on
-the parity of m.  Both maps are one 0/+-1 matrix per degree, built once.
-This module provides the forward and adjoint maps, the monomial-to-Bernstein
-change of basis, and a solver that minimizes the projection cost over the
-cone by quasi-Newton descent on full-rank factors A = R0 R0^T, B = R1 R1^T.
+A polynomial of degree m is nonnegative on [0, 1] exactly when it is
+Omega0*(A) + Omega1*(B) with A and B positive semidefinite (Nesterov,
+"Squared functional systems and optimization problems", 2000).  In the
+basis u^k_i = x^i (1-x)^(k-i) = B^k_i / C(k, i), products and the factors
+x and 1-x only shift indices, so both maps sum Hankel antidiagonals into
+one 0/1 matrix per degree, built once, and the Bernstein coefficients are
+the u^m coefficients divided by C(m, k).  A quasi-Newton solver minimizes
+the projection cost over the cone on square factors A = R0 R0^T, B = R1 R1^T.
 """
 
 from __future__ import annotations
@@ -17,18 +18,31 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize
 
-from . import kkt
-from .bernstein import PolyCoeffs, binomial_float, evaluate, mass_matrix
+from . import kkt, simplex
+from .bernstein import PolyCoeffs, binomial_float, evaluate
 
 CONE_DEGREE_LIMIT = 12
+# one L-BFGS-B run from a seeded random start; the optimizer aims at
+# GRAD_TOL, but line searches often stop a shade above it at the
+# double-precision floor, so only a final gradient beyond STALL_TOL is a stall
+SEED = 1234
+MAX_ITERATIONS = 5000
+GRAD_TOL = 1e-10
+STALL_TOL = 1e-8
+# a stationary point of the factored cost is the convex optimum when the
+# cost gradient Z in the blocks is PSD; lambda_min(Z) is tested against the
+# size p^T M p of the problem
+DUAL_RTOL = 1e-6
+DUAL_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
 class ConePoint:
     """PSD certificate pair for a degree-m nonnegative polynomial.
 
-    For even m = 2l, A is (l+1)x(l+1) and B is l x l; for odd m = 2l+1 both
-    are (l+1)x(l+1).
+    For even m = 2l, q = v^T A v + x(1-x) w^T B w with v = u^l, w = u^(l-1):
+    A is (l+1)x(l+1) and B is l x l.  For odd m = 2l+1,
+    q = x v^T A v + (1-x) v^T B v with v = u^l: both are (l+1)x(l+1).
     """
 
     m: int
@@ -74,11 +88,11 @@ def hankel_basis(size: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def omega_operator(m: int) -> np.ndarray:
-    """Read-only (m+1) x (sa^2 + sb^2) matrix W of the adjoint maps.
+    """Read-only (m+1) x (sa^2 + sb^2) 0/1 matrix W of the adjoint maps.
 
-    W [vec A; vec B] = Omega0*(A) + Omega1*(B) for row-major vec, so W^T q
-    stacks vec Omega0(q) and vec Omega1(q).  Entry (i+j+s, col of A[i,j]) is
-    1 with s = m mod 2; B[i,j] adds 1 at row i+j+1-s and -1 at row i+j+2-s.
+    W [vec A; vec B] = Omega0*(A) + Omega1*(B) in the basis u^m for row-major
+    vec, so W^T q stacks vec Omega0(q) and vec Omega1(q).  With s = m mod 2,
+    A[i,j] adds 1 at row i+j+s and B[i,j] adds 1 at row i+j+1-s.
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
@@ -89,49 +103,31 @@ def omega_operator(m: int) -> np.ndarray:
     W[i + j + s, np.arange(sa * sa)] = 1.0
     i, j = np.divmod(np.arange(sb * sb), sb)
     W[i + j + 1 - s, sa * sa + np.arange(sb * sb)] = 1.0
-    W[i + j + 2 - s, sa * sa + np.arange(sb * sb)] = -1.0
     W.setflags(write=False)
     return W
 
 
 def omega_forward(m: int, q) -> tuple[np.ndarray, np.ndarray]:
-    """Images (Omega0(q), Omega1(q)) of a monomial coefficient vector."""
+    """Images (Omega0(q), Omega1(q)) of a coefficient vector in the basis u^m."""
     q = np.asarray(q, dtype=float)
     if q.shape != (m + 1,):
-        raise ValueError(f"expected {m + 1} monomial coefficients, got {q.shape}")
+        raise ValueError(f"expected {m + 1} coefficients, got {q.shape}")
     return _unpack(omega_operator(m).T @ q, *_block_sizes(m))
 
 
 def omega_adjoint(point: ConePoint) -> np.ndarray:
-    """Monomial coefficients Omega0*(A) + Omega1*(B) of a cone point."""
+    """Coefficients Omega0*(A) + Omega1*(B) of a cone point in the basis u^m."""
     return omega_operator(point.m) @ _pack(point.A, point.B)
 
 
-def monomial_to_bernstein(m: int) -> np.ndarray:
-    """Lower-triangular change of basis: x^j = sum_i C(i,j)/C(m,j) B^m_i.
-
-    Severely ill-conditioned as m grows; see t_condition.
-    """
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
-    T = np.zeros((m + 1, m + 1))
-    for i in range(m + 1):
-        for j in range(i + 1):
-            T[i, j] = binomial_float(i, j) / binomial_float(m, j)
-    return T
-
-
 @lru_cache(maxsize=32)
-def _solver_data(m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Read-only T and M^m of degree m, and the condition of T, built once."""
-    T = monomial_to_bernstein(m)
-    T.setflags(write=False)
-    return T, mass_matrix(m).entries, float(np.linalg.cond(T, 1))
-
-
-def t_condition(m: int) -> float:
-    """1-norm condition estimate of the monomial-to-Bernstein map."""
-    return _solver_data(m)[2]
+def _solver_data(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only scaling 1/C(m, k) from u^m to Bernstein form, and M^m."""
+    scale = 1.0 / np.array([binomial_float(m, k) for k in range(m + 1)])
+    M = simplex.simplex_mass_matrix(1, m)
+    scale.setflags(write=False)
+    M.setflags(write=False)
+    return scale, M
 
 
 def grid_min(p: PolyCoeffs, npoints: int = 10_001) -> float:
@@ -172,11 +168,10 @@ class ConeResult:
     point: ConePoint
     objective: float
     grad_norm: float
+    # smallest eigenvalue of the cost gradient in the blocks A and B
+    dual_min: float
     converged: bool
-    condition: float
-    restart_index: int
     iterations: int
-    # objective evaluations summed over every restart
     evaluations: int
 
 
@@ -190,82 +185,66 @@ def _unpack(z, sa, sb):
     return R0, R1
 
 
-def _composite(z, m, T, M, target, sa, sb):
-    """Objective d_p(T (Omega0*(R0 R0^T) + Omega1*(R1 R1^T))) and its gradient.
-
-    The gradient flows through the chain rule: residual -> Bernstein ->
-    monomial (T transpose) -> symmetric blocks (W transpose, the forward
-    Omega maps) -> factors.
-    """
+def _block_gradient(z, m, scale, M, target, sa, sb):
+    """Cost d_p(scale * (Omega0*(A) + Omega1*(B))) at A = R0 R0^T, B = R1 R1^T,
+    with its gradient (GA, GB) in the blocks."""
     R0, R1 = _unpack(z, sa, sb)
     W = omega_operator(m)
-    r = T @ (W @ _pack(R0 @ R0.T, R1 @ R1.T)) - target
+    r = scale * (W @ _pack(R0 @ R0.T, R1 @ R1.T)) - target
     Mr = M @ r
-    GA, GB = _unpack(W.T @ (T.T @ (2.0 * Mr)), sa, sb)
-    return float(r @ Mr), _pack(2.0 * GA @ R0, 2.0 * GB @ R1)
+    return float(r @ Mr), _unpack(W.T @ (scale * (2.0 * Mr)), sa, sb)
 
 
-def solve_cone(
-    p: PolyCoeffs,
-    restarts: int = 5,
-    max_iterations: int = 5000,
-    grad_tol: float = 1e-10,
-    stall_tol: float = 1e-8,
-    seed: int = 1234,
-) -> ConeResult:
+def _composite(z, m, scale, M, target, sa, sb):
+    """The cost and its gradient in the factors: 2 GA R0 and 2 GB R1."""
+    cost, (GA, GB) = _block_gradient(z, m, scale, M, target, sa, sb)
+    R0, R1 = _unpack(z, sa, sb)
+    return cost, _pack(2.0 * GA @ R0, 2.0 * GB @ R1)
+
+
+def solve_cone(p: PolyCoeffs) -> ConeResult:
     """Best approximation of p among degree-m polynomials nonnegative on [0, 1].
 
-    Minimizes over full-rank factorized PSD pairs with seeded random
-    restarts; the best objective wins, ties broken by restart index.  The
-    optimizer targets grad_tol but line searches routinely terminate a
-    shade above it at the double-precision floor, so only a final gradient
-    beyond stall_tol is reported as a stall (converged=False, best iterate
-    still returned).
+    One L-BFGS-B run on square factors from a seeded random start.  Every
+    local minimum of the factored cost is then a global one (Burer &
+    Monteiro, Math. Program. 103, 2005), but a stationary point may be a
+    saddle, so converged also requires the blocks' cost gradient to be
+    PSD: with <Z, X> = 0 at a stationary point, that is the convex
+    problem's KKT condition.
     """
     m = p.degree
     if m > CONE_DEGREE_LIMIT:
-        raise ValueError(
-            f"degree {m} exceeds the conditioning guard ({CONE_DEGREE_LIMIT}) "
-            f"on the monomial-to-Bernstein map"
-        )
+        raise ValueError(f"degree {m} exceeds the cone solver's limit ({CONE_DEGREE_LIMIT})")
     sa, sb = _block_sizes(m)
-    T, M, condition = _solver_data(m)
+    scale, M = _solver_data(m)
     target = np.asarray(p.coeffs, dtype=float)
-    rng = np.random.default_rng(seed)
-
-    best = None
-    evaluations = 0
-    for idx in range(restarts):
-        z0 = _pack(
-            rng.standard_normal((sa, sa)) * 0.5, rng.standard_normal((sb, sb)) * 0.5
-        )
-        res = optimize.minimize(
-            _composite,
-            z0,
-            args=(m, T, M, target, sa, sb),
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(maxiter=max_iterations, gtol=grad_tol, ftol=1e-18, maxcor=30),
-        )
-        evaluations += int(res.nfev)
-        gnorm = float(np.abs(res.jac).max()) if res.jac is not None else np.inf
-        cand = (res.fun, idx, res.x, gnorm, int(res.nit))
-        if best is None or cand[0] < best[0]:
-            best = cand
-    fun, idx, z, gnorm, nit = best
-    R0, R1 = _unpack(z, sa, sb)
+    rng = np.random.default_rng(SEED)
+    z0 = _pack(rng.standard_normal((sa, sa)) * 0.5, rng.standard_normal((sb, sb)) * 0.5)
+    args = (m, scale, M, target, sa, sb)
+    res = optimize.minimize(
+        _composite,
+        z0,
+        args=args,
+        jac=True,
+        method="L-BFGS-B",
+        options=dict(maxiter=MAX_ITERATIONS, gtol=GRAD_TOL, ftol=1e-18, maxcor=30),
+    )
+    gnorm = float(np.abs(res.jac).max())
+    _, blocks = _block_gradient(res.x, *args)
+    dual_min = min(np.linalg.eigvalsh(G)[0] for G in blocks if G.size)
+    floor = DUAL_RTOL * float(target @ M @ target) + DUAL_ATOL
+    R0, R1 = _unpack(res.x, sa, sb)
     point = ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
-    q = PolyCoeffs(degree=m, coeffs=T @ omega_adjoint(point))
+    q = PolyCoeffs(degree=m, coeffs=scale * omega_adjoint(point))
     return ConeResult(
         q=q,
         point=point,
-        objective=fun,
+        objective=float(res.fun),
         grad_norm=gnorm,
-        converged=gnorm <= stall_tol,
-        condition=condition,
-        restart_index=idx,
-        iterations=nit,
-        evaluations=evaluations,
+        dual_min=float(dual_min),
+        converged=gnorm <= STALL_TOL and dual_min >= -floor,
+        iterations=int(res.nit),
+        evaluations=int(res.nfev),
     )
 
 

@@ -43,6 +43,9 @@ RANK_TOL = 1e-11
 # -r_last of the NNLS residual is >= 1/2 for a feasible problem scaled as in
 # _nnls_active_set and 0 for an infeasible one
 INFEASIBLE_RESIDUAL = 0.25
+# Lawson & Hanson iterations allowed per constraint; scipy's default of 3
+# stops short on some problems inside the caps (d = 1, m = n = 10)
+NNLS_ITERATIONS = 10
 
 
 class IntractableProblemError(Exception):
@@ -50,11 +53,12 @@ class IntractableProblemError(Exception):
 
 
 class NoFeasibleSubsetError(Exception):
-    """Raised when no active set passes both KKT checks.
+    """Raised when NNLS finds no active set or none passes both KKT checks.
 
     Should be impossible for a well-posed feasible problem; seeing it means
     either the constraints are infeasible (e.g. a mass constraint with
-    negative target integral) or a tolerance is mis-sized.
+    negative target integral), a tolerance is mis-sized or NNLS ran out of
+    iterations (NNLS_ITERATIONS).
     """
 
 
@@ -226,7 +230,13 @@ def _nnls_active_set(problem: KktProblem, data, ep) -> tuple[int, ...]:
     A = np.vstack([G.T, h])
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
-    u, _ = optimize.nnls(A, b)
+    try:
+        u, _ = optimize.nnls(A, b, maxiter=NNLS_ITERATIONS * A.shape[1])
+    except RuntimeError as e:
+        raise NoFeasibleSubsetError(
+            f"NNLS stopped on the {problem.num_constraints} constraints: {e} "
+            f"(m={problem.m}, n={problem.n}, dim={problem.dim}, delta={problem.delta})"
+        ) from None
     if (A @ u - b)[-1] > -INFEASIBLE_RESIDUAL:
         raise NoFeasibleSubsetError(
             f"NNLS finds the {problem.num_constraints} constraints infeasible "

@@ -180,13 +180,13 @@ def test_criterion_08_gradient_checks():
             assert np.max(np.abs(g_fd - g_an)) / scale < 1e-6
         m = 4
         sa, sb = cone._block_sizes(m)
-        T = cone.monomial_to_bernstein(m)
+        to_bernstein = 1.0 / np.array([bn.binomial_float(m, k) for k in range(m + 1)])
         M = bn.mass_matrix(m).entries
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
-        _, grad = cone._composite(z, m, T, M, target, sa, sb)
+        _, grad = cone._composite(z, m, to_bernstein, M, target, sa, sb)
         fd = oracles.finite_diff_gradient(
-            lambda zz: cone._composite(zz, m, T, M, target, sa, sb)[0], z, h=1e-5
+            lambda zz: cone._composite(zz, m, to_bernstein, M, target, sa, sb)[0], z, h=1e-5
         )
         assert np.max(np.abs(fd - grad)) / max(np.max(np.abs(grad)), 1e-12) < 1e-5
 
@@ -229,11 +229,11 @@ def test_criterion_10_cli_determinism_and_partial_failure(tmp_path):
         sa = a.with_name("a_samples.csv").read_bytes()
         sb = b.with_name("b_samples.csv").read_bytes()
         assert sa == sb
-        # requesting the cone method at the top of its degree range must
-        # yield a NaN cell and the partial-failure exit code
-        out = tmp_path / "cone12.csv"
+        # kkt10 at m = 12 is over the constraint cap: it must yield a NaN
+        # cell and the partial-failure exit code
+        out = tmp_path / "kkt10.csv"
         rc = cli_main(["--func", "f2", "--mmin", "12", "--mmax", "12",
-                       "--methods", "cone", "--out", str(out)])
+                       "--elevate", "10", "--methods", "kkt", "--out", str(out)])
         assert rc == 2
         last = out.read_text().strip().splitlines()[-1]
         assert last.split(",")[1] == "nan"

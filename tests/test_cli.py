@@ -206,8 +206,11 @@ class TestSpecErrors:
             ["--func", "x/0", "--mmax", "2"],
             # finite on the quadrature nodes, infinite at the sample point x = 0
             ["--func", "1/x", "--mmax", "2", "--samples-degree", "1"],
+            # bernstein and p1 sample the target at the control points i/m
+            ["--func", "1/x", "--mmin", "1", "--mmax", "2",
+             "--methods", "project,p1,bernstein"],
         ],
-        ids=["quadrature", "samples"],
+        ids=["quadrature", "samples", "control-points"],
     )
     def test_non_finite_target(self, argv, tmp_path, capsys):
         out = tmp_path / "errors.csv"
@@ -215,3 +218,10 @@ class TestSpecErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("bernfit: ")
         assert not out.exists()
+
+    def test_control_points_unchecked_without_the_sampling_methods(self, tmp_path):
+        out = tmp_path / "errors.csv"
+        argv = ["--func", "1/x", "--mmin", "1", "--mmax", "2", "--methods", "project"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, rows = read_table(out)
+        assert np.isfinite(rows).all()

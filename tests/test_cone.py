@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,16 @@ from bernfit import bernstein as bn
 from bernfit import cone, kkt
 
 
-def monomial_values(coeffs, x):
-    return sum(c * x**k for k, c in enumerate(coeffs))
+def u_values(coeffs, x):
+    """Values of sum_k c_k x^k (1-x)^(m-k), the scaled Bernstein basis u^m."""
+    m = len(coeffs) - 1
+    return sum(c * x**k * (1 - x) ** (m - k) for k, c in enumerate(coeffs))
+
+
+def bernstein_coeffs(point):
+    """Bernstein coefficients of a cone point: omega_adjoint / C(m, k)."""
+    binom = np.array([bn.binomial_float(point.m, k) for k in range(point.m + 1)])
+    return cone.omega_adjoint(point) / binom
 
 
 class TestHankel:
@@ -29,15 +40,15 @@ class TestOmegaMaps:
         B = np.array([[0.7]])
         q = cone.omega_adjoint(cone.ConePoint(m=2, A=A, B=B))
         a, b, c, beta = A[0, 0], A[0, 1], A[1, 1], B[0, 0]
-        assert np.allclose(q, [a, 2 * b + beta, c - beta])
+        assert np.allclose(q, [a, 2 * b + beta, c])
         # the quadratic-form identity, sampled
         xs = np.linspace(0, 1, 9)
-        direct = (a + 2 * b * xs + c * xs**2) + beta * xs * (1 - xs)
-        assert np.allclose(monomial_values(q, xs), direct, atol=1e-14)
+        direct = a * (1 - xs) ** 2 + 2 * b * xs * (1 - xs) + c * xs**2 + beta * xs * (1 - xs)
+        assert np.allclose(u_values(q, xs), direct, atol=1e-14)
 
     def test_identity_block(self):
         q = cone.omega_adjoint(cone.ConePoint(m=2, A=np.eye(2), B=np.zeros((1, 1))))
-        assert np.allclose(q, [1.0, 0.0, 1.0])  # 1 + x^2
+        assert np.allclose(q, [1.0, 0.0, 1.0])  # (1-x)^2 + x^2
 
     def test_zero_blocks(self):
         q = cone.omega_adjoint(
@@ -48,14 +59,14 @@ class TestOmegaMaps:
     def test_even_forward_by_hand(self):
         O0, O1 = cone.omega_forward(2, [1.0, 2.0, 3.0])
         assert np.allclose(O0, [[1, 2], [2, 3]])
-        assert np.allclose(O1, [[-1.0]])
+        assert np.allclose(O1, [[2.0]])
 
     def test_forward_zero(self):
         O0, O1 = cone.omega_forward(2, np.zeros(3))
         assert not O0.any() and not O1.any()
 
     def test_odd_maps_match_quadratic_form(self):
-        # odd m: q(x) = x v^T A v + (1-x) v^T B v
+        # odd m: q(x) = x v^T A v + (1-x) v^T B v with v = (1-x, x)
         rng = np.random.default_rng(0)
         m = 3
         A = rng.standard_normal((2, 2))
@@ -64,11 +75,11 @@ class TestOmegaMaps:
         B = B + B.T
         q = cone.omega_adjoint(cone.ConePoint(m=m, A=A, B=B))
         xs = np.linspace(0, 1, 11)
-        v = np.vander(xs, 2, increasing=True)
+        v = np.stack([1 - xs, xs], axis=1)
         direct = xs * np.einsum("pi,ij,pj->p", v, A, v) + (1 - xs) * np.einsum(
             "pi,ij,pj->p", v, B, v
         )
-        assert np.allclose(monomial_values(q, xs), direct, atol=1e-13)
+        assert np.allclose(u_values(q, xs), direct, atol=1e-13)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 9), st.integers(0, 10**9))
@@ -100,7 +111,7 @@ def hankel_sum_operator(m):
     rows = []
     for k in range(m + 1):
         HA = cone.hankel_basis(sa, k - s)
-        HB = cone.hankel_basis(sb, k - 1 + s) - cone.hankel_basis(sb, k - 2 + s)
+        HB = cone.hankel_basis(sb, k - 1 + s)
         rows.append(np.concatenate([HA.ravel(), HB.ravel()]))
     return np.array(rows)
 
@@ -113,10 +124,9 @@ def loop_adjoint(m, A, B):
         if m % 2 == 0:
             q[k] = np.sum(A * cone.hankel_basis(sa, k))
             if sb:
-                HB = cone.hankel_basis(sb, k - 1) - cone.hankel_basis(sb, k - 2)
-                q[k] += np.sum(B * HB)
+                q[k] += np.sum(B * cone.hankel_basis(sb, k - 1))
         else:
-            HB = cone.hankel_basis(sb, k) - cone.hankel_basis(sb, k - 1)
+            HB = cone.hankel_basis(sb, k)
             q[k] = np.sum(A * cone.hankel_basis(sa, k - 1)) + np.sum(B * HB)
     return q
 
@@ -130,11 +140,11 @@ def loop_forward(m, q):
         for k in range(2 * ell + 1):
             O0 += q[k] * cone.hankel_basis(sa, k)
         for k in range(max(2 * ell - 1, 0)):
-            O1 += (q[k + 1] - q[k + 2]) * cone.hankel_basis(sb, k)
+            O1 += q[k + 1] * cone.hankel_basis(sb, k)
     else:
         for k in range(2 * ell + 1):
             O0 += q[k + 1] * cone.hankel_basis(sa, k)
-            O1 += (q[k] - q[k + 1]) * cone.hankel_basis(sb, k)
+            O1 += q[k] * cone.hankel_basis(sb, k)
     return O0, O1
 
 
@@ -167,28 +177,44 @@ class TestOmegaOperator:
                 assert np.allclose(got, want, rtol=0, atol=1e-14)
 
 
-class TestBasisChange:
-    def test_degree_one(self):
-        assert np.allclose(cone.monomial_to_bernstein(1), [[1, 0], [1, 1]])
+def de_casteljau(coeffs, x):
+    """Exact value of a Bernstein polynomial at a rational point."""
+    b = list(coeffs)
+    while len(b) > 1:
+        b = [(1 - x) * b[i] + x * b[i + 1] for i in range(len(b) - 1)]
+    return b[0]
 
-    def test_pure_square(self):
-        T = cone.monomial_to_bernstein(2)
-        assert np.allclose(T @ [0, 0, 1], [0, 0, 1])
 
-    def test_linear_monomial(self):
-        T = cone.monomial_to_bernstein(2)
-        assert np.allclose(T @ [0, 1, 0], [0, 0.5, 1])
+def u_quadratic_form(m, A, B, x):
+    """Exact q(x) from the blocks: v^T A v + x(1-x) w^T B w for even m, and
+    x v^T A v + (1-x) v^T B v for odd m, with v = u^l, w = u^(l-1)."""
+    ell = m // 2
 
-    def test_pointwise_consistency(self):
-        rng = np.random.default_rng(1)
-        for m in (0, 3, 7):
-            a = rng.standard_normal(m + 1)
-            p = bn.poly(cone.monomial_to_bernstein(m) @ a)
-            xs = rng.uniform(0, 1, 25)
-            assert np.max(np.abs(bn.evaluate(p, xs) - monomial_values(a, xs))) < 1e-10
+    def form(X, k):
+        u = [x**i * (1 - x) ** (k - i) for i in range(k + 1)]
+        return sum(X[i][j] * u[i] * u[j] for i in range(k + 1) for j in range(k + 1))
 
-    def test_condition_monotone(self):
-        assert cone.t_condition(2) < cone.t_condition(8) < cone.t_condition(12)
+    if m % 2 == 0:
+        return form(A, ell) + (x * (1 - x) * form(B, ell - 1) if ell else 0)
+    return x * form(A, ell) + (1 - x) * form(B, ell)
+
+
+class TestExactBernsteinForm:
+    @pytest.mark.parametrize("m", range(13))
+    def test_scaled_adjoint_is_the_quadratic_form(self, m):
+        rng = np.random.default_rng(200 + m)
+        sa, sb = cone._block_sizes(m)
+        A = rng.integers(-9, 10, (sa, sa))
+        A = A + A.T
+        B = rng.integers(-9, 10, (sb, sb))
+        B = B + B.T
+        # integer blocks: the float adjoint sums small integers exactly
+        adj = cone.omega_adjoint(cone.ConePoint(m=m, A=A, B=B))
+        coeffs = [Fraction(int(adj[k])) / math.comb(m, k) for k in range(m + 1)]
+        A, B = A.tolist(), B.tolist()
+        for j in range(m + 1):
+            x = Fraction(j, m + 1)
+            assert de_casteljau(coeffs, x) == u_quadratic_form(m, A, B, x)
 
 
 class TestCertificateSoundness:
@@ -199,7 +225,7 @@ class TestCertificateSoundness:
             R0 = rng.standard_normal((sa, sa))
             R1 = rng.standard_normal((sb, sb))
             pt = cone.ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
-            q = bn.poly(cone.monomial_to_bernstein(m) @ cone.omega_adjoint(pt))
+            q = bn.poly(bernstein_coeffs(pt))
             assert cone.grid_min(q) >= -1e-9
 
     def test_hull_lower_bound_is_a_lower_bound(self):
@@ -272,7 +298,7 @@ class TestSolveCone:
         a = cone.solve_cone(p)
         b = cone.solve_cone(p)
         assert np.array_equal(a.q.coeffs, b.q.coeffs)
-        assert a.restart_index == b.restart_index
+        assert (a.iterations, a.evaluations) == (b.iterations, b.evaluations)
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
@@ -292,6 +318,43 @@ class TestSolveCone:
         scale = kkt.objective(prob, np.zeros(m + 1))
         assert cone.cone_objective(p, res.q) <= bound + 1e-6 * (bound + scale) + 1e-14
 
+    @pytest.mark.parametrize("ident", ["f2", "f3", "f2alt"])
+    def test_converges_up_to_the_degree_limit(self, ident):
+        # the targets on which a monomial-basis certificate stalled.  The
+        # degree m-1 cone lies inside the degree m cone, so the squared L2
+        # distance to f, cost + ||p - f||^2, is nonincreasing in m
+        from bernfit import approx
+
+        f = approx.get_function(ident)
+        quad = approx.default_rule(1)
+        previous = np.inf
+        for m in range(cone.CONE_DEGREE_LIMIT + 1):
+            p = approx.project(f, m, quad)
+            res = cone.solve_cone(p)
+            assert res.converged, (m, res.grad_norm, res.dual_min)
+            prob = kkt.KktProblem(dim=1, m=m, n=m, target=p.coeffs)
+            bound = kkt.objective(prob, kkt.solve(prob).q.coeffs)
+            scale = kkt.objective(prob, np.zeros(m + 1))
+            cost = cone.cone_objective(p, res.q)
+            assert cost <= bound + 1e-6 * (bound + scale) + 1e-14, (m, cost, bound)
+            dist = approx.l2_error(f, res.q, quad) ** 2
+            assert dist <= previous + 1e-6 * scale, (m, dist, previous)
+            previous = dist
+
+    def test_saddle_point_is_not_converged(self, monkeypatch):
+        # R = 0 is stationary for the factored cost, but the cost gradient
+        # in the blocks is not PSD there: the dual check rejects it
+        from bernfit import approx
+
+        minimize = cone.optimize.minimize
+        monkeypatch.setattr(
+            cone.optimize, "minimize", lambda fun, x0, **kw: minimize(fun, 0 * x0, **kw)
+        )
+        res = cone.solve_cone(approx.project(approx.get_function("f2"), 0))
+        assert res.grad_norm == 0.0
+        assert res.dual_min < -0.1
+        assert not res.converged
+
 
 class TestCompositeGradient:
     def test_against_finite_differences(self):
@@ -300,13 +363,13 @@ class TestCompositeGradient:
         rng = np.random.default_rng(6)
         m = 4
         sa, sb = cone._block_sizes(m)
-        T = cone.monomial_to_bernstein(m)
+        scale = 1.0 / np.array([bn.binomial_float(m, k) for k in range(m + 1)])
         M = bn.mass_matrix(m).entries
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
-        val, grad = cone._composite(z, m, T, M, target, sa, sb)
+        val, grad = cone._composite(z, m, scale, M, target, sa, sb)
         fd = finite_diff_gradient(
-            lambda zz: cone._composite(zz, m, T, M, target, sa, sb)[0], z, h=1e-5
+            lambda zz: cone._composite(zz, m, scale, M, target, sa, sb)[0], z, h=1e-5
         )
         assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5
 
@@ -316,12 +379,12 @@ class TestCompositeGradient:
 
         rng = np.random.default_rng(60 + m)
         sa, sb = cone._block_sizes(m)
-        T = cone.monomial_to_bernstein(m)
+        scale = 1.0 / np.array([bn.binomial_float(m, k) for k in range(m + 1)])
         M = bn.mass_matrix(m).entries
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
-        val, grad = cone._composite(z, m, T, M, target, sa, sb)
+        val, grad = cone._composite(z, m, scale, M, target, sa, sb)
         fd = finite_diff_gradient(
-            lambda zz: cone._composite(zz, m, T, M, target, sa, sb)[0], z, h=1e-5
+            lambda zz: cone._composite(zz, m, scale, M, target, sa, sb)[0], z, h=1e-5
         )
         assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5

@@ -151,6 +151,31 @@ class TestGuards:
             kkt.solve(p)
 
 
+def slow_nnls_instance():
+    """d = 1, m = n = 10: NNLS needs 34 iterations, one over scipy's 3 per
+    constraint.  The target is the 11th uniform(-1, 1, m+1) draw of
+    default_rng(7) over m = 0..10."""
+    rng = np.random.default_rng(7)
+    for m in range(11):
+        target = rng.uniform(-1, 1, m + 1)
+    return kkt.KktProblem(dim=1, m=10, n=10, target=target)
+
+
+class TestNnlsIterationLimit:
+    def test_slow_instance_matches_enumerator(self):
+        prob = slow_nnls_instance()
+        assert prob.target[:2] == pytest.approx([-0.69960054, 0.63267621], abs=1e-8)
+        sol = kkt.solve(prob)
+        assert sol.active_set == (0, 1, 2, 5, 6, 7, 8, 9, 10)
+        assert sol.active_set == oracles.enumerate_solve(prob).active_set
+        assert kkt.verify_kkt(prob, sol, 1e-9).passed
+
+    def test_limit_reached_is_typed(self, monkeypatch):
+        monkeypatch.setattr(kkt, "NNLS_ITERATIONS", 3)
+        with pytest.raises(kkt.NoFeasibleSubsetError, match="NNLS stopped"):
+            kkt.solve(slow_nnls_instance())
+
+
 class TestAgainstOracle:
     def test_random_instances(self):
         rng = np.random.default_rng(2024)
