@@ -2,13 +2,8 @@
 
 from .bernstein import (
     PolyCoeffs,
-    binomial,
-    binomial_float,
-    elevate,
     elevation_matrix,
     evaluate,
-    l2_inner,
-    l2_norm,
     legendre_bernstein_coeffs,
     mass_eigenvalues,
     mass_matrix,
@@ -18,13 +13,8 @@ from .bernstein import (
 
 __all__ = [
     "PolyCoeffs",
-    "binomial",
-    "binomial_float",
-    "elevate",
     "elevation_matrix",
     "evaluate",
-    "l2_inner",
-    "l2_norm",
     "legendre_bernstein_coeffs",
     "mass_eigenvalues",
     "mass_matrix",

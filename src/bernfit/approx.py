@@ -154,7 +154,6 @@ def function_from_expression(expr: str, dim: int = 1) -> TargetFunction:
 class Quadrature:
     """Fixed integration rule on [0, 1] (dim 1) or the unit triangle (dim d)."""
 
-    kind: str
     dim: int
     nodes: np.ndarray  # (npts,) for dim 1, (npts, dim) otherwise
     weights: np.ndarray
@@ -174,21 +173,14 @@ class Quadrature:
 
 
 @lru_cache(maxsize=16)
-def interval_rule(points: int = 24, panels: int = 16) -> Quadrature:
-    """Composite Gauss-Legendre rule on [0, 1]."""
+def interval_rule(points: int = 24) -> Quadrature:
+    """Composite Gauss-Legendre rule on [0, 1]: points nodes on each of 16 panels."""
     x, w = np.polynomial.legendre.leggauss(points)
-    nodes = []
-    weights = []
-    h = 1.0 / panels
-    for k in range(panels):
-        a = k * h
-        nodes.append(a + 0.5 * h * (x + 1.0))
-        weights.append(0.5 * h * w)
+    h = 1.0 / 16
     return Quadrature(
-        kind=f"gauss{points}x{panels}",
         dim=1,
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
+        nodes=(np.arange(16)[:, None] * h + 0.5 * h * (x + 1.0)).ravel(),
+        weights=np.tile(0.5 * h * w, 16),
         design_degree=2 * points - 1,
     )
 
@@ -209,7 +201,6 @@ def simplex_rule(points: int = 32) -> Quadrature:
     nodes = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
     weights = (WU * WV * (1.0 - U)).ravel()
     return Quadrature(
-        kind=f"collapsed-gauss{points}",
         dim=2,
         nodes=nodes,
         weights=weights,

@@ -15,43 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Largest n for which C(n, k) fits the exact-integer contract.
-BINOMIAL_EXACT_LIMIT = 62
-
 # Largest degree for which mass-matrix entries are built from exact integer
 # factorial ratios; beyond this the entries come from log-gamma.
 MASS_EXACT_LIMIT = 30
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); zero for k < 0 or k > n.
-
-    Raises OverflowError for n > BINOMIAL_EXACT_LIMIT so callers are forced
-    onto the floating variant where 64-bit exactness is no longer meaningful.
-    """
-    if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got {n}")
-    if n > BINOMIAL_EXACT_LIMIT:
-        raise OverflowError(
-            f"binomial({n}, {k}) exceeds the exact-integer range (n <= "
-            f"{BINOMIAL_EXACT_LIMIT}); use binomial_float"
-        )
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def binomial_float(n: int, k: int) -> float:
-    """C(n, k) in floating point via log-gamma, for any n >= 0."""
-    if n < 0:
-        raise ValueError(f"binomial_float needs n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0.0
-    if n <= BINOMIAL_EXACT_LIMIT:
-        return float(math.comb(n, k))
-    return math.exp(
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -106,20 +72,8 @@ def evaluate(p: PolyCoeffs, x) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class ElevationMatrix:
-    """Degree-elevation matrix from degree m to degree n >= m."""
-
-    m: int
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
-def elevation_matrix(m: int, n: int) -> ElevationMatrix:
-    """Matrix re-expressing degree-m Bernstein coefficients in degree n.
+def elevation_matrix(m: int, n: int) -> np.ndarray:
+    """Read-only matrix re-expressing degree-m Bernstein coefficients in degree n.
 
     Entry (i, j) = C(m, j) C(n-m, i-j) / C(n, i); banded with lower bandwidth
     n - m, nonnegative, rows summing to one.
@@ -128,39 +82,10 @@ def elevation_matrix(m: int, n: int) -> ElevationMatrix:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     E = np.zeros((n + 1, m + 1))
     for i in range(n + 1):
-        ci = binomial_float(n, i)
-        lo = max(0, i - (n - m))
-        hi = min(m, i)
-        for j in range(lo, hi + 1):
-            E[i, j] = binomial_float(m, j) * binomial_float(n - m, i - j) / ci
-    return ElevationMatrix(m=m, n=n, entries=E)
-
-
-def elevate_step(c: np.ndarray) -> np.ndarray:
-    """One degree-elevation step, k -> k+1, applied to a coefficient vector."""
-    k = c.shape[0] - 1
-    out = np.empty(k + 2)
-    i = np.arange(1, k + 1)
-    out[0] = c[0]
-    out[-1] = c[-1]
-    out[1:-1] = (i / (k + 1)) * c[:-1] + (1.0 - i / (k + 1)) * c[1:]
-    return out
-
-
-def elevate_coeffs(c: np.ndarray, n: int) -> np.ndarray:
-    """Elevate a coefficient vector to degree n by repeated single steps."""
-    c = np.asarray(c, dtype=float)
-    m = c.shape[0] - 1
-    if n < m:
-        raise ValueError(f"cannot elevate degree {m} down to {n}")
-    for _ in range(n - m):
-        c = elevate_step(c)
-    return c
-
-
-def elevate(p: PolyCoeffs, n: int) -> PolyCoeffs:
-    """Re-express p in the degree-n Bernstein basis (same polynomial)."""
-    return PolyCoeffs(degree=n, coeffs=elevate_coeffs(p.coeffs, n))
+        for j in range(max(0, i - (n - m)), min(m, i) + 1):
+            E[i, j] = math.comb(m, j) * math.comb(n - m, i - j) / math.comb(n, i)
+    E.setflags(write=False)
+    return E
 
 
 def _factorial_ratio(num_factorials, den_factorials) -> float:
@@ -183,19 +108,8 @@ def _factorial_ratio(num_factorials, den_factorials) -> float:
     return math.exp(s)
 
 
-@dataclass(frozen=True)
-class MassMatrix:
-    """Gram matrix of the degree-n Bernstein basis in L2([0, 1])."""
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
-def mass_matrix(n: int) -> MassMatrix:
-    """Mass matrix with entries C(n,i) C(n,j) (2n-i-j)! (i+j)! / (2n+1)!."""
+def mass_matrix(n: int) -> np.ndarray:
+    """Read-only mass matrix with entries C(n,i) C(n,j) (2n-i-j)! (i+j)! / (2n+1)!."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     M = np.empty((n + 1, n + 1))
@@ -204,7 +118,8 @@ def mass_matrix(n: int) -> MassMatrix:
             M[i, j] = M[j, i] = _factorial_ratio(
                 (n, n, 2 * n - i - j, i + j), (i, n - i, j, n - j, 2 * n + 1)
             )
-    return MassMatrix(n=n, entries=M)
+    M.setflags(write=False)
+    return M
 
 
 def mass_eigenvalues(n: int) -> np.ndarray:
@@ -229,7 +144,7 @@ def legendre_bernstein_coeffs(j: int) -> PolyCoeffs:
         raise ValueError(f"degree must be nonnegative, got {j}")
     i = np.arange(j + 1)
     signs = np.where((j + i) % 2 == 0, 1.0, -1.0)
-    c = signs * np.array([binomial_float(j, int(k)) for k in i])
+    c = signs * np.array([math.comb(j, int(k)) for k in i], dtype=float)
     return PolyCoeffs(degree=j, coeffs=c)
 
 
@@ -259,34 +174,13 @@ class SpectralFactors:
 
 
 def spectral_factors(m: int, n: int) -> SpectralFactors:
-    """Assemble U, W and the eigenvalue vector for degrees m <= n.
-
-    Each U column is grown by iterated single-step elevation of the Legendre
-    coefficient vector, so no dense elevation matrix is formed per column.
-    """
+    """Assemble U, W and the eigenvalue vector for degrees m <= n."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     U = np.empty((n + 1, m + 1))
     for j in range(m + 1):
-        col = elevate_coeffs(legendre_bernstein_coeffs(j).coeffs, n)
+        col = elevation_matrix(j, n) @ legendre_bernstein_coeffs(j).coeffs
         U[:, j] = math.sqrt(2 * j + 1) * col
     W = 0.5 * (U @ U.T)
     lam = mass_eigenvalues(n)[: m + 1]
     return SpectralFactors(m=m, n=n, eigenvalues=lam, U=U, W=W)
-
-
-def l2_inner(p: PolyCoeffs, q: PolyCoeffs) -> float:
-    """Exact L2 inner product on [0, 1] via the mass-matrix bilinear form.
-
-    Operands of different degrees are elevated to a common degree first.
-    """
-    n = max(p.degree, q.degree)
-    a = elevate_coeffs(p.coeffs, n)
-    b = elevate_coeffs(q.coeffs, n)
-    M = mass_matrix(n).entries
-    return float(a @ M @ b)
-
-
-def l2_norm(p: PolyCoeffs) -> float:
-    """L2 norm of p on [0, 1]."""
-    return math.sqrt(max(l2_inner(p, p), 0.0))

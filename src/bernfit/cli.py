@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="Gauss points per panel (1-D) or per axis (2-D) for the "
-        "moment/error quadrature",
+        "moment/error quadrature; the rule must integrate degree 2*mmax exactly",
     )
     return p
 
@@ -124,6 +124,8 @@ def _validate(args, methods, elevations):
         bad = [m for m in methods if m in ("cone", "bernstein", "p1")]
         if bad:
             raise SpecError(f"methods {bad} are univariate only")
+    if args.quad_points is not None and args.quad_points < 1:
+        raise SpecError(f"--quad-points must be at least 1, got {args.quad_points}")
     if args.samples_degree is not None:
         if args.dim != 1:
             raise SpecError("sample output is available for 1-D runs only")
@@ -198,6 +200,13 @@ def run(args) -> int:
     _validate(args, methods, elevations)
     f = _resolve_function(args.func, args.dim)
     quad = approx.default_rule(args.dim, args.quad_points)
+    # the mass-matrix normal equations integrate products of two degree-m
+    # basis polynomials
+    if quad.design_degree < 2 * args.mmax:
+        raise SpecError(
+            f"--quad-points {args.quad_points} integrates exactly only through "
+            f"degree {quad.design_degree}, below 2*mmax = {2 * args.mmax}"
+        )
     xs = np.linspace(0.0, 1.0, SAMPLE_POINTS)
     _check_finite(f, quad.nodes, "quadrature node")
     if args.samples_degree is not None:

@@ -12,6 +12,7 @@ the projection cost over the cone on square factors A = R0 R0^T, B = R1 R1^T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +20,7 @@ import numpy as np
 from scipy import optimize
 
 from . import kkt, simplex
-from .bernstein import PolyCoeffs, binomial_float, evaluate
+from .bernstein import PolyCoeffs, evaluate
 
 CONE_DEGREE_LIMIT = 12
 # one L-BFGS-B run from a seeded random start; the optimizer aims at
@@ -123,7 +124,7 @@ def omega_adjoint(point: ConePoint) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _solver_data(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only scaling 1/C(m, k) from u^m to Bernstein form, and M^m."""
-    scale = 1.0 / np.array([binomial_float(m, k) for k in range(m + 1)])
+    scale = 1.0 / np.array([math.comb(m, k) for k in range(m + 1)])
     M = simplex.simplex_mass_matrix(1, m)
     scale.setflags(write=False)
     M.setflags(write=False)
@@ -134,32 +135,6 @@ def grid_min(p: PolyCoeffs, npoints: int = 10_001) -> float:
     """Minimum of p over a uniform grid on [0, 1]."""
     x = np.linspace(0.0, 1.0, npoints)
     return float(np.min(evaluate(p, x)))
-
-
-def hull_lower_bound(p: PolyCoeffs, levels: int = 1) -> float:
-    """Certified lower bound for min p on [0, 1] by coefficient subdivision.
-
-    Splitting at the midpoint via de Casteljau and taking the smallest
-    coefficient across the pieces bounds the true minimum from below
-    (convex hull property on each piece).
-    """
-    pieces = [np.asarray(p.coeffs, dtype=float)]
-    for _ in range(levels):
-        nxt = []
-        for c in pieces:
-            deg = c.shape[0] - 1
-            left = np.empty_like(c)
-            right = np.empty_like(c)
-            work = c.copy()
-            left[0] = work[0]
-            right[-1] = work[-1]
-            for r in range(1, deg + 1):
-                work = 0.5 * (work[:-1] + work[1:])
-                left[r] = work[0]
-                right[-1 - r] = work[-1]
-            nxt.extend((left, right))
-        pieces = nxt
-    return float(min(c.min() for c in pieces))
 
 
 @dataclass(frozen=True)

@@ -313,12 +313,6 @@ def objective(problem: KktProblem, qvec) -> float:
     return float(r @ data.M @ r)
 
 
-def integral(problem: KktProblem, coeffs) -> float:
-    """Integral of the degree-m polynomial with the given coefficients."""
-    data = _problem_data(problem.dim, problem.m, problem.n)
-    return data.c_eq * float(np.sum(coeffs))
-
-
 def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnostics:
     """Recompute every KKT residual from scratch and compare against tol."""
     data = _problem_data(problem.dim, problem.m, problem.n)
@@ -326,8 +320,9 @@ def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnost
     stat = _stationarity(problem, data, qvec, sol.mu, sol.nu)
     elevated = data.E @ qvec
     slack = np.abs(sol.mu * elevated)
+    # c_eq times the coefficient sum is the integral of a degree-m polynomial
     gap = (
-        abs(integral(problem, qvec) - integral(problem, problem.target))
+        abs(data.c_eq * float(np.sum(qvec)) - data.c_eq * float(np.sum(problem.target)))
         if problem.delta
         else 0.0
     )

@@ -9,16 +9,6 @@ from bernfit import bernstein as bn
 from bernfit import simplex as sx
 
 
-def pascal_binomial(n, k):
-    """Independent oracle: Pascal-triangle recurrence."""
-    if k < 0 or k > n:
-        return 0
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
-
-
 def gauss_integral(fn, npts=60):
     """Independent quadrature oracle on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(npts)
@@ -28,34 +18,6 @@ def gauss_integral(fn, npts=60):
 
 def bernstein_direct(i, n, x):
     return math.comb(n, i) * x**i * (1.0 - x) ** (n - i)
-
-
-class TestBinomial:
-    def test_small(self):
-        assert bn.binomial(4, 2) == 6
-
-    def test_out_of_range_is_zero(self):
-        assert bn.binomial(5, -1) == 0
-        assert bn.binomial(5, 6) == 0
-
-    def test_against_pascal(self):
-        assert bn.binomial(30, 15) == 155117520
-        assert bn.binomial(30, 15) == pascal_binomial(30, 15)
-        for n in (0, 1, 7, 19):
-            for k in range(-1, n + 2):
-                assert bn.binomial(n, k) == pascal_binomial(n, k)
-
-    def test_overflow_signaled(self):
-        with pytest.raises(OverflowError):
-            bn.binomial(63, 31)
-
-    def test_float_variant(self):
-        assert bn.binomial_float(30, 15) == 155117520.0
-        big = bn.binomial_float(200, 100)
-        assert big == pytest.approx(
-            math.exp(math.lgamma(201) - 2 * math.lgamma(101)), rel=1e-12
-        )
-        assert bn.binomial_float(200, -1) == 0.0
 
 
 class TestEvaluate:
@@ -101,14 +63,14 @@ class TestEvaluate:
 
 class TestElevation:
     def test_one_to_two(self):
-        E = bn.elevation_matrix(1, 2).entries
+        E = bn.elevation_matrix(1, 2)
         assert np.allclose(E, [[1, 0], [0.5, 0.5], [0, 1]], atol=1e-15)
 
     def test_identity(self):
-        assert np.allclose(bn.elevation_matrix(4, 4).entries, np.eye(5), atol=1e-15)
+        assert np.allclose(bn.elevation_matrix(4, 4), np.eye(5), atol=1e-15)
 
     def test_constant_column(self):
-        E = bn.elevation_matrix(0, 3).entries
+        E = bn.elevation_matrix(0, 3)
         assert np.allclose(E, np.ones((4, 1)), atol=1e-15)
 
     def test_rejects_downgrade(self):
@@ -117,7 +79,7 @@ class TestElevation:
 
     @pytest.mark.parametrize("m,n", [(0, 4), (2, 3), (3, 8), (5, 5)])
     def test_structure(self, m, n):
-        E = bn.elevation_matrix(m, n).entries
+        E = bn.elevation_matrix(m, n)
         assert np.all(E >= 0)
         assert np.allclose(E.sum(axis=1), 1.0, atol=1e-14)
         for i in range(n + 1):
@@ -135,38 +97,34 @@ class TestElevation:
         )
         x = data.draw(st.floats(0, 1))
         p = bn.poly(coeffs)
-        assert bn.evaluate(bn.elevate(p, n), x) == pytest.approx(
+        elevated = bn.PolyCoeffs(n, bn.elevation_matrix(m, n) @ p.coeffs)
+        assert bn.evaluate(elevated, x) == pytest.approx(
             bn.evaluate(p, x), abs=1e-12
         )
 
-    def test_matrix_matches_stepwise(self):
-        rng = np.random.default_rng(2)
-        for m, n in [(0, 5), (3, 7), (4, 12)]:
-            c = rng.uniform(-1, 1, m + 1)
-            assert np.allclose(
-                bn.elevation_matrix(m, n).entries @ c,
-                bn.elevate_coeffs(c, n),
-                atol=1e-14,
-            )
-
 
 class TestMassMatrix:
+    def test_matrices_are_read_only(self):
+        for M in (bn.mass_matrix(3), bn.elevation_matrix(2, 4)):
+            with pytest.raises(ValueError):
+                M[0, 0] = 5.0
+
     def test_degree_one(self):
-        M = bn.mass_matrix(1).entries
+        M = bn.mass_matrix(1)
         assert np.allclose(M, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-16)
 
     def test_degree_zero(self):
-        assert np.allclose(bn.mass_matrix(0).entries, [[1.0]])
+        assert np.allclose(bn.mass_matrix(0), [[1.0]])
 
     def test_corner_entry_against_quadrature(self):
         # int B^2_0 B^2_2 = int x^2 (1-x)^2
         oracle = gauss_integral(lambda x: x**2 * (1 - x) ** 2)
-        assert bn.mass_matrix(2).entries[0, 2] == pytest.approx(oracle, abs=1e-15)
+        assert bn.mass_matrix(2)[0, 2] == pytest.approx(oracle, abs=1e-15)
         assert oracle == pytest.approx(1 / 30, abs=1e-15)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     def test_row_sums_and_symmetry(self, n):
-        M = bn.mass_matrix(n).entries
+        M = bn.mass_matrix(n)
         assert np.allclose(M, M.T, atol=1e-16)
         assert np.all(M > 0)
         assert np.allclose(M.sum(axis=1), 1.0 / (n + 1), atol=1e-14)
@@ -175,7 +133,7 @@ class TestMassMatrix:
         # n = 35 forces the log-gamma branch; compare a few entries against
         # the quadrature oracle
         n = 35
-        M = bn.mass_matrix(n).entries
+        M = bn.mass_matrix(n)
         for i, j in [(0, 0), (3, 17), (20, 35)]:
             oracle = gauss_integral(
                 lambda x: bernstein_direct(i, n, x) * bernstein_direct(j, n, x),
@@ -185,11 +143,11 @@ class TestMassMatrix:
 
     def test_mass_reduction_identity(self):
         for n in range(0, 11):
-            Mn = bn.mass_matrix(n).entries
+            Mn = bn.mass_matrix(n)
             for m in range(0, n + 1):
-                E = bn.elevation_matrix(m, n).entries
+                E = bn.elevation_matrix(m, n)
                 assert (
-                    np.max(np.abs(E.T @ Mn @ E - bn.mass_matrix(m).entries)) < 1e-12
+                    np.max(np.abs(E.T @ Mn @ E - bn.mass_matrix(m))) < 1e-12
                 )
 
 
@@ -210,13 +168,14 @@ class TestLegendre:
     def test_norm(self):
         for j in (0, 1, 2, 5):
             p = bn.legendre_bernstein_coeffs(j)
-            assert bn.l2_inner(p, p) == pytest.approx(1 / (2 * j + 1), abs=1e-13)
+            norm2 = p.coeffs @ bn.mass_matrix(j) @ p.coeffs
+            assert norm2 == pytest.approx(1 / (2 * j + 1), abs=1e-13)
 
 
 class TestSpectralFactors:
     def test_eigenvalues_1_1(self):
         # oracle: symmetric eigensolve of the 2x2 mass matrix
-        oracle = np.sort(np.linalg.eigvalsh(bn.mass_matrix(1).entries))[::-1]
+        oracle = np.sort(np.linalg.eigvalsh(bn.mass_matrix(1)))[::-1]
         S = bn.spectral_factors(1, 1)
         assert np.allclose(S.eigenvalues, oracle, atol=1e-15)
         assert np.allclose(S.eigenvalues, [0.5, 1 / 6], atol=1e-15)
@@ -244,7 +203,7 @@ class TestSpectralFactors:
     @pytest.mark.parametrize("n", range(0, 11))
     def test_reconstruction_and_orthogonality(self, n):
         S = bn.spectral_factors(n, n)
-        M = bn.mass_matrix(n).entries
+        M = bn.mass_matrix(n)
         Q = S.Q
         assert np.max(np.abs(Q @ np.diag(S.eigenvalues) @ Q.T - M)) < 1e-10
         assert np.max(np.abs(Q.T @ Q - np.eye(n + 1))) < 1e-10
@@ -255,7 +214,7 @@ class TestSpectralFactors:
             for j in range(m + 1):
                 col = (
                     math.sqrt(2 * j + 1)
-                    * bn.elevation_matrix(j, n).entries
+                    * bn.elevation_matrix(j, n)
                     @ bn.legendre_bernstein_coeffs(j).coeffs
                 )
                 assert np.max(np.abs(S.U[:, j] - col)) < 1e-12
@@ -275,7 +234,7 @@ class TestSpectralFactors:
     def test_elevated_inverse_identity(self):
         for n in range(0, 11):
             for m in range(0, n + 1):
-                E = bn.elevation_matrix(m, n).entries
+                E = bn.elevation_matrix(m, n)
                 Smm = bn.spectral_factors(m, m)
                 Minv = Smm.U @ Smm.U.T  # inverse via the factors themselves
                 S = bn.spectral_factors(m, n)
@@ -285,10 +244,10 @@ class TestSpectralFactors:
         for n in range(0, 11):
             lam_n = bn.mass_eigenvalues(n)
             for m in range(0, n + 1):
-                E = bn.elevation_matrix(m, n).entries
+                E = bn.elevation_matrix(m, n)
                 lam_m = bn.mass_eigenvalues(m)
                 for j in range(m + 1):
-                    v = bn.elevate_coeffs(bn.legendre_bernstein_coeffs(j).coeffs, m)
+                    v = bn.elevation_matrix(j, m) @ bn.legendre_bernstein_coeffs(j).coeffs
                     resid = E.T @ (E @ v) - (lam_m[j] / lam_n[j]) * v
                     assert np.max(np.abs(resid)) < 1e-10
 
@@ -308,7 +267,7 @@ class TestDowngrade:
         rng = np.random.default_rng(3)
         for m, n in [(0, 1), (2, 5), (4, 9)]:
             y = rng.uniform(-1, 1, n + 1)
-            E = bn.elevation_matrix(m, n).entries
+            E = bn.elevation_matrix(m, n)
             oracle = np.linalg.lstsq(E, y, rcond=None)[0]
             q = sx.simplex_downgrade(1, m, n, y).coeffs
             assert np.max(np.abs(q - oracle)) < 1e-10
@@ -317,33 +276,9 @@ class TestDowngrade:
         rng = np.random.default_rng(4)
         for m, n in [(0, 6), (3, 5), (5, 12)]:
             c = rng.uniform(-1, 1, m + 1)
-            y = bn.elevate_coeffs(c, n)
+            y = bn.elevation_matrix(m, n) @ c
             back = sx.simplex_downgrade(1, m, n, y).coeffs
-            assert np.max(np.abs(bn.elevate_coeffs(back, n) - y)) < 1e-10
-
-
-class TestInnerProduct:
-    def test_constant(self):
-        assert bn.l2_inner(bn.poly([1]), bn.poly([1, 1, 1])) == pytest.approx(1.0)
-
-    def test_legendre_norm(self):
-        p = bn.legendre_bernstein_coeffs(2)
-        assert bn.l2_inner(p, p) == pytest.approx(1 / 5, abs=1e-15)
-
-    def test_legendre_orthogonality(self):
-        val = bn.l2_inner(
-            bn.legendre_bernstein_coeffs(1), bn.legendre_bernstein_coeffs(2)
-        )
-        assert abs(val) < 1e-15
-
-    def test_matches_quadrature(self):
-        rng = np.random.default_rng(5)
-        p, q = bn.poly(rng.uniform(-1, 1, 4)), bn.poly(rng.uniform(-1, 1, 7))
-        oracle = gauss_integral(lambda x: bn.evaluate(p, x) * bn.evaluate(q, x))
-        assert bn.l2_inner(p, q) == pytest.approx(oracle, abs=1e-14)
-
-    def test_norm(self):
-        assert bn.l2_norm(bn.poly([1, 1])) == pytest.approx(1.0)
+            assert np.max(np.abs(bn.elevation_matrix(m, n) @ back - y)) < 1e-10
 
 
 class TestPolyCoeffs:

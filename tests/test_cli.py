@@ -225,3 +225,38 @@ class TestSpecErrors:
         assert main(argv + ["--out", str(out)]) == 0
         _, rows = read_table(out)
         assert np.isfinite(rows).all()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--func", "f1", "--mmax", "3", "--quad-points", "0"],
+            ["--func", "f1", "--mmax", "3", "--quad-points", "-2"],
+            # exact through degree 2 * 1 - 1 = 1, below 2 * mmax = 24
+            ["--func", "f1", "--mmax", "12", "--quad-points", "1"],
+            # exact through degree 2 * 3 - 1 = 5, below 2 * mmax = 6
+            ["--func", "f1", "--mmax", "3", "--quad-points", "3"],
+            # the triangle rule is exact through degree 2 * 4 - 2 = 6, below 8
+            ["--func", "g0", "--dim", "2", "--mmax", "4", "--quad-points", "4"],
+        ],
+        ids=["zero", "negative", "one", "below-2mmax", "below-2mmax-2d"],
+    )
+    def test_quadrature_too_coarse(self, argv, tmp_path, capsys):
+        out = tmp_path / "errors.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("bernfit: --quad-points")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--func", "f1", "--mmax", "3", "--quad-points", "4"],
+            ["--func", "g0", "--dim", "2", "--mmax", "4", "--quad-points", "5"],
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_quadrature_exact_through_2mmax_is_accepted(self, argv, tmp_path):
+        out = tmp_path / "errors.csv"
+        assert main(argv + ["--methods", "project", "--out", str(out)]) == 0
+        _, rows = read_table(out)
+        assert np.isfinite(rows).all()

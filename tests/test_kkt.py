@@ -4,8 +4,6 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bernfit import bernstein as bn
 from bernfit import kkt, oracles
@@ -45,7 +43,8 @@ class TestClosedFormFixture:
         p = kkt.KktProblem(dim=1, m=1, n=1, target=np.array([-1.0, 1.0]), delta=1)
         s = kkt.solve(p)
         assert np.allclose(s.q.coeffs, [0.0, 0.0], atol=1e-12)
-        assert abs(kkt.integral(p, s.q.coeffs) - kkt.integral(p, p.target)) < 1e-12
+        target = bn.PolyCoeffs(p.m, p.target, p.dim)
+        assert abs(sx.simplex_integral(s.q) - sx.simplex_integral(target)) < 1e-12
 
     def test_feasible_target_returned_unchanged(self):
         t = np.array([0.4, 0.05, 0.7])
@@ -193,7 +192,7 @@ class TestOptimalityProperties:
         prob = kkt.KktProblem(dim=1, m=3, n=6, target=rng.uniform(-1, 1, 4))
         sol = kkt.solve(prob)
         best = kkt.objective(prob, sol.q.coeffs)
-        E = bn.elevation_matrix(3, 6).entries
+        E = bn.elevation_matrix(3, 6)
         tried = 0
         while tried < 100:
             z = rng.uniform(0, 1, 7)
@@ -268,70 +267,74 @@ class TestOptimalityProperties:
         assert sol.candidates_reconstructed >= 1
 
 
-@st.composite
-def instances(draw, nonnegative=False):
+# every property below runs on the same instances, drawn from fixed seeds so
+# they do not depend on which other tests are collected
+PROPERTY_SEEDS = range(60)
+
+
+def instances(nonnegative=False):
     """Instances small enough for the enumerator, with n > m allowed.
 
-    Mass-preserving targets get a positive mean, since a negative target
-    integral makes the constraint set empty.
+    About one target coefficient in ten is exactly zero, so elevated values
+    on the constraint boundary come up.  Mass-preserving targets get a
+    positive mean, since a negative target integral makes the constraint
+    set empty.
     """
-    d = draw(st.sampled_from((1, 2)))
-    m = draw(st.integers(0, 6 if d == 1 else 3))
-    n = draw(st.integers(m, m + 6 if d == 1 else 4))
-    delta = draw(st.sampled_from((0, 1)))
-    lo = 0.0 if nonnegative else -1.0
-    size = math.comb(d + m, d)
-    t = np.array(draw(st.lists(st.floats(lo, 1.0), min_size=size, max_size=size)))
-    if delta and t.mean() < 0.05:
-        t = t + (0.05 - t.mean())
-    return kkt.KktProblem(dim=d, m=m, n=n, target=t, delta=delta)
-
-
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+    out = []
+    for seed in PROPERTY_SEEDS:
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 3))
+        m = int(rng.integers(0, 7 if d == 1 else 4))
+        n = int(rng.integers(m, m + 7 if d == 1 else 5))
+        delta = int(rng.integers(0, 2))
+        t = rng.uniform(0.0 if nonnegative else -1.0, 1.0, math.comb(d + m, d))
+        t[rng.random(t.shape) < 0.1] = 0.0
+        if delta and t.mean() < 0.05:
+            t = t + (0.05 - t.mean())
+        out.append(kkt.KktProblem(dim=d, m=m, n=n, target=t, delta=delta))
+    return out
 
 
 class TestAgainstEnumerator:
-    @PROPERTY_SETTINGS
-    @given(instances())
-    def test_same_polynomial_and_kkt_residuals(self, prob):
-        sol = kkt.solve(prob)
-        ref = oracles.enumerate_solve(prob)
-        assert np.max(np.abs(sol.q.coeffs - ref.q.coeffs)) <= 1e-9
-        assert kkt.verify_kkt(prob, sol, 1e-9).passed
+    def test_same_polynomial_and_kkt_residuals(self):
+        for prob in instances():
+            sol = kkt.solve(prob)
+            ref = oracles.enumerate_solve(prob)
+            assert np.max(np.abs(sol.q.coeffs - ref.q.coeffs)) <= 1e-9
+            assert kkt.verify_kkt(prob, sol, 1e-9).passed
 
-    @PROPERTY_SETTINGS
-    @given(instances(), st.floats(1e-3, 1e3))
-    def test_positive_scaling(self, prob, c):
-        scaled = kkt.KktProblem(
-            dim=prob.dim, m=prob.m, n=prob.n, target=c * prob.target, delta=prob.delta
-        )
-        got = kkt.solve(scaled).q.coeffs
-        want = c * kkt.solve(prob).q.coeffs
-        # feasibility is tested against the absolute PRIMAL_TOL, so an
-        # elevated value inside that band at one scale and outside it at
-        # the other moves the answer by about PRIMAL_TOL
-        assert np.max(np.abs(got - want)) <= 1e-9 * c + 10 * kkt.PRIMAL_TOL
-
-    @PROPERTY_SETTINGS
-    @given(instances(nonnegative=True))
-    def test_feasible_target_returns_itself(self, prob):
-        sol = kkt.solve(prob)
-        assert sol.active_set == ()
-        assert np.max(np.abs(sol.q.coeffs - prob.target)) <= 1e-12
-        assert not sol.mu.any()
-
-    @PROPERTY_SETTINGS
-    @given(instances())
-    def test_cost_nonincreasing_in_n(self, prob):
-        top = prob.n + (4 if prob.dim == 1 else 1)
-        costs = []
-        for n in range(prob.m, top + 1):
-            p = kkt.KktProblem(
-                dim=prob.dim, m=prob.m, n=n, target=prob.target, delta=prob.delta
+    def test_positive_scaling(self):
+        rng = np.random.default_rng(0)
+        for prob in instances():
+            c = 10.0 ** rng.uniform(-3.0, 3.0)
+            scaled = kkt.KktProblem(
+                dim=prob.dim, m=prob.m, n=prob.n, target=c * prob.target, delta=prob.delta
             )
-            costs.append(kkt.objective(p, kkt.solve(p).q.coeffs))
-        for lo, hi in zip(costs[1:], costs[:-1]):
-            assert lo <= hi + 1e-12
+            got = kkt.solve(scaled).q.coeffs
+            want = c * kkt.solve(prob).q.coeffs
+            # feasibility is tested against the absolute PRIMAL_TOL, so an
+            # elevated value inside that band at one scale and outside it at
+            # the other moves the answer by about PRIMAL_TOL
+            assert np.max(np.abs(got - want)) <= 1e-9 * c + 10 * kkt.PRIMAL_TOL
+
+    def test_feasible_target_returns_itself(self):
+        for prob in instances(nonnegative=True):
+            sol = kkt.solve(prob)
+            assert sol.active_set == ()
+            assert np.max(np.abs(sol.q.coeffs - prob.target)) <= 1e-12
+            assert not sol.mu.any()
+
+    def test_cost_nonincreasing_in_n(self):
+        for prob in instances():
+            top = prob.n + (4 if prob.dim == 1 else 1)
+            costs = []
+            for n in range(prob.m, top + 1):
+                p = kkt.KktProblem(
+                    dim=prob.dim, m=prob.m, n=n, target=prob.target, delta=prob.delta
+                )
+                costs.append(kkt.objective(p, kkt.solve(p).q.coeffs))
+            for lo, hi in zip(costs[1:], costs[:-1]):
+                assert lo <= hi + 1e-12
 
     def test_budget_edge_is_fast(self):
         # 22 constraints: the enumerator needs about 16 s here

@@ -26,7 +26,7 @@ class TestPenaltySolve:
         q = oracles.penalty_solve(p, upper=1.0)
         from bernfit import bernstein as bn
 
-        elev = bn.elevation_matrix(1, 3).entries @ q
+        elev = bn.elevation_matrix(1, 3) @ q
         assert elev.max() <= 1.0 + 1e-6
         assert elev.min() >= -1e-6
         # the constant 1 is the closest upper-bounded polynomial to 2

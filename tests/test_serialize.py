@@ -5,64 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bernfit import cone, kkt, serialize
+from bernfit import cone, serialize
 from bernfit import bernstein as bn
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "verify_certificate.py"
-
-
-class TestMatrixCsv:
-    def test_round_trip_full_precision(self, tmp_path):
-        rng = np.random.default_rng(0)
-        M = rng.standard_normal((4, 7)) * np.exp(rng.uniform(-20, 20, (4, 7)))
-        path = tmp_path / "m.csv"
-        serialize.save_matrix_csv(path, M)
-        back = serialize.load_matrix_csv(path)
-        assert np.array_equal(back, M)  # %.17g is lossless for doubles
-
-    def test_header(self, tmp_path):
-        path = tmp_path / "m.csv"
-        serialize.save_matrix_csv(path, np.eye(2), header=["a", "b"])
-        text = path.read_text()
-        assert text.splitlines()[0] == "a,b"
-        back = serialize.load_matrix_csv(path, skip_header=True)
-        assert np.array_equal(back, np.eye(2))
-
-    def test_multiindex_header(self):
-        hdr = serialize.multiindex_header(2, 1)
-        assert hdr == ["a1_0_0", "a0_1_0", "a0_0_1"]
-
-
-class TestRecords:
-    def test_problem_round_trip(self):
-        p = kkt.KktProblem(
-            dim=2, m=1, n=2, target=np.array([-1.0, 0.25, 1e-17]), delta=1
-        )
-        back = serialize.problem_from_record(serialize.problem_to_record(p))
-        assert back.dim == p.dim and back.m == p.m and back.n == p.n
-        assert back.delta == p.delta
-        assert np.array_equal(back.target, p.target)
-
-    def test_record_with_upper_is_rejected(self):
-        p = kkt.KktProblem(dim=1, m=1, n=1, target=np.array([2.0, 2.0]))
-        text = serialize.problem_to_record(p) + "upper=1\n"
-        with pytest.raises(ValueError, match="upper"):
-            serialize.problem_from_record(text)
-
-    def test_solution_record_and_summary(self):
-        p = kkt.KktProblem(dim=1, m=1, n=1, target=np.array([-1.0, 1.0]))
-        s = kkt.solve(p)
-        rec = serialize.solution_to_record(s)
-        assert "kind=kkt_solution" in rec
-        assert "active_set=0" in rec
-        summary = serialize.solution_summary(s)
-        # diagnostics come in a fixed column order
-        names = [cell.split("=")[0] for cell in summary.split()]
-        assert names == ["J", *serialize.SOLUTION_FIELDS]
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            serialize.problem_from_record("kind=nope\n")
 
 
 class TestConeCertificate:

@@ -112,14 +112,14 @@ class TestElevation:
         for m, n in [(0, 2), (1, 2), (3, 6)]:
             assert np.allclose(
                 sx.simplex_elevation(1, m, n),
-                bn.elevation_matrix(m, n).entries,
+                bn.elevation_matrix(m, n),
                 atol=1e-14,
             )
         # the CLI's whole 1-D range: m <= 12, n <= m + 10
         for m in range(13):
             for n in range(m, m + 11):
                 E = sx.simplex_elevation(1, m, n)
-                ref = bn.elevation_matrix(m, n).entries
+                ref = bn.elevation_matrix(m, n)
                 assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_constant_column(self):
@@ -159,7 +159,7 @@ class TestMassMatrix:
     def test_matches_univariate(self):
         for n in range(0, 6):
             assert np.allclose(
-                sx.simplex_mass_matrix(1, n), bn.mass_matrix(n).entries, atol=1e-15
+                sx.simplex_mass_matrix(1, n), bn.mass_matrix(n), atol=1e-15
             )
 
     def test_quadrature_oracle(self):
