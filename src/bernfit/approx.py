@@ -133,29 +133,19 @@ def function_from_expression(expr: str, dim: int = 1) -> TargetFunction:
     code = compile(tree, "<expression>", "eval")
     env = dict(_ALLOWED_CALLS) | dict(_ALLOWED_NAMES)
 
-    if dim == 1:
-
-        def fn(x):
-            return np.broadcast_to(
-                np.asarray(eval(code, {"__builtins__": {}}, env | {"x": x})),
-                np.shape(x),
-            ).astype(float)
-
-    else:
-
-        def fn(x, y):
-            out = eval(code, {"__builtins__": {}}, env | {"x": x, "y": y})
-            return np.broadcast_to(np.asarray(out), np.shape(x)).astype(float)
+    def fn(*coords):
+        out = eval(code, {"__builtins__": {}}, env | dict(zip("xy", coords)))
+        return np.broadcast_to(np.asarray(out), np.shape(coords[0])).astype(float)
 
     return TargetFunction(ident=f"expr:{expr}", dim=dim, fn=fn, lower=-np.inf, upper=np.inf)
 
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Fixed integration rule on [0, 1] (dim 1) or the unit triangle (dim d)."""
+    """Fixed integration rule on the unit d-simplex: [0, 1] for d = 1."""
 
     dim: int
-    nodes: np.ndarray  # (npts,) for dim 1, (npts, dim) otherwise
+    nodes: np.ndarray  # (npts, dim)
     weights: np.ndarray
     design_degree: int
 
@@ -167,9 +157,7 @@ class Quadrature:
         return float(self.weights @ np.asarray(values, dtype=float))
 
     def integrate(self, fn) -> float:
-        if self.dim == 1:
-            return self.integrate_values(fn(self.nodes))
-        return self.integrate_values(fn(*(self.nodes.T)))
+        return self.integrate_values(fn(*self.nodes.T))
 
 
 @lru_cache(maxsize=16)
@@ -179,7 +167,7 @@ def interval_rule(points: int = 24) -> Quadrature:
     h = 1.0 / 16
     return Quadrature(
         dim=1,
-        nodes=(np.arange(16)[:, None] * h + 0.5 * h * (x + 1.0)).ravel(),
+        nodes=(np.arange(16)[:, None] * h + 0.5 * h * (x + 1.0)).reshape(-1, 1),
         weights=np.tile(0.5 * h * w, 16),
         design_degree=2 * points - 1,
     )
@@ -214,17 +202,13 @@ def default_rule(dim: int, points: int | None = None) -> Quadrature:
     return simplex_rule() if points is None else simplex_rule(points=points)
 
 
-def _basis_at_nodes(dim: int, m: int, quad: Quadrature) -> np.ndarray:
-    return simplex_basis_values(dim, m, quad.nodes.reshape(-1, dim))
-
-
 def moments(f: TargetFunction, m: int, quad: Quadrature | None = None) -> np.ndarray:
     """Integrals of f against every degree-m basis polynomial."""
     quad = quad or default_rule(f.dim)
     if quad.dim != f.dim:
         raise ValueError(f"rule is {quad.dim}-dimensional but f is {f.dim}-dimensional")
-    fv = f(quad.nodes) if f.dim == 1 else f(*(quad.nodes.T))
-    basis = _basis_at_nodes(f.dim, m, quad)
+    fv = f(*quad.nodes.T)
+    basis = simplex_basis_values(f.dim, m, quad.nodes)
     return basis.T @ (quad.weights * np.asarray(fv, dtype=float))
 
 
@@ -277,18 +261,18 @@ def p1_interpolant(f: TargetFunction, m: int) -> PiecewiseLinear:
     return PiecewiseLinear(nodes=nodes, values=np.asarray(f(nodes), dtype=float))
 
 
-def _evaluate_candidate(q, dim: int, quad: Quadrature) -> np.ndarray:
+def _evaluate_candidate(q, quad: Quadrature) -> np.ndarray:
     if isinstance(q, PolyCoeffs):
-        return _basis_at_nodes(q.dim, q.degree, quad) @ q.coeffs
+        return simplex_basis_values(q.dim, q.degree, quad.nodes) @ q.coeffs
     if callable(q):
-        return q(quad.nodes) if dim == 1 else q(*(quad.nodes.T))
+        return q(*quad.nodes.T)
     raise TypeError(f"cannot evaluate approximation of type {type(q)!r}")
 
 
 def l2_error(f: TargetFunction, q, quad: Quadrature | None = None) -> float:
     """L2 norm of f - q over the domain, by quadrature."""
     quad = quad or default_rule(f.dim)
-    fv = f(quad.nodes) if f.dim == 1 else f(*(quad.nodes.T))
-    qv = _evaluate_candidate(q, f.dim, quad)
+    fv = f(*quad.nodes.T)
+    qv = _evaluate_candidate(q, quad)
     diff = np.asarray(fv, dtype=float) - qv
     return math.sqrt(max(quad.integrate_values(diff * diff), 0.0))

@@ -189,7 +189,7 @@ def _check_cone_cost(projection, q) -> None:
 def _check_finite(f: TargetFunction, points, where: str) -> None:
     """Reject a target that is not finite at every point, before any row."""
     with np.errstate(all="ignore"):
-        values = f(points) if f.dim == 1 else f(*points.T)
+        values = f(*points.T)
     if not np.all(np.isfinite(values)):
         raise SpecError(f"target {f.ident} is not finite at every {where}")
 
@@ -210,11 +210,11 @@ def run(args) -> int:
     xs = np.linspace(0.0, 1.0, SAMPLE_POINTS)
     _check_finite(f, quad.nodes, "quadrature node")
     if args.samples_degree is not None:
-        _check_finite(f, xs, "sample point")
+        _check_finite(f, xs[:, None], "sample point")
     # bernstein and p1 sample the target at the control points i/m
     if {"bernstein", "p1"} & set(methods):
         for m in range(max(args.mmin, 1), args.mmax + 1):
-            _check_finite(f, np.arange(m + 1) / m, "control point i/m")
+            _check_finite(f, (np.arange(m + 1) / m)[:, None], "control point i/m")
     cols = _columns(methods, elevations)
 
     degrees = range(args.mmin, args.mmax + 1)

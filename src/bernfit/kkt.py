@@ -17,10 +17,11 @@ solve finds J with one nonnegative least-squares (NNLS) call: in the
 orthonormal coordinates c = lam * U^T y the problem is the least distance
 program min ||c - c_p|| subject to U c >= 0, which Lawson & Hanson
 (Solving Least Squares Problems, 1974, ch. 23) turn into an NNLS problem
-whose support is J.  The exact reduced solve on J then gives the answer.
-The paper's exhaustive search over every J is kept in the oracles
-module as the reference method the tests check solve against; it shares
-the reduced solve and its checks (_accepted) with solve.
+whose support is J.  The exact reduced solve on J then gives the answer,
+so the constraint count is not bounded here.  The paper's exhaustive
+search over every J, with its 2^MAX_SUBSET_BITS budget, is kept in the
+oracles module as the reference method the tests check solve against; it
+shares the reduced solve and its checks (_accepted) with solve.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from scipy import optimize
 from . import simplex
 from .bernstein import PolyCoeffs, _factorial_ratio
 
-MAX_SUBSET_BITS = 22
-
 PRIMAL_TOL = 1e-9
 DUAL_TOL = 1e-12
 RANK_TOL = 1e-11
@@ -46,10 +45,6 @@ INFEASIBLE_RESIDUAL = 0.25
 # Lawson & Hanson iterations allowed per constraint; scipy's default of 3
 # stops short on some problems inside the caps (d = 1, m = n = 10)
 NNLS_ITERATIONS = 10
-
-
-class IntractableProblemError(Exception):
-    """Raised when the constraint count exceeds MAX_SUBSET_BITS."""
 
 
 class NoFeasibleSubsetError(Exception):
@@ -106,9 +101,6 @@ class KktSolution:
     nu: float
     active_set: tuple[int, ...]
     elevated: np.ndarray
-    stationarity_residual: float
-    min_elevated: float
-    max_slack_violation: float
     subsets_examined: int
     systems_solved: int
     candidates_reconstructed: int
@@ -132,9 +124,7 @@ class _ProblemData:
 
     E: np.ndarray            # elevation, constraints x unknowns
     W: np.ndarray            # U^{m,n} (U^{m,n})^T / 2
-    Umm: np.ndarray
     Umn: np.ndarray
-    lam: np.ndarray          # degree-n eigenvalues repeated per multiplicity
     M: np.ndarray            # degree-m mass matrix
     c_delta: float           # d!/2, subtracted from W on the active block
     c_eq: float              # m!/(m+d)!: integral of one degree-m basis function
@@ -154,9 +144,7 @@ def _problem_data(dim: int, m: int, n: int) -> _ProblemData:
     return _ProblemData(
         E=simplex.simplex_elevation(dim, m, n),
         W=fac.W,
-        Umm=simplex.simplex_spectral_factors(dim, m, m).U,
         Umn=fac.U,
-        lam=fac.eigenvalues,
         M=simplex.simplex_mass_matrix(dim, m),
         c_delta=dfact / 2.0,
         c_eq=_factorial_ratio((m,), (m + dim,)),
@@ -175,15 +163,6 @@ def _candidate_solution(data, problem, J, mu_J):
     if problem.delta:
         y += 0.5 * nu
     return mu, nu, y
-
-
-def _check_size(N: int) -> None:
-    """Bound the constraint count N to the exhaustive search's budget."""
-    if N > MAX_SUBSET_BITS:
-        raise IntractableProblemError(
-            f"{N} constraints means 2^{N} subsets; the enumeration budget "
-            f"is 2^{MAX_SUBSET_BITS}"
-        )
 
 
 def _accepted(data, problem: KktProblem, ep, chunk, counters: dict):
@@ -250,28 +229,14 @@ def _counters() -> dict:
     return dict(subsets=0, solved=0, reconstructed=0, rank_skips=0)
 
 
-def _stationarity(problem: KktProblem, data, qvec, mu, nu) -> np.ndarray:
-    """Gradient of the Lagrangian at (q, mu, nu); zero at the optimum."""
-    return (
-        2.0 * data.M @ (qvec - problem.target)
-        - data.E.T @ mu
-        - problem.delta * nu * data.c_eq
-    )
-
-
-def _finish(problem: KktProblem, data, J, mu, nu, y, counters) -> KktSolution:
-    qvec = data.Umm @ (data.lam * (data.Umn.T @ y))
-    stat = _stationarity(problem, data, qvec, mu, nu)
-    slack = np.abs(mu * y)
+def _finish(problem: KktProblem, J, mu, nu, y, counters) -> KktSolution:
+    """The solution for an accepted subset; q is the degree-m preimage of y."""
     return KktSolution(
-        q=PolyCoeffs(degree=problem.m, coeffs=qvec, dim=problem.dim),
+        q=simplex.simplex_downgrade(problem.dim, problem.m, problem.n, y),
         mu=mu,
         nu=nu,
         active_set=J,
         elevated=y,
-        stationarity_residual=float(np.abs(stat).max()),
-        min_elevated=float(y.min()),
-        max_slack_violation=float(slack.max()) if slack.size else 0.0,
         subsets_examined=counters["subsets"],
         systems_solved=counters["solved"],
         candidates_reconstructed=counters["reconstructed"],
@@ -284,10 +249,9 @@ def solve(problem: KktProblem) -> KktSolution:
 
     A target whose elevation is feasible is its own answer (J = ()).
     Otherwise NNLS names the active set J, and the reduced system on J,
-    checked as in the exhaustive search, gives the solution.  The counters report the
-    one or two subsets this examines.
+    checked as in the exhaustive search, gives the solution.  The counters
+    report the one or two subsets this examines.
     """
-    _check_size(problem.num_constraints)
     counters = _counters()
     data = _problem_data(problem.dim, problem.m, problem.n)
     ep = data.E @ problem.target
@@ -303,7 +267,7 @@ def solve(problem: KktProblem) -> KktSolution:
                 f"(m={problem.m}, n={problem.n}, dim={problem.dim}, "
                 f"delta={problem.delta})"
             )
-    return _finish(problem, data, *found, counters)
+    return _finish(problem, *found, counters)
 
 
 def objective(problem: KktProblem, qvec) -> float:
@@ -317,7 +281,12 @@ def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnost
     """Recompute every KKT residual from scratch and compare against tol."""
     data = _problem_data(problem.dim, problem.m, problem.n)
     qvec = np.asarray(sol.q.coeffs, dtype=float)
-    stat = _stationarity(problem, data, qvec, sol.mu, sol.nu)
+    # gradient of the Lagrangian at (q, mu, nu); zero at the optimum
+    stat = (
+        2.0 * data.M @ (qvec - problem.target)
+        - data.E.T @ sol.mu
+        - problem.delta * sol.nu * data.c_eq
+    )
     elevated = data.E @ qvec
     slack = np.abs(sol.mu * elevated)
     # c_eq times the coefficient sum is the integral of a degree-m polynomial

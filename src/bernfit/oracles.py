@@ -3,7 +3,8 @@
 enumerate_solve is the paper's exhaustive active-set search: it tries
 every subset J of the constraints by size, then lexicographically, with
 kkt's reduced solve and checks, and the minimizer is unique, so the first
-accepted J is the answer.  Its cost grows as 2^N in the constraint count N.
+accepted J is the answer.  Its cost grows as 2^N in the constraint count N,
+so subset_iterator refuses N above MAX_SUBSET_BITS.
 
 penalty_solve minimizes the same quadratic cost but replaces the
 constraints with quadratic penalty terms on an increasing weight schedule.
@@ -24,11 +25,20 @@ from .kkt import KktProblem, KktSolution, _problem_data
 
 # subsets of one size stacked into one batch of reduced solves
 _CHUNK = 32768
+MAX_SUBSET_BITS = 22
+
+
+class IntractableProblemError(Exception):
+    """Raised when the constraint count exceeds MAX_SUBSET_BITS."""
 
 
 def subset_iterator(num_constraints: int):
     """All subsets of {0..num_constraints-1}: by cardinality, then lexicographic."""
-    kkt._check_size(num_constraints)
+    if num_constraints > MAX_SUBSET_BITS:
+        raise IntractableProblemError(
+            f"{num_constraints} constraints means 2^{num_constraints} subsets; "
+            f"the enumeration budget is 2^{MAX_SUBSET_BITS}"
+        )
     for k in range(num_constraints + 1):
         yield from itertools.combinations(range(num_constraints), k)
 
@@ -72,8 +82,7 @@ def enumerate_solve(problem: KktProblem, exhaustive: bool = False) -> KktSolutio
     if exhaustive:
         for _ in accepted:
             pass
-    data = _problem_data(problem.dim, problem.m, problem.n)
-    return kkt._finish(problem, data, *found, counters)
+    return kkt._finish(problem, *found, counters)
 
 
 def accepted_subsets(problem: KktProblem) -> list[tuple[tuple[int, ...], np.ndarray]]:

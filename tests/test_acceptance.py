@@ -230,13 +230,13 @@ def test_criterion_10_cli_determinism_and_partial_failure(tmp_path):
         sa = a.with_name("a_samples.csv").read_bytes()
         sb = b.with_name("b_samples.csv").read_bytes()
         assert sa == sb
-        # kkt10 at m = 12 is over the constraint cap: it must yield a NaN
-        # cell and the partial-failure exit code
-        out = tmp_path / "kkt10.csv"
-        rc = cli_main(["--func", "f2", "--mmin", "12", "--mmax", "12",
-                       "--elevate", "10", "--methods", "kkt", "--out", str(out)])
+        # bernstein is undefined at m = 0: it must yield a NaN cell and the
+        # partial-failure exit code
+        out = tmp_path / "bernstein.csv"
+        rc = cli_main(["--func", "f2", "--mmin", "0", "--mmax", "1",
+                       "--methods", "bernstein", "--out", str(out)])
         assert rc == 2
-        last = out.read_text().strip().splitlines()[-1]
-        assert last.split(",")[1] == "nan"
+        first = out.read_text().strip().splitlines()[1]
+        assert first.split(",")[1] == "nan"
 
     report(10, "CLI determinism and partial failure", check)

@@ -140,7 +140,7 @@ class TestFailureHandling:
         assert "bernstein" in err and "m=0" in err
 
     def test_every_nan_cell_has_a_note(self, tmp_path, capsys):
-        # bernstein and p1 at m = 0, and kkt10 at m = 12 over the subset budget
+        # bernstein and p1 at m = 0
         out = tmp_path / "errors.csv"
         rc = main(["--func", "f1", "--mmin", "0", "--mmax", "12", "--elevate", "10",
                    "--methods", "kkt,bernstein,p1", "--out", str(out)])
@@ -148,7 +148,7 @@ class TestFailureHandling:
         _, rows = read_table(out)
         notes = [ln for ln in capsys.readouterr().err.splitlines()
                  if ln.startswith("bernfit: ")]
-        assert int(np.isnan(rows[:, 1:]).sum()) == len(notes) == 3
+        assert int(np.isnan(rows[:, 1:]).sum()) == len(notes) == 2
 
     def test_cone_cost_gate(self, tmp_path, capsys, monkeypatch):
         argv = ["--func", "f2", "--mmin", "1", "--mmax", "3",
@@ -168,13 +168,15 @@ class TestFailureHandling:
                  if "exceeds the n=m KKT cost" in ln]
         assert len(notes) == 3
 
-    def test_subset_guard_becomes_nan(self, tmp_path):
+    def test_top_of_the_1d_domain_is_solved(self, tmp_path):
+        # m = 12 with offset 10: 23 constraints, past the enumerator's budget
         out = tmp_path / "errors.csv"
-        rc = main(["--func", "f1", "--mmin", "12", "--mmax", "12",
-                   "--elevate", "10", "--methods", "kkt", "--out", str(out)])
-        assert rc == 2
-        _, rows = read_table(out)
-        assert math.isnan(rows[0, 1])
+        rc = main(["--func", "f1", "--mmin", "12", "--mmax", "12", "--elevate", "10",
+                   "--methods", "kkt,kkt-mass", "--out", str(out)])
+        assert rc == 0
+        header, rows = read_table(out)
+        assert header == ["m", "kkt10", "kkt-mass10"]
+        assert np.isfinite(rows).all()
 
 
 class TestSpecErrors:

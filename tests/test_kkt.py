@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bernfit import bernstein as bn
-from bernfit import kkt, oracles
+from bernfit import approx, kkt, oracles
 from bernfit import simplex as sx
 from bernfit.oracles import penalty_solve
 
@@ -82,9 +82,6 @@ class TestVerify:
             nu=s.nu,
             active_set=s.active_set,
             elevated=s.elevated,
-            stationarity_residual=0.0,
-            min_elevated=0.0,
-            max_slack_violation=0.0,
             subsets_examined=0,
             systems_solved=0,
             candidates_reconstructed=0,
@@ -103,9 +100,6 @@ class TestVerify:
             nu=s.nu,
             active_set=s.active_set,
             elevated=s.elevated,
-            stationarity_residual=0.0,
-            min_elevated=0.0,
-            max_slack_violation=0.0,
             subsets_examined=0,
             systems_solved=0,
             candidates_reconstructed=0,
@@ -133,15 +127,19 @@ class TestSubsetIterator:
         assert sizes == sorted(sizes)
 
     def test_guard(self):
-        with pytest.raises(kkt.IntractableProblemError):
+        with pytest.raises(oracles.IntractableProblemError):
             next(oracles.subset_iterator(23))
 
 
 class TestGuards:
-    def test_intractable(self):
-        p = kkt.KktProblem(dim=1, m=12, n=22, target=np.zeros(13))
-        with pytest.raises(kkt.IntractableProblemError):
-            kkt.solve(p)
+    def test_past_the_enumeration_budget(self):
+        # m = 12, n = 22: 23 constraints, one over the enumerator's budget
+        for ident in ("f0", "f1", "f2", "f2alt", "f3"):
+            target = approx.project(approx.get_function(ident), 12).coeffs
+            for delta in (0, 1):
+                p = kkt.KktProblem(dim=1, m=12, n=22, target=target, delta=delta)
+                assert kkt.verify_kkt(p, kkt.solve(p), 1e-9).passed, (ident, delta)
+                assert p.num_constraints == oracles.MAX_SUBSET_BITS + 1
 
     def test_infeasible_mass_constraint(self):
         # negative target integral with delta=1 has no feasible point
@@ -235,9 +233,8 @@ class TestOptimalityProperties:
             first = oracles.enumerate_solve(prob)
             accepted = oracles.accepted_subsets(prob)
             assert accepted[0][0] == first.active_set
-            data = kkt._problem_data(1, m, n)
             for J, y in accepted:
-                q = data.Umm @ (data.lam * (data.Umn.T @ y))
+                q = sx.simplex_downgrade(1, m, n, y).coeffs
                 assert np.max(np.abs(q - first.q.coeffs)) < 1e-9
 
     def test_rank_guard_never_trips_without_duplicates(self):
@@ -340,7 +337,7 @@ class TestAgainstEnumerator:
         # 22 constraints: the enumerator needs about 16 s here
         rng = np.random.default_rng(12)
         prob = kkt.KktProblem(dim=1, m=12, n=21, target=rng.uniform(-1, 1, 13))
-        assert prob.num_constraints == kkt.MAX_SUBSET_BITS
+        assert prob.num_constraints == oracles.MAX_SUBSET_BITS
         start = time.perf_counter()
         sol = kkt.solve(prob)
         assert time.perf_counter() - start < 1.0
@@ -358,7 +355,7 @@ class TestInputs:
     def test_cached_problem_data_is_read_only(self, dim):
         data = kkt._problem_data(dim, 2, 3)
         arrays = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 6
+        assert len(arrays) == 4
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
