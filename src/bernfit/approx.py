@@ -140,9 +140,12 @@ def function_from_expression(expr: str, dim: int = 1) -> TargetFunction:
     return TargetFunction(ident=f"expr:{expr}", dim=dim, fn=fn, lower=-np.inf, upper=np.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadrature:
-    """Fixed integration rule on the unit d-simplex: [0, 1] for d = 1."""
+    """Fixed integration rule on the unit d-simplex: [0, 1] for d = 1.
+
+    Rules compare and hash by identity, so a rule can key a cache.
+    """
 
     dim: int
     nodes: np.ndarray  # (npts, dim)
@@ -202,14 +205,25 @@ def default_rule(dim: int, points: int | None = None) -> Quadrature:
     return simplex_rule() if points is None else simplex_rule(points=points)
 
 
+@lru_cache(maxsize=32)
+def _node_basis(quad: Quadrature, n: int) -> np.ndarray:
+    """Every degree-n basis polynomial at the rule's nodes, read-only.
+
+    Cached, so the moments and the error of every approximant of one
+    degree share one matrix.
+    """
+    basis = simplex_basis_values(quad.dim, n, quad.nodes)
+    basis.setflags(write=False)
+    return basis
+
+
 def moments(f: TargetFunction, m: int, quad: Quadrature | None = None) -> np.ndarray:
     """Integrals of f against every degree-m basis polynomial."""
     quad = quad or default_rule(f.dim)
     if quad.dim != f.dim:
         raise ValueError(f"rule is {quad.dim}-dimensional but f is {f.dim}-dimensional")
     fv = f(*quad.nodes.T)
-    basis = simplex_basis_values(f.dim, m, quad.nodes)
-    return basis.T @ (quad.weights * np.asarray(fv, dtype=float))
+    return _node_basis(quad, m).T @ (quad.weights * np.asarray(fv, dtype=float))
 
 
 def project(f: TargetFunction, m: int, quad: Quadrature | None = None) -> PolyCoeffs:
@@ -263,7 +277,9 @@ def p1_interpolant(f: TargetFunction, m: int) -> PiecewiseLinear:
 
 def _evaluate_candidate(q, quad: Quadrature) -> np.ndarray:
     if isinstance(q, PolyCoeffs):
-        return simplex_basis_values(q.dim, q.degree, quad.nodes) @ q.coeffs
+        if q.dim != quad.dim:
+            raise ValueError(f"rule is {quad.dim}-dimensional but q is {q.dim}-dimensional")
+        return _node_basis(quad, q.degree) @ q.coeffs
     if callable(q):
         return q(*quad.nodes.T)
     raise TypeError(f"cannot evaluate approximation of type {type(q)!r}")

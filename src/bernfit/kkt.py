@@ -230,9 +230,17 @@ def _counters() -> dict:
 
 
 def _finish(problem: KktProblem, J, mu, nu, y, counters) -> KktSolution:
-    """The solution for an accepted subset; q is the degree-m preimage of y."""
+    """The solution for an accepted subset J.
+
+    With J = () the target is feasible and is returned unchanged;
+    otherwise q is the degree-m preimage of y.
+    """
+    if J:
+        q = simplex.simplex_downgrade(problem.dim, problem.m, problem.n, y)
+    else:
+        q = PolyCoeffs(problem.m, problem.target, problem.dim)
     return KktSolution(
-        q=simplex.simplex_downgrade(problem.dim, problem.m, problem.n, y),
+        q=q,
         mu=mu,
         nu=nu,
         active_set=J,
@@ -247,7 +255,8 @@ def _finish(problem: KktProblem, J, mu, nu, y, counters) -> KktSolution:
 def solve(problem: KktProblem) -> KktSolution:
     """Find the unique constrained minimizer.
 
-    A target whose elevation is feasible is its own answer (J = ()).
+    A target whose elevation is feasible is its own answer (J = ()), its
+    coefficients returned unchanged.
     Otherwise NNLS names the active set J, and the reduced system on J,
     checked as in the exhaustive search, gives the solution.  The counters
     report the one or two subsets this examines.

@@ -35,6 +35,14 @@ def multiindices(d: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _multiindex_array(d: int, n: int) -> np.ndarray:
+    """multiindices(d, n) as a read-only integer array of shape (count, d+1)."""
+    idx = np.array(multiindices(d, n))
+    idx.setflags(write=False)
+    return idx
+
+
+@lru_cache(maxsize=None)
 def _index_map(d: int, n: int) -> dict[tuple[int, ...], int]:
     return {a: k for k, a in enumerate(multiindices(d, n))}
 
@@ -87,30 +95,28 @@ def simplex_evaluate(p: PolyCoeffs, x) -> float | np.ndarray:
 def simplex_basis_values(d: int, n: int, points) -> np.ndarray:
     """Values of every degree-n basis polynomial at the given points.
 
-    Returns shape (npts, C(d+n, d)); column order matches multiindices(d, n).
-    Uses the closed product form n!/a! * prod b_i^{a_i}, vectorized over
-    points; the de Casteljau path in simplex_evaluate cross-checks it.
+    Returns a C-contiguous array of shape (npts, C(d+n, d)); column order
+    matches multiindices(d, n).  Uses the closed product form
+    n!/a! * prod b_i^{a_i}, one array operation per exponent and per
+    coordinate; the de Casteljau path in simplex_evaluate cross-checks it.
     """
     b = np.atleast_2d(barycentric(d, points))
-    idx = multiindices(d, n)
-    # b_i^e for all needed exponents, computed once
+    idx = _multiindex_array(d, n)
+    # pows[i, e] = b_i^e, one multiply per exponent for every coordinate
     pows = np.ones((d + 1, n + 1, b.shape[0]))
-    for i in range(d + 1):
-        for e in range(1, n + 1):
-            pows[i, e] = pows[i, e - 1] * b[:, i]
-    out = np.empty((b.shape[0], len(idx)))
+    for e in range(1, n + 1):
+        pows[:, e] = pows[:, e - 1] * b.T
     nfac = math.factorial(n)
-    for k, alpha in enumerate(idx):
-        col = np.full(b.shape[0], nfac / multi_factorial(alpha))
-        for i, e in enumerate(alpha):
-            if e:
-                col = col * pows[i, e]
-        out[:, k] = col
-    return out
+    out = np.array([nfac / multi_factorial(a) for a in multiindices(d, n)])[:, None]
+    # coordinate by coordinate; a zero exponent multiplies by exactly 1.0
+    for i in range(d + 1):
+        out = out * pows[i, idx[:, i]]
+    return np.ascontiguousarray(out.T)
 
 
+@lru_cache(maxsize=None)
 def _binomials(n: int) -> np.ndarray:
-    """Table of C(a, b) for 0 <= a, b <= n, zero for b > a, by Pascal's rule.
+    """Read-only table of C(a, b), 0 <= a, b <= n, zero for b > a, by Pascal's rule.
 
     Floating-point sums of integers, so exact while entries stay below 2^53.
     """
@@ -118,11 +124,12 @@ def _binomials(n: int) -> np.ndarray:
     C[:, 0] = 1.0
     for a in range(1, n + 1):
         C[a, 1:] = C[a - 1, 1:] + C[a - 1, :-1]
+    C.setflags(write=False)
     return C
 
 
 def simplex_elevation(d: int, m: int, n: int) -> np.ndarray:
-    """Dense elevation matrix of shape C(d+n,d) x C(d+m,d).
+    """Dense C-contiguous elevation matrix of shape C(d+n,d) x C(d+m,d).
 
     Entry (a, b) = C(m; b) C(n-m; a-b) / C(n; a) with the multinomials
     C(n; a) = n!/a!, which equals prod_i C(a_i, b_i) / C(n, m).  Numerator
@@ -131,10 +138,15 @@ def simplex_elevation(d: int, m: int, n: int) -> np.ndarray:
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    upper = np.array(multiindices(d, n))
-    lower = np.array(multiindices(d, m))
-    prod = _binomials(n)[upper[:, None, :], lower[None, :, :]].prod(axis=2)
-    return prod / math.comb(n, m)
+    upper = _multiindex_array(d, n)
+    lower = _multiindex_array(d, m)
+    binom = _binomials(n)
+    prod = binom[upper[:, 0]][:, lower[:, 0]]
+    for i in range(1, d + 1):
+        prod = prod * binom[upper[:, i]][:, lower[:, i]]
+    # the gathers can leave prod in Fortran order; C order fixes BLAS's
+    # summation order in products with E, and so every written digit
+    return np.ascontiguousarray(prod) / math.comb(n, m)
 
 
 def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
@@ -148,7 +160,7 @@ def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
     if d < 1 or n < 0:
         raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
     fact = np.array([math.factorial(k) for k in range(2 * n + 1)], dtype=float)
-    idx = np.array(multiindices(d, n))
+    idx = _multiindex_array(d, n)
     c_n = fact[n] / fact[idx].prod(axis=1)
     c_2n = fact[2 * n] / fact[idx[:, None, :] + idx[None, :, :]].prod(axis=2)
     return np.outer(c_n, c_n) / c_2n * _factorial_ratio((2 * n,), (2 * n + d,))
@@ -181,8 +193,8 @@ def orthogonal_complement_basis(d: int, j: int) -> np.ndarray:
     (-1)^j sqrt(2j+1) times the shifted Legendre polynomial; j = 0 gives
     the constant sqrt(d!).
     """
-    rows = np.array(multiindices(d, j))
-    cols = np.array(multiindices(d - 1, j))
+    rows = _multiindex_array(d, j)
+    cols = _multiindex_array(d - 1, j)
     binom = _binomials(2 * j)
     sign = np.where((j - rows[:, 0]) % 2, -1.0, 1.0)
     R = sign[:, None] * binom[cols[None, :, :], rows[:, None, 1:]].prod(axis=2)
@@ -213,21 +225,35 @@ class SimplexSpectralFactors:
 
 
 @lru_cache(maxsize=128)
+def _elevated_blocks(d: int, m: int, n: int) -> np.ndarray:
+    """U^{m,n} = E^{m->n} [U^{m-1,m}, L_m], read-only and cached.
+
+    L_m is the degree-m complement block, so each (m, n) reuses the stack
+    one degree down.  E^{m->m} is the identity, so n = m skips the product.
+    """
+    lower = [_elevated_blocks(d, m - 1, m)] if m else []
+    U = np.hstack(lower + [orthogonal_complement_basis(d, m)])
+    if n > m:
+        U = simplex_elevation(d, m, n) @ U
+    U.setflags(write=False)
+    return U
+
+
+@lru_cache(maxsize=128)
 def simplex_spectral_factors(d: int, m: int, n: int) -> SimplexSpectralFactors:
-    """Stack the M-orthonormal complement blocks j = 0..m, elevated to degree n.
+    """The M-orthonormal complement blocks j = 0..m, elevated to degree n.
 
     U^{m,n} = E^{m->n} [U^{m-1,m}, L_m] with L_m the degree-m complement
-    block, so each (m, n) reuses the cached factors one degree down.
-    Elevation preserves the L2 inner product, so the columns of U are
-    M^{d,n}-orthonormal eigenvectors of M^{d,n}.  Cached: the factors are
-    read-only and shared by every caller.
+    block.  The chain of U's is built and cached on its own, so the
+    eigenvalues and W = U U^T / 2 are formed only for the (m, n) asked for,
+    not for every degree below it.  Elevation preserves the L2 inner
+    product, so the columns of U are M^{d,n}-orthonormal eigenvectors of
+    M^{d,n}.  Cached: the factors are read-only and shared by every caller.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     lam_n, mult = simplex_mass_eigenvalues(d, n)
-    lower = [simplex_spectral_factors(d, m - 1, m).U] if m else []
-    blocks = np.hstack(lower + [orthogonal_complement_basis(d, m)])
-    U = simplex_elevation(d, m, n) @ blocks
+    U = _elevated_blocks(d, m, n)
     return SimplexSpectralFactors(
         dim=d,
         m=m,

@@ -132,6 +132,44 @@ class TestProject:
         assert np.max(np.abs(resid)) < 1e-12
 
 
+class TestNodeBasis:
+    @pytest.mark.parametrize("ident,m", [("f2", 6), ("g2", 4)])
+    def test_one_matrix_per_row(self, ident, m, monkeypatch):
+        # project, then the errors of the projection and of a constrained
+        # fit of the same degree, build the node basis once
+        built = []
+
+        def counting(*args):
+            built.append(args[:2])
+            return sx.simplex_basis_values(*args)
+
+        monkeypatch.setattr(approx, "simplex_basis_values", counting)
+        f = approx.get_function(ident)
+        quad = approx.default_rule(f.dim)
+        approx._node_basis.cache_clear()
+        pr = approx.project(f, m, quad)
+        approx.l2_error(f, pr, quad)
+        sol = kkt.solve(kkt.KktProblem(dim=f.dim, m=m, n=m, target=pr.coeffs))
+        approx.l2_error(f, sol.q, quad)
+        assert approx._node_basis.cache_info().misses == 1
+        assert built == [(f.dim, m)]
+
+    def test_read_only_and_unchanged(self):
+        quad = approx.simplex_rule()
+        basis = approx._node_basis(quad, 3)
+        assert not basis.flags.writeable
+        assert np.array_equal(basis, sx.simplex_basis_values(2, 3, quad.nodes))
+
+    def test_rules_hash_by_identity(self):
+        a = approx.simplex_rule(points=8)
+        b = approx.Quadrature(
+            dim=a.dim, nodes=a.nodes.copy(), weights=a.weights.copy(),
+            design_degree=a.design_degree,
+        )
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+
 class TestBernsteinOperator:
     def test_constant(self):
         c = approx.TargetFunction("c", 1, lambda x: np.full_like(np.asarray(x, float), 0.7))
@@ -231,6 +269,13 @@ class TestL2Error:
             e_bop = approx.l2_error(f, approx.bernstein_operator(f, m))
             assert e_proj <= e_kkt + 1e-12
             assert e_kkt <= e_bop + 1e-12
+
+    def test_dimension_mismatch(self):
+        # a dim-2 polynomial of degree 1 has as many coefficients as a
+        # dim-1 polynomial of degree 2, so only the check catches it
+        q = bn.PolyCoeffs(1, np.ones(3), dim=2)
+        with pytest.raises(ValueError):
+            approx.l2_error(approx.get_function("f1"), q)
 
 
 class TestExpressions:

@@ -100,6 +100,18 @@ class TestErrorTable:
         assert out.read_text().strip().splitlines()[1:] == \
             ref.read_text().strip().splitlines()[1:]
 
+    def test_feasible_projection_is_every_kkt_cell(self, tmp_path):
+        # f1's projection at m = 12 is feasible at every offset, so the
+        # constrained cells write the projection's own digits
+        out = tmp_path / "errors.csv"
+        rc = main(["--func", "f1", "--mmin", "12", "--mmax", "12", "--elevate", "0",
+                   "--elevate", "10", "--methods", "project,kkt", "--out", str(out)])
+        assert rc == 0
+        header, row = out.read_text().splitlines()
+        assert header == "m,project,kkt0,kkt10"
+        m, project, kkt0, kkt10 = row.split(",")
+        assert m == "12" and kkt0 == project and kkt10 == project
+
 
 class TestSamples:
     def test_grid_and_feasibility(self, tmp_path):

@@ -318,7 +318,7 @@ class TestAgainstEnumerator:
         for prob in instances(nonnegative=True):
             sol = kkt.solve(prob)
             assert sol.active_set == ()
-            assert np.max(np.abs(sol.q.coeffs - prob.target)) <= 1e-12
+            assert np.array_equal(sol.q.coeffs, prob.target)
             assert not sol.mu.any()
 
     def test_cost_nonincreasing_in_n(self):

@@ -107,6 +107,40 @@ class TestEvaluate:
             )
 
 
+class TestBasisValues:
+    @pytest.mark.parametrize("d,n", [(1, 0), (1, 12), (2, 4), (2, 10), (3, 5)])
+    def test_matches_columnwise_product(self, d, n):
+        # column by column: n!/a! times b_i^{a_i}, each power by repeated
+        # multiplication, for each nonzero a_i in coordinate order; the
+        # array kernel must give the same bits
+        def power(x, e):
+            out = np.ones_like(x)
+            for _ in range(e):
+                out = out * x
+            return out
+
+        rng = np.random.default_rng(5)
+        pts = rng.dirichlet(np.ones(d + 1), size=30)[:, 1:]
+        b = sx.barycentric(d, pts)
+        ref = np.empty((len(pts), math.comb(d + n, d)))
+        for k, alpha in enumerate(sx.multiindices(d, n)):
+            col = np.full(len(pts), math.factorial(n) / sx.multi_factorial(alpha))
+            for i, e in enumerate(alpha):
+                if e:
+                    col = col * power(b[:, i], e)
+            ref[:, k] = col
+        got = sx.simplex_basis_values(d, n, pts)
+        assert np.array_equal(got, ref)
+        assert got.flags.c_contiguous
+
+    def test_against_product_formula(self):
+        pts = np.array([[0.1, 0.3], [0.25, 0.25], [0.0, 1.0]])
+        got = sx.simplex_basis_values(2, 3, pts)
+        for k, alpha in enumerate(sx.multiindices(2, 3)):
+            for p, point in enumerate(pts):
+                assert got[p, k] == pytest.approx(product_formula(alpha, point), abs=1e-15)
+
+
 class TestElevation:
     def test_matches_univariate(self):
         for m, n in [(0, 2), (1, 2), (3, 6)]:
@@ -139,6 +173,19 @@ class TestElevation:
     def test_rejects_downgrade(self):
         with pytest.raises(ValueError):
             sx.simplex_elevation(2, 3, 2)
+
+    @pytest.mark.parametrize("d,m,n", [(1, 3, 13), (2, 2, 4), (2, 0, 6), (3, 2, 5)])
+    def test_one_gather_per_coordinate(self, d, m, n):
+        # the three-index gather of every prod_i C(a_i, b_i) at once is the
+        # reference: the entries are the same integers, divided once
+        upper = np.array(sx.multiindices(d, n))
+        lower = np.array(sx.multiindices(d, m))
+        binom = sx._binomials(n)[upper[:, None, :], lower[None, :, :]].prod(axis=2)
+        E = sx.simplex_elevation(d, m, n)
+        assert np.array_equal(E, binom / math.comb(n, m))
+        # the layout fixes BLAS's summation order in E @ x, so the bits of
+        # every elevated vector
+        assert E.flags.c_contiguous
 
     def test_pointwise_preservation(self):
         rng = np.random.default_rng(2)
@@ -342,6 +389,36 @@ class TestSpectralFactors:
         for m in range(n):
             U = sx.simplex_spectral_factors(2, m, n).U
             assert np.max(np.abs(U.T @ M @ U - np.eye(U.shape[1]))) < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unelevated_factors_are_the_stack(self, d):
+        # E^{m->m} is the identity, so U^{m,m} is [U^{m-1,m}, L_m] itself
+        for m in range(7):
+            lower = [sx.simplex_spectral_factors(d, m - 1, m).U] if m else []
+            stack = np.hstack(lower + [sx.orthogonal_complement_basis(d, m)])
+            assert np.array_equal(sx.simplex_spectral_factors(d, m, m).U, stack)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_elevated_factors_are_one_product(self, d):
+        for m in range(6):
+            Umm = sx.simplex_spectral_factors(d, m, m).U
+            for n in range(m, m + 4):
+                U = sx.simplex_spectral_factors(d, m, n).U
+                assert np.array_equal(U, sx.simplex_elevation(d, m, n) @ Umm)
+
+    def test_cached_arrays_are_read_only(self):
+        S = sx.simplex_spectral_factors(2, 3, 5)
+        for a in (
+            S.U,
+            S.W,
+            S.eigenvalues,
+            sx._elevated_blocks(2, 3, 5),
+            sx._multiindex_array(2, 3),
+            sx._binomials(6),
+        ):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_downgrade_roundtrip(self):
         rng = np.random.default_rng(3)
