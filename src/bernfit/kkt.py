@@ -18,10 +18,12 @@ orthonormal coordinates c = lam * U^T y the problem is the least distance
 program min ||c - c_p|| subject to U c >= 0, which Lawson & Hanson
 (Solving Least Squares Problems, 1974, ch. 23) turn into an NNLS problem
 whose support is J.  The exact reduced solve on J then gives the answer,
-so the constraint count is not bounded here.  The paper's exhaustive
-search over every J, with its 2^MAX_SUBSET_BITS budget, is kept in the
-oracles module as the reference method the tests check solve against; it
-shares the reduced solve and its checks (_accepted) with solve.
+so the constraint count is not bounded here.  A target whose elevation is
+already feasible skips NNLS and the reduced solve: it is its own answer.
+The paper's exhaustive search over every J, with its 2^MAX_SUBSET_BITS
+budget, is kept in the oracles module as the reference method the tests
+check solve against; solve shares the reduced solve and its checks
+(_accepted) with it only for the NNLS set.
 """
 
 from __future__ import annotations
@@ -256,26 +258,31 @@ def solve(problem: KktProblem) -> KktSolution:
     """Find the unique constrained minimizer.
 
     A target whose elevation is feasible is its own answer (J = ()), its
-    coefficients returned unchanged.
+    coefficients returned unchanged; the test reads the signs of E p
+    alone, with no reduced solve.
     Otherwise NNLS names the active set J, and the reduced system on J,
-    checked as in the exhaustive search, gives the solution.  The counters
-    report the one or two subsets this examines.
+    checked as in the exhaustive search (_accepted), gives the solution.
+    The counters report the one or two subsets this examines: the empty
+    set, which the feasibility test stands for, then J.
     """
-    counters = _counters()
     data = _problem_data(problem.dim, problem.m, problem.n)
     ep = data.E @ problem.target
-    empty = np.empty((1, 0), dtype=np.intp)
-    found = next(_accepted(data, problem, ep, empty, counters), None)
+    # the empty set examined, solved (0 x 0) and reconstructed
+    counters = dict(subsets=1, solved=1, reconstructed=1, rank_skips=0)
+    if ep.min() >= -PRIMAL_TOL:
+        mu = np.zeros(problem.num_constraints)
+        # the empty set's nu, -d! * 0.0, keeps its sign bit
+        nu = -0.0 if problem.delta else 0.0
+        return _finish(problem, (), mu, nu, ep, counters)
+    J = _nnls_active_set(problem, data, ep)
+    chunk = np.array([J], dtype=np.intp)
+    found = next(_accepted(data, problem, ep, chunk, counters), None)
     if found is None:
-        J = _nnls_active_set(problem, data, ep)
-        chunk = np.array([J], dtype=np.intp)
-        found = next(_accepted(data, problem, ep, chunk, counters), None)
-        if found is None:
-            raise NoFeasibleSubsetError(
-                f"the active set {J} found by NNLS failed the KKT checks "
-                f"(m={problem.m}, n={problem.n}, dim={problem.dim}, "
-                f"delta={problem.delta})"
-            )
+        raise NoFeasibleSubsetError(
+            f"the active set {J} found by NNLS failed the KKT checks "
+            f"(m={problem.m}, n={problem.n}, dim={problem.dim}, "
+            f"delta={problem.delta})"
+        )
     return _finish(problem, *found, counters)
 
 

@@ -114,27 +114,49 @@ def simplex_basis_values(d: int, n: int, points) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-@lru_cache(maxsize=None)
-def _binomials(n: int) -> np.ndarray:
-    """Read-only table of C(a, b), 0 <= a, b <= n, zero for b > a, by Pascal's rule.
+# rows of the cached Pascal table: every table the CLI's degree caps reach
+# has at most 2 * 12 + 1 rows, so one table per row of output serves them all
+_PASCAL_ROWS = 32
+# the last row of Pascal's rule in float64 that is exact: row 58 holds 2
+# rounded entries
+_BINOMIAL_EXACT_ROWS = 57
 
-    Floating-point sums of integers, so exact while entries stay below 2^53.
-    """
-    C = np.zeros((n + 1, n + 1))
+
+@lru_cache(maxsize=None)
+def _pascal(rows: int) -> np.ndarray:
+    """Read-only table of C(a, b), 0 <= a, b < rows, zero for b > a, by Pascal's rule."""
+    C = np.zeros((rows, rows))
     C[:, 0] = 1.0
-    for a in range(1, n + 1):
+    for a in range(1, rows):
         C[a, 1:] = C[a - 1, 1:] + C[a - 1, :-1]
     C.setflags(write=False)
     return C
 
 
+def _binomials(n: int) -> np.ndarray:
+    """Read-only table of C(a, b), 0 <= a, b <= n, zero for b > a.
+
+    The top-left corner of one cached Pascal table.  Row a of Pascal's rule
+    depends only on row a - 1, so every corner holds the same floating-point
+    sums, and these are the exact integers through row 57.
+    """
+    if n > _BINOMIAL_EXACT_ROWS:
+        raise ValueError(
+            f"binomials are exact in float64 through row {_BINOMIAL_EXACT_ROWS}, asked for {n}"
+        )
+    rows = _PASCAL_ROWS if n < _PASCAL_ROWS else _BINOMIAL_EXACT_ROWS + 1
+    return _pascal(rows)[: n + 1, : n + 1]
+
+
+@lru_cache(maxsize=128)
 def simplex_elevation(d: int, m: int, n: int) -> np.ndarray:
     """Dense C-contiguous elevation matrix of shape C(d+n,d) x C(d+m,d).
 
     Entry (a, b) = C(m; b) C(n-m; a-b) / C(n; a) with the multinomials
-    C(n; a) = n!/a!, which equals prod_i C(a_i, b_i) / C(n, m).  Numerator
-    and denominator are integers below 2^53 for the degrees used here, so
-    each entry is one correctly rounded division.
+    C(n; a) = n!/a!, which equals prod_i C(a_i, b_i) / C(n, m).  The
+    binomial table is exact through row 57 (and refuses larger n), and for
+    the degrees used here the products stay exact integers, so each entry
+    is one correctly rounded division.  Cached and read-only.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
@@ -146,11 +168,14 @@ def simplex_elevation(d: int, m: int, n: int) -> np.ndarray:
         prod = prod * binom[upper[:, i]][:, lower[:, i]]
     # the gathers can leave prod in Fortran order; C order fixes BLAS's
     # summation order in products with E, and so every written digit
-    return np.ascontiguousarray(prod) / math.comb(n, m)
+    E = np.ascontiguousarray(prod) / math.comb(n, m)
+    E.setflags(write=False)
+    return E
 
 
+@lru_cache(maxsize=128)
 def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
-    """Gram matrix of the degree-n simplex basis.
+    """Gram matrix of the degree-n simplex basis, cached and read-only.
 
     Entry (a, b) = C(n, a) C(n, b) / C(2n, a+b) * (2n)!/(2n+d)!, with the
     multinomials C(n, a) = n!/a!: the product of two basis functions is
@@ -163,7 +188,9 @@ def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
     idx = _multiindex_array(d, n)
     c_n = fact[n] / fact[idx].prod(axis=1)
     c_2n = fact[2 * n] / fact[idx[:, None, :] + idx[None, :, :]].prod(axis=2)
-    return np.outer(c_n, c_n) / c_2n * _factorial_ratio((2 * n,), (2 * n + d,))
+    M = np.outer(c_n, c_n) / c_2n * _factorial_ratio((2 * n,), (2 * n + d,))
+    M.setflags(write=False)
+    return M
 
 
 def simplex_mass_eigenvalues(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +216,11 @@ def orthogonal_complement_basis(d: int, j: int) -> np.ndarray:
     (-1)^(j-a_0) prod_{i>=1} C(b_i, a_i), and whose Gram matrix is exactly
     (j!)^2/(2j+d)! prod_{i>=1} C(b_i+c_i, b_i)
     (Farouki, Goodman & Sauer, CAGD 2003).  One eigendecomposition of that
-    Gram matrix makes the block M^{d,j}-orthonormal.  At d = 1 the block is
-    (-1)^j sqrt(2j+1) times the shifted Legendre polynomial; j = 0 gives
-    the constant sqrt(d!).
+    Gram matrix makes the block M^{d,j}-orthonormal.  A 1 x 1 Gram matrix
+    (d = 1, or j = 0) is its own eigenvalue with eigenvector [1.0], which
+    LAPACK returns as such, so it is scaled without the call.  At d = 1 the
+    block is (-1)^j sqrt(2j+1) times the shifted Legendre polynomial; j = 0
+    gives the constant sqrt(d!).
     """
     rows = _multiindex_array(d, j)
     cols = _multiindex_array(d - 1, j)
@@ -199,7 +228,11 @@ def orthogonal_complement_basis(d: int, j: int) -> np.ndarray:
     sign = np.where((j - rows[:, 0]) % 2, -1.0, 1.0)
     R = sign[:, None] * binom[cols[None, :, :], rows[:, None, 1:]].prod(axis=2)
     G = binom[cols[:, None, :] + cols[None, :, :], cols[:, None, :]].prod(axis=2)
-    w, V = np.linalg.eigh(G * _factorial_ratio((j, j), (2 * j + d,)))
+    G = G * _factorial_ratio((j, j), (2 * j + d,))
+    if G.shape == (1, 1):
+        # the bits of V / sqrt(w) with V = [[1.0]]; R / sqrt(G) rounds otherwise
+        return R @ (1.0 / np.sqrt(G))
+    w, V = np.linalg.eigh(G)
     return R @ (V / np.sqrt(w))
 
 
@@ -228,13 +261,14 @@ class SimplexSpectralFactors:
 def _elevated_blocks(d: int, m: int, n: int) -> np.ndarray:
     """U^{m,n} = E^{m->n} [U^{m-1,m}, L_m], read-only and cached.
 
-    L_m is the degree-m complement block, so each (m, n) reuses the stack
-    one degree down.  E^{m->m} is the identity, so n = m skips the product.
+    L_m is the degree-m complement block, so each (m, m) reuses the stack
+    one degree down, and each n > m elevates the cached (m, m) stack.
     """
-    lower = [_elevated_blocks(d, m - 1, m)] if m else []
-    U = np.hstack(lower + [orthogonal_complement_basis(d, m)])
     if n > m:
-        U = simplex_elevation(d, m, n) @ U
+        U = simplex_elevation(d, m, n) @ _elevated_blocks(d, m, m)
+    else:
+        lower = [_elevated_blocks(d, m - 1, m)] if m else []
+        U = np.hstack(lower + [orthogonal_complement_basis(d, m)])
     U.setflags(write=False)
     return U
 

@@ -46,13 +46,26 @@ class TestClosedFormFixture:
         target = bn.PolyCoeffs(p.m, p.target, p.dim)
         assert abs(sx.simplex_integral(s.q) - sx.simplex_integral(target)) < 1e-12
 
-    def test_feasible_target_returned_unchanged(self):
+    def test_feasible_target_returned_unchanged(self, monkeypatch):
         t = np.array([0.4, 0.05, 0.7])
-        p = kkt.KktProblem(dim=1, m=2, n=5, target=t)
-        s = kkt.solve(p)
-        assert s.active_set == ()
-        assert np.allclose(s.q.coeffs, t, atol=1e-12)
-        assert np.allclose(s.mu, 0.0)
+        E = kkt._problem_data(1, 2, 5).E
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a feasible target needs no reduced solve")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for delta in (0, 1):
+            p = kkt.KktProblem(dim=1, m=2, n=5, target=t, delta=delta)
+            s = kkt.solve(p)
+            assert s.active_set == ()
+            assert np.array_equal(s.q.coeffs, t)
+            assert s.mu.shape == (p.num_constraints,) and not s.mu.any()
+            # the empty set's nu is -d! * 0.0 with the integral pinned
+            assert s.nu == 0.0 and math.copysign(1.0, s.nu) == (-1.0 if delta else 1.0)
+            assert np.array_equal(s.elevated, E @ t)
+            counts = (s.subsets_examined, s.systems_solved, s.candidates_reconstructed, s.rank_skips)
+            assert counts == (1, 1, 1, 0)
 
     def test_simplex_symmetry(self):
         p = kkt.KktProblem(dim=2, m=1, n=1, target=np.array([-1.0, 1.0, 1.0]))
@@ -257,11 +270,12 @@ class TestOptimalityProperties:
         assert counters == dict(subsets=1, solved=0, reconstructed=0, rank_skips=1)
 
     def test_subset_counters_reported(self):
+        # an infeasible target: the empty set, then the NNLS set
         prob = kkt.KktProblem(dim=1, m=1, n=2, target=np.array([-1.0, 1.0]))
         sol = kkt.solve(prob)
-        assert sol.subsets_examined >= 1
-        assert sol.systems_solved >= 1
-        assert sol.candidates_reconstructed >= 1
+        assert sol.active_set != ()
+        counts = (sol.subsets_examined, sol.systems_solved, sol.candidates_reconstructed, sol.rank_skips)
+        assert counts == (2, 2, 2, 0)
 
 
 # every property below runs on the same instances, drawn from fixed seeds so

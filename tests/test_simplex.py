@@ -187,6 +187,17 @@ class TestElevation:
         # every elevated vector
         assert E.flags.c_contiguous
 
+    def test_binomials_exact_through_row_57(self):
+        C = sx._binomials(57)
+        assert C.shape == (58, 58)
+        want = [[math.comb(a, b) for b in range(58)] for a in range(58)]
+        assert all(C[a, b] == want[a][b] for a in range(58) for b in range(58))
+        # every smaller table is a corner of the same integers
+        assert np.array_equal(sx._binomials(12), C[:13, :13])
+        # row 58 of Pascal's rule in float64 holds rounded entries
+        with pytest.raises(ValueError):
+            sx._binomials(58)
+
     def test_pointwise_preservation(self):
         rng = np.random.default_rng(2)
         for d, m, n in [(2, 1, 4), (3, 2, 4)]:
@@ -288,6 +299,20 @@ class TestComplementBasis:
             ref = (-1) ** j * math.sqrt(2 * j + 1) * bn.legendre_bernstein_coeffs(j).coeffs
             assert L.shape == (j + 1, 1)
             assert np.max(np.abs(L[:, 0] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d,j", [(1, j) for j in range(25)] + [(2, 0), (3, 0)])
+    def test_one_by_one_block_has_the_eigh_bits(self, d, j):
+        # the same block through LAPACK's eigendecomposition of the 1 x 1
+        # Gram matrix, as every larger block is scaled
+        rows = sx._multiindex_array(d, j)
+        cols = sx._multiindex_array(d - 1, j)
+        binom = sx._binomials(2 * j)
+        sign = np.where((j - rows[:, 0]) % 2, -1.0, 1.0)
+        R = sign[:, None] * binom[cols[None, :, :], rows[:, None, 1:]].prod(axis=2)
+        G = binom[cols[:, None, :] + cols[None, :, :], cols[:, None, :]].prod(axis=2)
+        assert G.shape == (1, 1)
+        w, V = np.linalg.eigh(G * bn._factorial_ratio((j, j), (2 * j + d,)))
+        assert np.array_equal(sx.orthogonal_complement_basis(d, j), R @ (V / np.sqrt(w)))
 
     def test_constant_block(self):
         # the constant 1 has M-norm 1/sqrt(d!) on the d-simplex
@@ -415,10 +440,16 @@ class TestSpectralFactors:
             sx._elevated_blocks(2, 3, 5),
             sx._multiindex_array(2, 3),
             sx._binomials(6),
+            sx.simplex_mass_matrix(2, 3),
+            sx.simplex_elevation(2, 3, 5),
         ):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_mass_and_elevation_are_built_once(self):
+        assert sx.simplex_mass_matrix(2, 4) is sx.simplex_mass_matrix(2, 4)
+        assert sx.simplex_elevation(1, 3, 13) is sx.simplex_elevation(1, 3, 13)
 
     def test_downgrade_roundtrip(self):
         rng = np.random.default_rng(3)
