@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bernstein import PolyCoeffs
-from .simplex import simplex_basis_values, simplex_spectral_factors
+from .simplex import PolyCoeffs, simplex_basis_values, simplex_spectral_factors
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import approx, cone, kkt
 from .approx import TargetFunction
-from .bernstein import evaluate
 from .serialize import format_float
+from .simplex import simplex_evaluate
 
 MAX_DEGREE_1D = 12
 MAX_ELEVATE_1D = 10
@@ -259,7 +259,7 @@ def run(args) -> int:
             elif callable(obj):
                 columns[name] = np.asarray(obj(xs), dtype=float)
             else:
-                columns[name] = evaluate(obj, xs)
+                columns[name] = simplex_evaluate(obj, xs)
         spath = samples_path(out)
         with open(spath, "w", newline="\n") as fh:
             fh.write(",".join(columns) + "\n")

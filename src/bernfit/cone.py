@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize
 
 from . import kkt, simplex
-from .bernstein import PolyCoeffs, evaluate
+from .simplex import PolyCoeffs, simplex_evaluate
 
 CONE_DEGREE_LIMIT = 12
 # one L-BFGS-B run from a seeded random start; the optimizer aims at
@@ -121,20 +121,10 @@ def omega_adjoint(point: ConePoint) -> np.ndarray:
     return omega_operator(point.m) @ _pack(point.A, point.B)
 
 
-@lru_cache(maxsize=32)
-def _solver_data(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only scaling 1/C(m, k) from u^m to Bernstein form, and M^m."""
-    scale = 1.0 / np.array([math.comb(m, k) for k in range(m + 1)])
-    M = simplex.simplex_mass_matrix(1, m)
-    scale.setflags(write=False)
-    M.setflags(write=False)
-    return scale, M
-
-
 def grid_min(p: PolyCoeffs, npoints: int = 10_001) -> float:
     """Minimum of p over a uniform grid on [0, 1]."""
     x = np.linspace(0.0, 1.0, npoints)
-    return float(np.min(evaluate(p, x)))
+    return float(np.min(simplex_evaluate(p, x)))
 
 
 @dataclass(frozen=True)
@@ -191,7 +181,9 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
     if m > CONE_DEGREE_LIMIT:
         raise ValueError(f"degree {m} exceeds the cone solver's limit ({CONE_DEGREE_LIMIT})")
     sa, sb = _block_sizes(m)
-    scale, M = _solver_data(m)
+    # from u^m to Bernstein form: u^m_k = B^m_k / C(m, k)
+    scale = 1.0 / np.array([math.comb(m, k) for k in range(m + 1)])
+    M = simplex.simplex_mass_matrix(1, m)
     target = np.asarray(p.coeffs, dtype=float)
     rng = np.random.default_rng(SEED)
     z0 = _pack(rng.standard_normal((sa, sa)) * 0.5, rng.standard_normal((sb, sb)) * 0.5)

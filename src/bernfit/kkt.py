@@ -36,7 +36,7 @@ import numpy as np
 from scipy import optimize
 
 from . import simplex
-from .bernstein import PolyCoeffs, _factorial_ratio
+from .simplex import PolyCoeffs, _factorial_ratio
 
 PRIMAL_TOL = 1e-9
 DUAL_TOL = 1e-12
@@ -122,7 +122,8 @@ class KktDiagnostics:
 
 @dataclass(frozen=True)
 class _ProblemData:
-    """Precomputed matrices shared by every subset of one instance."""
+    """Precomputed matrices shared by every subset of one instance, all
+    read-only from simplex's caches."""
 
     E: np.ndarray            # elevation, constraints x unknowns
     W: np.ndarray            # U^{m,n} (U^{m,n})^T / 2
@@ -131,12 +132,6 @@ class _ProblemData:
     c_delta: float           # d!/2, subtracted from W on the active block
     c_eq: float              # m!/(m+d)!: integral of one degree-m basis function
     d_factorial: float
-
-    def __post_init__(self):
-        # instances are cached and shared by every caller
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
 
 
 @lru_cache(maxsize=64)

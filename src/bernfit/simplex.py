@@ -5,8 +5,9 @@ b_0 = 1 - sum(x), b_i = x_i.  Coefficient vectors are indexed by the
 multiindices of a fixed order, enumerated in descending lexicographic
 order on (a_0, ..., a_d).  At d = 1 that reduces to the usual i = 0..n
 ordering of the univariate basis: the interval is the d = 1 simplex and
-runs through the same functions.  Polynomials are bernstein.PolyCoeffs
-with their dim set.
+runs through the same functions, evaluation, mass and elevation matrices
+and spectral factors alike.  Polynomials are PolyCoeffs with their dim
+set; this module is the package's one basis layer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,64 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import PolyCoeffs, _factorial_ratio
+# Largest degree for which mass-matrix entries are built from exact integer
+# factorial ratios; beyond this the entries come from log-gamma.
+MASS_EXACT_LIMIT = 30
+
+
+@dataclass(frozen=True)
+class PolyCoeffs:
+    """A polynomial held as its Bernstein coefficient vector of fixed degree.
+
+    dim = 1 is the interval [0, 1]; a larger dim is the unit right
+    dim-simplex, with the coefficients in multiindices order.
+    """
+
+    degree: int
+    coeffs: np.ndarray
+    dim: int = 1
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=float)
+        if self.degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {self.degree}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        want = math.comb(self.dim + self.degree, self.dim)
+        if c.ndim != 1 or c.shape[0] != want:
+            raise ValueError(
+                f"coefficient vector must have length C(dim+degree, dim) = "
+                f"{want}, got shape {c.shape}"
+            )
+        c = c.copy()
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+
+def poly(coeffs) -> PolyCoeffs:
+    """Wrap a coefficient sequence as a univariate PolyCoeffs of the implied degree."""
+    c = np.asarray(coeffs, dtype=float)
+    return PolyCoeffs(degree=c.shape[0] - 1, coeffs=c)
+
+
+def _factorial_ratio(num_factorials, den_factorials) -> float:
+    """Product of factorials over product of factorials as a float.
+
+    Exact integer arithmetic (correctly rounded on division) below
+    MASS_EXACT_LIMIT-sized inputs; log-gamma otherwise.
+    """
+    if max(list(num_factorials) + list(den_factorials), default=0) <= 2 * MASS_EXACT_LIMIT + 1:
+        num = 1
+        for a in num_factorials:
+            num *= math.factorial(a)
+        den = 1
+        for a in den_factorials:
+            den *= math.factorial(a)
+        return num / den
+    s = sum(math.lgamma(a + 1) for a in num_factorials) - sum(
+        math.lgamma(a + 1) for a in den_factorials
+    )
+    return math.exp(s)
 
 
 @lru_cache(maxsize=None)
@@ -43,16 +101,13 @@ def _multiindex_array(d: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _index_map(d: int, n: int) -> dict[tuple[int, ...], int]:
-    return {a: k for k, a in enumerate(multiindices(d, n))}
-
-
-def multi_factorial(alpha) -> int:
-    """alpha! = prod_i alpha_i! for a multiindex."""
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
+def _multinomials(d: int, n: int) -> np.ndarray:
+    """Read-only n!/a! over multiindices(d, n), each from Python integers by
+    one correctly rounded division."""
+    nfac = math.factorial(n)
+    c = np.array([nfac / math.prod(map(math.factorial, a)) for a in multiindices(d, n)])
+    c.setflags(write=False)
+    return c
 
 
 def barycentric(d: int, x) -> np.ndarray:
@@ -73,20 +128,31 @@ def barycentric(d: int, x) -> np.ndarray:
 
 
 def simplex_evaluate(p: PolyCoeffs, x) -> float | np.ndarray:
-    """Evaluate p at x by the multivariate de Casteljau recurrence."""
-    d, n = p.dim, p.degree
-    b = barycentric(d, x)
-    single = b.ndim == 1
-    b = np.atleast_2d(b)
+    """Evaluate p at x by the de Casteljau recurrence, the one path for every d.
+
+    x is a point (d,) or a stack (npts, d); at d = 1 also a scalar or a
+    vector of points.  A scalar, or a (d,) point with d > 1, gives a float.
+    Each level sums its d + 1 terms from the first product, so at d = 1 a
+    step is beta_i (1 - x) + beta_{i+1} x, signed zeros included.
+    """
+    d = p.dim
+    x = np.asarray(x, dtype=float)
+    if d == 1 and x.ndim < 2:
+        single = x.ndim == 0
+        x = x.reshape(-1, 1)
+    else:
+        single = x.ndim == 1
+    b = np.atleast_2d(barycentric(d, x))
     vals = np.broadcast_to(p.coeffs, (b.shape[0], p.coeffs.shape[0])).copy()
-    for k in range(n, 0, -1):
-        lower = multiindices(d, k - 1)
-        upper_map = _index_map(d, k)
-        nxt = np.zeros((b.shape[0], len(lower)))
-        for pos, beta in enumerate(lower):
-            for i in range(d + 1):
-                src = upper_map[beta[:i] + (beta[i] + 1,) + beta[i + 1 :]]
-                nxt[:, pos] += b[:, i] * vals[:, src]
+    for k in range(p.degree, 0, -1):
+        # in base k + 1 the degree-k multiindices are descending keys, and
+        # a + e_i adds digit i's weight: src[i] is where a + e_i sits
+        w = (k + 1) ** np.arange(d, -1, -1)
+        keys = -(_multiindex_array(d, k) @ w)
+        src = np.searchsorted(keys, -(_multiindex_array(d, k - 1) @ w + w[:, None]))
+        nxt = vals[:, src[0]] * b[:, :1]
+        for i in range(1, d + 1):
+            nxt = nxt + vals[:, src[i]] * b[:, i : i + 1]
         vals = nxt
     out = vals[:, 0]
     return float(out[0]) if single else out
@@ -106,8 +172,7 @@ def simplex_basis_values(d: int, n: int, points) -> np.ndarray:
     pows = np.ones((d + 1, n + 1, b.shape[0]))
     for e in range(1, n + 1):
         pows[:, e] = pows[:, e - 1] * b.T
-    nfac = math.factorial(n)
-    out = np.array([nfac / multi_factorial(a) for a in multiindices(d, n)])[:, None]
+    out = _multinomials(d, n)[:, None]
     # coordinate by coordinate; a zero exponent multiplies by exactly 1.0
     for i in range(d + 1):
         out = out * pows[i, idx[:, i]]
@@ -186,7 +251,7 @@ def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
         raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
     fact = np.array([math.factorial(k) for k in range(2 * n + 1)], dtype=float)
     idx = _multiindex_array(d, n)
-    c_n = fact[n] / fact[idx].prod(axis=1)
+    c_n = _multinomials(d, n)
     c_2n = fact[2 * n] / fact[idx[:, None, :] + idx[None, :, :]].prod(axis=2)
     M = np.outer(c_n, c_n) / c_2n * _factorial_ratio((2 * n,), (2 * n + d,))
     M.setflags(write=False)
@@ -248,12 +313,11 @@ class SimplexSpectralFactors:
     m: int
     n: int
     eigenvalues: np.ndarray
-    multiplicities: np.ndarray
     U: np.ndarray
     W: np.ndarray
 
     def __post_init__(self):
-        for a in (self.eigenvalues, self.multiplicities, self.U, self.W):
+        for a in (self.eigenvalues, self.U, self.W):
             a.setflags(write=False)
 
 
@@ -293,7 +357,6 @@ def simplex_spectral_factors(d: int, m: int, n: int) -> SimplexSpectralFactors:
         m=m,
         n=n,
         eigenvalues=np.repeat(lam_n[: m + 1], mult[: m + 1]),
-        multiplicities=mult[: m + 1],
         U=U,
         W=0.5 * (U @ U.T),
     )

@@ -1,0 +1,60 @@
+"""Exact d = 1 references from integers, independent of the package.
+
+Every quantity is a closed form over fractions.Fraction and math.comb, so
+the interval's mass, elevation and spectral data can be checked against
+numbers the package's own basis layer did not produce.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+
+def mass(n):
+    """Entries C(n,i) C(n,j) / (C(2n,i+j) (2n+1)) of the degree-n Gram matrix."""
+    return [
+        [
+            Fraction(math.comb(n, i) * math.comb(n, j), math.comb(2 * n, i + j) * (2 * n + 1))
+            for j in range(n + 1)
+        ]
+        for i in range(n + 1)
+    ]
+
+
+def elevation(m, n):
+    """Entries C(m,j) C(n-m,i-j) / C(n,i) re-expressing degree m in degree n."""
+    return [
+        [
+            Fraction(math.comb(m, j) * math.comb(n - m, i - j), math.comb(n, i))
+            if 0 <= i - j <= n - m
+            else Fraction(0)
+            for j in range(m + 1)
+        ]
+        for i in range(n + 1)
+    ]
+
+
+def legendre(j):
+    """Bernstein coefficients (-1)^(j+i) C(j,i) of the shifted Legendre
+    polynomial of degree j, scaled to 1 at x = 1."""
+    return [Fraction((-1) ** (j + i) * math.comb(j, i)) for i in range(j + 1)]
+
+
+def eigenvalues(n):
+    """The degree-n mass matrix's eigenvalues (n!)^2 / ((n+j+1)! (n-j)!), j = 0..n."""
+    return [
+        Fraction(math.factorial(n) ** 2, math.factorial(n + j + 1) * math.factorial(n - j))
+        for j in range(n + 1)
+    ]
+
+
+def elevate(coeffs, n):
+    """Exact coefficients at degree n of a polynomial given at a lower degree."""
+    E = elevation(len(coeffs) - 1, n)
+    return [sum(e * c for e, c in zip(row, coeffs)) for row in E]
+
+
+def to_float(values):
+    """A nested list of Fractions as a float array, each entry correctly rounded."""
+    return np.array(values, dtype=float)

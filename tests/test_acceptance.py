@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
+import exact
 from bernfit import approx, cone, kkt, oracles
-from bernfit import bernstein as bn
 from bernfit import simplex as sx
 from bernfit.cli import main as cli_main
 
@@ -30,22 +30,26 @@ def report(num, desc, fn, budget=None):
 
 def test_criterion_01_structural_identities():
     def check():
+        # the interval as the d = 1 simplex, against exact integer references
         assert np.allclose(
-            bn.mass_matrix(1), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15
+            sx.simplex_mass_matrix(1, 1), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15
         )
         for n in range(0, 11):
-            Mn = bn.mass_matrix(n)
-            S = bn.spectral_factors(n, n)
-            Q = S.Q
+            Mn = sx.simplex_mass_matrix(1, n)
+            assert np.max(np.abs(Mn - exact.to_float(exact.mass(n)))) < 1e-15
+            S = sx.simplex_spectral_factors(1, n, n)
+            assert np.max(np.abs(S.eigenvalues - exact.to_float(exact.eigenvalues(n)))) < 1e-15
+            Q = S.U * np.sqrt(S.eigenvalues)
             assert np.max(np.abs(Q @ np.diag(S.eigenvalues) @ Q.T - Mn)) < 1e-10
-            lam_n = bn.mass_eigenvalues(n)
+            lam_n = exact.eigenvalues(n)
             for m in range(0, n + 1):
-                E = bn.elevation_matrix(m, n)
-                assert np.max(np.abs(E.T @ Mn @ E - bn.mass_matrix(m))) < 1e-12
-                lam_m = bn.mass_eigenvalues(m)
+                E = sx.simplex_elevation(1, m, n)
+                assert np.array_equal(E, exact.to_float(exact.elevation(m, n)))
+                assert np.max(np.abs(E.T @ Mn @ E - exact.to_float(exact.mass(m)))) < 1e-12
+                lam_m = exact.eigenvalues(m)
                 for j in range(m + 1):
-                    v = bn.elevation_matrix(j, m) @ bn.legendre_bernstein_coeffs(j).coeffs
-                    resid = E.T @ (E @ v) - (lam_m[j] / lam_n[j]) * v
+                    v = exact.to_float(exact.elevate(exact.legendre(j), m))
+                    resid = E.T @ (E @ v) - float(lam_m[j] / lam_n[j]) * v
                     assert np.max(np.abs(resid)) < 1e-10
 
     report(1, "structural identities", check, budget=5.0)
@@ -55,7 +59,7 @@ def test_criterion_02_w_spectrum():
     def check():
         for n in range(0, 11):
             for m in range(0, n + 1):
-                S = bn.spectral_factors(m, n)
+                S = sx.simplex_spectral_factors(1, m, n)
                 ev = np.sort(np.linalg.eigvalsh(S.W))
                 nonzeros = ev[n - m :]
                 expected = np.sort(1.0 / (2.0 * S.eigenvalues))
@@ -109,7 +113,7 @@ def test_criterion_04_closed_form_fixture():
         peq = kkt.KktProblem(dim=1, m=1, n=1, target=np.array([-1.0, 1.0]), delta=1)
         seq = kkt.solve(peq)
         assert np.max(np.abs(seq.q.coeffs)) <= 1e-12
-        target = bn.PolyCoeffs(peq.m, peq.target, peq.dim)
+        target = sx.PolyCoeffs(peq.m, peq.target, peq.dim)
         assert abs(sx.simplex_integral(seq.q) - sx.simplex_integral(target)) <= 1e-12
 
     report(4, "closed-form fixture", check)
@@ -182,7 +186,7 @@ def test_criterion_08_gradient_checks():
         m = 4
         sa, sb = cone._block_sizes(m)
         to_bernstein = 1.0 / np.array([math.comb(m, k) for k in range(m + 1)])
-        M = bn.mass_matrix(m)
+        M = sx.simplex_mass_matrix(1, m)
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
         _, grad = cone._composite(z, m, to_bernstein, M, target, sa, sb)

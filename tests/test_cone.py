@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bernfit import bernstein as bn
 from bernfit import cone, kkt
+from bernfit import simplex as sx
 
 
 def u_values(coeffs, x):
@@ -346,7 +347,7 @@ class TestCompositeGradient:
         m = 4
         sa, sb = cone._block_sizes(m)
         scale = 1.0 / np.array([math.comb(m, k) for k in range(m + 1)])
-        M = bn.mass_matrix(m)
+        M = sx.simplex_mass_matrix(1, m)
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
         val, grad = cone._composite(z, m, scale, M, target, sa, sb)
@@ -362,7 +363,7 @@ class TestCompositeGradient:
         rng = np.random.default_rng(60 + m)
         sa, sb = cone._block_sizes(m)
         scale = 1.0 / np.array([math.comb(m, k) for k in range(m + 1)])
-        M = bn.mass_matrix(m)
+        M = sx.simplex_mass_matrix(1, m)
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
         val, grad = cone._composite(z, m, scale, M, target, sa, sb)

@@ -203,7 +203,7 @@ class TestOptimalityProperties:
         prob = kkt.KktProblem(dim=1, m=3, n=6, target=rng.uniform(-1, 1, 4))
         sol = kkt.solve(prob)
         best = kkt.objective(prob, sol.q.coeffs)
-        E = bn.elevation_matrix(3, 6)
+        E = sx.simplex_elevation(1, 3, 6)
         tried = 0
         while tried < 100:
             z = rng.uniform(0, 1, 7)
@@ -367,9 +367,15 @@ class TestInputs:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cached_problem_data_is_read_only(self, dim):
+        kkt._problem_data.cache_clear()
         data = kkt._problem_data(dim, 2, 3)
         arrays = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 4
+        # one cache per matrix: every array is the basis layer's own
+        fac = sx.simplex_spectral_factors(dim, 2, 3)
+        assert data.E is sx.simplex_elevation(dim, 2, 3)
+        assert data.M is sx.simplex_mass_matrix(dim, 2)
+        assert data.W is fac.W and data.Umn is fac.U
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bernfit import kkt, oracles
+from bernfit import simplex as sx
 
 
 class TestPenaltySolve:
@@ -24,9 +25,7 @@ class TestPenaltySolve:
     def test_upper_bound_support(self):
         p = kkt.KktProblem(dim=1, m=1, n=3, target=np.array([2.0, 2.0]))
         q = oracles.penalty_solve(p, upper=1.0)
-        from bernfit import bernstein as bn
-
-        elev = bn.elevation_matrix(1, 3) @ q
+        elev = sx.simplex_elevation(1, 1, 3) @ q
         assert elev.max() <= 1.0 + 1e-6
         assert elev.min() >= -1e-6
         # the constant 1 is the closest upper-bounded polynomial to 2

@@ -1,11 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernfit import bernstein as bn
+import exact
 from bernfit import simplex as sx
 
 
@@ -61,11 +63,11 @@ class TestEvaluate:
     def test_partition_of_unity(self, a, b):
         # map the square into the triangle
         x, y = a, b * (1 - a)
-        p = bn.PolyCoeffs(3, np.ones(10), dim=2)
+        p = sx.PolyCoeffs(3, np.ones(10), dim=2)
         assert sx.simplex_evaluate(p, [x, y]) == pytest.approx(1.0, abs=1e-12)
 
     def test_vertex_values(self):
-        p = bn.PolyCoeffs(1, [1, 0, 0], dim=2)
+        p = sx.PolyCoeffs(1, [1, 0, 0], dim=2)
         assert sx.simplex_evaluate(p, [0.0, 0.0]) == pytest.approx(1.0)
         assert sx.simplex_evaluate(p, [1.0, 0.0]) == pytest.approx(0.0)
         assert sx.simplex_evaluate(p, [0.0, 1.0]) == pytest.approx(0.0)
@@ -74,7 +76,7 @@ class TestEvaluate:
         # basis (0,1,1) of degree 2: n!/alpha! b1 b2 = 2 * (1/4) * (1/4)
         c = np.zeros(6)
         c[sx.multiindices(2, 2).index((0, 1, 1))] = 1.0
-        p = bn.PolyCoeffs(2, c, dim=2)
+        p = sx.PolyCoeffs(2, c, dim=2)
         val = sx.simplex_evaluate(p, [0.25, 0.25])
         assert val == pytest.approx(product_formula((0, 1, 1), (0.25, 0.25)))
         assert val == pytest.approx(1 / 8)
@@ -90,7 +92,7 @@ class TestEvaluate:
             for k, alpha in enumerate(idx):
                 c = np.zeros(len(idx))
                 c[k] = 1.0
-                poly = bn.PolyCoeffs(n, c, dim=d)
+                poly = sx.PolyCoeffs(n, c, dim=d)
                 for point in P:
                     assert sx.simplex_evaluate(poly, point) == pytest.approx(
                         product_formula(alpha, point), abs=1e-13
@@ -99,12 +101,38 @@ class TestEvaluate:
     def test_univariate_consistency(self):
         rng = np.random.default_rng(1)
         c = rng.uniform(-1, 1, 5)
-        p1 = bn.PolyCoeffs(4, c, dim=1)
-        pb = bn.poly(c)
+        p1 = sx.PolyCoeffs(4, c, dim=1)
         for x in rng.uniform(0, 1, 8):
-            assert sx.simplex_evaluate(p1, [x]) == pytest.approx(
-                bn.evaluate(pb, x), abs=1e-13
-            )
+            direct = sum(c[i] * math.comb(4, i) * x**i * (1 - x) ** (4 - i) for i in range(5))
+            assert sx.simplex_evaluate(p1, x) == pytest.approx(direct, abs=1e-13)
+            assert sx.simplex_evaluate(p1, [[x]]) == pytest.approx([direct], abs=1e-13)
+
+    def test_point_shapes(self):
+        # at d = 1 a vector is a stack of points, as on the interval
+        p1 = sx.poly([0.0, 1.0])
+        assert isinstance(sx.simplex_evaluate(p1, 0.25), float)
+        assert sx.simplex_evaluate(p1, [0.25]).shape == (1,)
+        assert sx.simplex_evaluate(p1, [0.25, 0.5]).shape == (2,)
+        assert sx.simplex_evaluate(p1, [[0.25], [0.5]]).shape == (2,)
+        p2 = sx.PolyCoeffs(1, [1.0, 0.0, 0.0], dim=2)
+        assert isinstance(sx.simplex_evaluate(p2, [0.25, 0.5]), float)
+        assert sx.simplex_evaluate(p2, [[0.25, 0.5]]).shape == (1,)
+
+    @pytest.mark.parametrize("d,n", [(1, 0), (1, 12), (2, 5), (3, 4)])
+    def test_agrees_with_basis_values(self, d, n):
+        rng = np.random.default_rng(7)
+        pts = rng.dirichlet(np.ones(d + 1), size=25)[:, 1:]
+        B = sx.simplex_basis_values(d, n, pts)
+        for _ in range(3):
+            c = rng.uniform(-1, 1, B.shape[1])
+            got = sx.simplex_evaluate(sx.PolyCoeffs(n, c, dim=d), pts)
+            assert np.max(np.abs(got - B @ c)) <= 1e-14 * max(1.0, np.abs(c).sum())
+        # one basis function at a time pins the multiindex order
+        for k in range(B.shape[1]):
+            e = np.zeros(B.shape[1])
+            e[k] = 1.0
+            got = sx.simplex_evaluate(sx.PolyCoeffs(n, e, dim=d), pts)
+            assert np.max(np.abs(got - B[:, k])) <= 1e-14
 
 
 class TestBasisValues:
@@ -124,7 +152,7 @@ class TestBasisValues:
         b = sx.barycentric(d, pts)
         ref = np.empty((len(pts), math.comb(d + n, d)))
         for k, alpha in enumerate(sx.multiindices(d, n)):
-            col = np.full(len(pts), math.factorial(n) / sx.multi_factorial(alpha))
+            col = np.full(len(pts), math.factorial(n) / math.prod(map(math.factorial, alpha)))
             for i, e in enumerate(alpha):
                 if e:
                     col = col * power(b[:, i], e)
@@ -143,18 +171,12 @@ class TestBasisValues:
 
 class TestElevation:
     def test_matches_univariate(self):
-        for m, n in [(0, 2), (1, 2), (3, 6)]:
-            assert np.allclose(
-                sx.simplex_elevation(1, m, n),
-                bn.elevation_matrix(m, n),
-                atol=1e-14,
-            )
-        # the CLI's whole 1-D range: m <= 12, n <= m + 10
+        # the CLI's whole 1-D range: m <= 12, n <= m + 10; each entry is one
+        # correctly rounded quotient of exact integers
         for m in range(13):
             for n in range(m, m + 11):
                 E = sx.simplex_elevation(1, m, n)
-                ref = bn.elevation_matrix(m, n)
-                assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
+                assert np.array_equal(E, exact.to_float(exact.elevation(m, n)))
 
     def test_constant_column(self):
         assert np.allclose(sx.simplex_elevation(2, 0, 1), np.ones((3, 1)))
@@ -204,8 +226,8 @@ class TestElevation:
             c = rng.uniform(-1, 1, math.comb(d + m, d))
             ce = sx.simplex_elevation(d, m, n) @ c
             pts = rng.dirichlet(np.ones(d + 1), size=10)[:, 1:]
-            lo = sx.simplex_evaluate(bn.PolyCoeffs(m, c, dim=d), pts)
-            hi = sx.simplex_evaluate(bn.PolyCoeffs(n, ce, dim=d), pts)
+            lo = sx.simplex_evaluate(sx.PolyCoeffs(m, c, dim=d), pts)
+            hi = sx.simplex_evaluate(sx.PolyCoeffs(n, ce, dim=d), pts)
             assert np.max(np.abs(lo - hi)) < 1e-12
 
 
@@ -217,7 +239,7 @@ class TestMassMatrix:
     def test_matches_univariate(self):
         for n in range(0, 6):
             assert np.allclose(
-                sx.simplex_mass_matrix(1, n), bn.mass_matrix(n), atol=1e-15
+                sx.simplex_mass_matrix(1, n), exact.to_float(exact.mass(n)), atol=1e-15
             )
 
     def test_quadrature_oracle(self):
@@ -246,7 +268,7 @@ class TestMassMatrix:
             oracle = np.array(
                 [
                     [
-                        bn._factorial_ratio(
+                        sx._factorial_ratio(
                             (n, n) + tuple(ai + bi for ai, bi in zip(a, b)),
                             tuple(a) + tuple(b) + (2 * n + d,),
                         )
@@ -296,7 +318,7 @@ class TestComplementBasis:
         # the whole block: (-1)^j sqrt(2j+1) times the shifted Legendre column
         for j in range(13):
             L = sx.orthogonal_complement_basis(1, j)
-            ref = (-1) ** j * math.sqrt(2 * j + 1) * bn.legendre_bernstein_coeffs(j).coeffs
+            ref = (-1) ** j * math.sqrt(2 * j + 1) * exact.to_float(exact.legendre(j))
             assert L.shape == (j + 1, 1)
             assert np.max(np.abs(L[:, 0] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -311,7 +333,7 @@ class TestComplementBasis:
         R = sign[:, None] * binom[cols[None, :, :], rows[:, None, 1:]].prod(axis=2)
         G = binom[cols[:, None, :] + cols[None, :, :], cols[:, None, :]].prod(axis=2)
         assert G.shape == (1, 1)
-        w, V = np.linalg.eigh(G * bn._factorial_ratio((j, j), (2 * j + d,)))
+        w, V = np.linalg.eigh(G * sx._factorial_ratio((j, j), (2 * j + d,)))
         assert np.array_equal(sx.orthogonal_complement_basis(d, j), R @ (V / np.sqrt(w)))
 
     def test_constant_block(self):
@@ -341,26 +363,26 @@ class TestComplementBasis:
 
 class TestSpectralFactors:
     def test_reduces_to_univariate(self):
+        # column j is (-1)^j sqrt(2j+1) times the shifted Legendre polynomial
+        # elevated to degree n, from exact integers
+        def legendre_column(j, n):
+            coeffs = exact.elevate(exact.legendre(j), n)
+            return (-1) ** j * math.sqrt(2 * j + 1) * exact.to_float(coeffs)
+
         S1 = sx.simplex_spectral_factors(1, 2, 4)
-        Sb = bn.spectral_factors(2, 4)
-        # columns agree up to sign
         for j in range(3):
-            col, ref = S1.U[:, j], Sb.U[:, j]
-            sign = 1.0 if abs(col[0] - ref[0]) < abs(col[0] + ref[0]) else -1.0
-            assert np.max(np.abs(sign * col - ref)) < 1e-10
-        assert np.allclose(S1.eigenvalues, Sb.eigenvalues, atol=1e-14)
+            assert np.max(np.abs(S1.U[:, j] - legendre_column(j, 4))) < 1e-10
+        assert np.allclose(S1.eigenvalues, exact.to_float(exact.eigenvalues(4)[:3]), atol=1e-14)
         # the CLI's whole 1-D range: m <= 12, n <= m + 10
         for m in range(13):
             for n in range(m, m + 11):
                 S1 = sx.simplex_spectral_factors(1, m, n)
-                Sb = bn.spectral_factors(m, n)
                 for j in range(m + 1):
-                    col, ref = S1.U[:, j], Sb.U[:, j]
-                    sign = 1.0 if abs(col[0] - ref[0]) < abs(col[0] + ref[0]) else -1.0
+                    ref = legendre_column(j, n)
                     scale = np.max(np.abs(ref))
-                    assert np.max(np.abs(sign * col - ref)) <= 1e-13 * scale
-                rel = np.abs(S1.eigenvalues - Sb.eigenvalues) / Sb.eigenvalues
-                assert np.max(rel) <= 1e-13
+                    assert np.max(np.abs(S1.U[:, j] - ref)) <= 1e-13 * scale
+                lam = exact.to_float(exact.eigenvalues(n)[: m + 1])
+                assert np.max(np.abs(S1.eigenvalues - lam) / lam) <= 1e-13
 
     def test_reconstruction(self):
         S = sx.simplex_spectral_factors(2, 1, 1)
@@ -460,12 +482,26 @@ class TestSpectralFactors:
 
 class TestIntegral:
     def test_constant(self):
-        p = bn.PolyCoeffs(2, np.ones(6), dim=2)
+        p = sx.PolyCoeffs(2, np.ones(6), dim=2)
         assert sx.simplex_integral(p) == pytest.approx(0.5)
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(4)
         c = rng.uniform(-1, 1, 10)
-        p = bn.PolyCoeffs(3, c, dim=2)
+        p = sx.PolyCoeffs(3, c, dim=2)
         oracle = triangle_quadrature(lambda x, y: sx.simplex_evaluate(p, [x, y]))
         assert sx.simplex_integral(p) == pytest.approx(oracle, abs=1e-13)
+
+
+def test_imports_nothing_from_bernstein():
+    # the basis layer is the package's root: the interval's module re-exports
+    # it, never the other way round
+    path = Path(sx.__file__)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any("bernstein" in name for name in names), ast.unparse(node)
