@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .simplex import PolyCoeffs, simplex_basis_values, simplex_spectral_factors
+from .simplex import PolyCoeffs, orthogonal_complement_basis, simplex_basis_values
 
 
 @dataclass(frozen=True)
@@ -229,10 +229,10 @@ def project(f: TargetFunction, m: int, quad: Quadrature | None = None) -> PolyCo
     """Unconstrained best L2 approximation of degree m.
 
     Coefficients solve the mass-matrix normal equations, applied in the
-    inverse-free spectral form U U^T (moments).
+    inverse-free spectral form U U^T (moments) with U = U^{m,m}.
     """
     mom = moments(f, m, quad)
-    U = simplex_spectral_factors(f.dim, m, m).U
+    U = orthogonal_complement_basis(f.dim, m)
     return PolyCoeffs(degree=m, coeffs=U @ (U.T @ mom), dim=f.dim)
 
 

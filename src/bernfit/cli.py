@@ -35,6 +35,8 @@ SAMPLE_POINTS = 512
 # which is relative to the size of the problem p^T M p.
 CONE_RTOL = 1e-6
 CONE_ATOL = 1e-14
+# every KKT residual of a written kkt cell is at most this (absolute)
+KKT_TOL = 1e-9
 
 
 class SpecError(Exception):
@@ -155,7 +157,9 @@ def _approximant(method, offset, f, m, quad, projection):
             target=projection.coeffs,
             delta=1 if method == "kkt-mass" else 0,
         )
-        return kkt.solve(problem).q
+        solution = kkt.solve(problem)
+        _check_kkt(problem, solution)
+        return solution.q
     if method == "cone":
         result = cone.solve_cone(projection)
         if not result.converged:
@@ -171,6 +175,25 @@ def _approximant(method, offset, f, m, quad, projection):
     if method == "p1":
         return approx.p1_interpolant(f, m)
     raise AssertionError(method)
+
+
+def _check_kkt(problem, solution) -> None:
+    """Raise, naming the largest residual, unless verify_kkt passes at KKT_TOL."""
+    diag = kkt.verify_kkt(problem, solution, KKT_TOL)
+    if diag.passed:
+        return
+    residuals = {
+        "stationarity": diag.stationarity_inf,
+        "primal": -diag.min_elevated,
+        "dual": -diag.min_mu,
+        "complementary slackness": diag.max_slack,
+        "integral": diag.integral_gap,
+    }
+    name = max(residuals, key=residuals.get)
+    raise RuntimeError(
+        f"verify_kkt failed at m={problem.m}, n={problem.n}: largest residual is "
+        f"{name} {residuals[name]:.2e} > {KKT_TOL:g}"
+    )
 
 
 def _check_cone_cost(projection, q) -> None:

@@ -170,48 +170,64 @@ def _composite(z, m, scale, M, target, sa, sb):
 def solve_cone(p: PolyCoeffs) -> ConeResult:
     """Best approximation of p among degree-m polynomials nonnegative on [0, 1].
 
-    One L-BFGS-B run on square factors from a seeded random start.  Every
-    local minimum of the factored cost is then a global one (Burer &
-    Monteiro, Math. Program. 103, 2005), but a stationary point may be a
-    saddle, so converged also requires the blocks' cost gradient to be
-    PSD: with <Z, X> = 0 at a stationary point, that is the convex
-    problem's KKT condition.
+    A target whose Bernstein coefficients are all nonnegative is its own
+    optimum: each u^m_k is a square, or x, 1-x or x(1-x) times one, so its
+    coefficient C(m, k) p_k goes on one diagonal entry of A or B, and p is
+    returned unchanged with that diagonal certificate and no iteration.
+    Otherwise one L-BFGS-B run on square factors from a seeded random
+    start.  Every local minimum of the factored cost is then a global one
+    (Burer & Monteiro, Math. Program. 103, 2005), but a stationary point
+    may be a saddle, so converged also requires the blocks' cost gradient
+    to be PSD: with <Z, X> = 0 at a stationary point, that is the convex
+    problem's KKT condition.  Both answers pass the same tests.
     """
     m = p.degree
     if m > CONE_DEGREE_LIMIT:
         raise ValueError(f"degree {m} exceeds the cone solver's limit ({CONE_DEGREE_LIMIT})")
     sa, sb = _block_sizes(m)
     # from u^m to Bernstein form: u^m_k = B^m_k / C(m, k)
-    scale = 1.0 / np.array([math.comb(m, k) for k in range(m + 1)])
+    comb = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
+    scale = 1.0 / comb
     M = simplex.simplex_mass_matrix(1, m)
     target = np.asarray(p.coeffs, dtype=float)
-    rng = np.random.default_rng(SEED)
-    z0 = _pack(rng.standard_normal((sa, sa)) * 0.5, rng.standard_normal((sb, sb)) * 0.5)
     args = (m, scale, M, target, sa, sb)
-    res = optimize.minimize(
-        _composite,
-        z0,
-        args=args,
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(maxiter=MAX_ITERATIONS, gtol=GRAD_TOL, ftol=1e-18, maxcor=30),
-    )
-    gnorm = float(np.abs(res.jac).max())
-    _, blocks = _block_gradient(res.x, *args)
+    if target.min() >= 0.0:
+        # A[i, i] lands on u^m_{2i+s} and B[i, i] on u^m_{2i+1-s}, s = m mod 2
+        u = target * comb
+        s = m % 2
+        point = ConePoint(m=m, A=np.diag(u[s::2]), B=np.diag(u[1 - s :: 2]))
+        z = _pack(np.diag(np.sqrt(u[s::2])), np.diag(np.sqrt(u[1 - s :: 2])))
+        cost, grad = _composite(z, *args)
+        q, iterations, evaluations = p, 0, 0
+    else:
+        rng = np.random.default_rng(SEED)
+        z0 = _pack(rng.standard_normal((sa, sa)) * 0.5, rng.standard_normal((sb, sb)) * 0.5)
+        res = optimize.minimize(
+            _composite,
+            z0,
+            args=args,
+            jac=True,
+            method="L-BFGS-B",
+            options=dict(maxiter=MAX_ITERATIONS, gtol=GRAD_TOL, ftol=1e-18, maxcor=30),
+        )
+        z, cost, grad = res.x, res.fun, res.jac
+        R0, R1 = _unpack(z, sa, sb)
+        point = ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
+        q = PolyCoeffs(degree=m, coeffs=scale * omega_adjoint(point))
+        iterations, evaluations = res.nit, res.nfev
+    gnorm = float(np.abs(grad).max())
+    _, blocks = _block_gradient(z, *args)
     dual_min = min(np.linalg.eigvalsh(G)[0] for G in blocks if G.size)
     floor = DUAL_RTOL * float(target @ M @ target) + DUAL_ATOL
-    R0, R1 = _unpack(res.x, sa, sb)
-    point = ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
-    q = PolyCoeffs(degree=m, coeffs=scale * omega_adjoint(point))
     return ConeResult(
         q=q,
         point=point,
-        objective=float(res.fun),
+        objective=float(cost),
         grad_norm=gnorm,
         dual_min=float(dual_min),
         converged=gnorm <= STALL_TOL and dual_min >= -floor,
-        iterations=int(res.nit),
-        evaluations=int(res.nfev),
+        iterations=int(iterations),
+        evaluations=int(evaluations),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -79,25 +80,32 @@ def _factorial_ratio(num_factorials, den_factorials) -> float:
 
 
 @lru_cache(maxsize=None)
-def multiindices(d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All multiindices (a_0..a_d) with |a| = n, descending lexicographic."""
+def _multiindex_array(d: int, n: int) -> np.ndarray:
+    """Read-only integer array of shape (C(d+n, d), d+1): every multiindex
+    (a_0..a_d) with |a| = n, in descending lexicographic order.
+
+    Stars and bars, with no recursion: the d bars among n + d slots, in
+    reverse lexicographic order of their positions, leave a_0 stars before
+    the first bar, a_i between bars i and i+1 and a_d after the last, in
+    descending lexicographic order of a.
+    """
     if d < 0 or n < 0:
         raise ValueError(f"need d >= 0 and n >= 0, got d={d}, n={n}")
-    if d == 0:
-        return ((n,),)
-    out = []
-    for a0 in range(n, -1, -1):
-        for rest in multiindices(d - 1, n - a0):
-            out.append((a0,) + rest)
-    return tuple(out)
+    count = math.comb(n + d, d)
+    bars = np.empty((count, d + 2), dtype=np.intp)
+    bars[:, 0] = -1
+    bars[:, -1] = n + d
+    positions = chain.from_iterable(combinations(range(n + d), d))
+    bars[::-1, 1:-1] = np.fromiter(positions, np.intp, count * d).reshape(count, d)
+    idx = np.diff(bars, axis=1) - 1
+    idx.setflags(write=False)
+    return idx
 
 
 @lru_cache(maxsize=None)
-def _multiindex_array(d: int, n: int) -> np.ndarray:
-    """multiindices(d, n) as a read-only integer array of shape (count, d+1)."""
-    idx = np.array(multiindices(d, n))
-    idx.setflags(write=False)
-    return idx
+def multiindices(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """All multiindices (a_0..a_d) with |a| = n, descending lexicographic."""
+    return tuple(map(tuple, _multiindex_array(d, n).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -271,34 +279,57 @@ def simplex_mass_eigenvalues(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, mult
 
 
-def orthogonal_complement_basis(d: int, j: int) -> np.ndarray:
-    """Degree-j coefficients of an M-orthonormal basis of P^j mod P^{j-1}.
+@lru_cache(maxsize=128)
+def orthogonal_complement_basis(d: int, m: int) -> np.ndarray:
+    """U^{m,m}: the M^{d,m}-orthonormal complement blocks j = 0..m at degree m.
 
-    The part of P^j orthogonal to P^{j-1} is the lam_j eigenspace of
-    M^{d,j}; it has dimension C(d+j-1, d-1).  It is spanned by the
+    The part of P^j orthogonal to P^{j-1} is the lam_j eigenspace of the
+    mass matrices; it has dimension C(d+j-1, d-1) and is spanned by the
     Rodrigues polynomials R_b = d^b [x^b (1 - |x|)^j] / b! over b in N^d
-    with |b| = j, whose Bernstein coefficient at a is
+    with |b| = j, whose degree-j Bernstein coefficient at a is
     (-1)^(j-a_0) prod_{i>=1} C(b_i, a_i), and whose Gram matrix is exactly
     (j!)^2/(2j+d)! prod_{i>=1} C(b_i+c_i, b_i)
-    (Farouki, Goodman & Sauer, CAGD 2003).  One eigendecomposition of that
-    Gram matrix makes the block M^{d,j}-orthonormal.  A 1 x 1 Gram matrix
-    (d = 1, or j = 0) is its own eigenvalue with eigenvector [1.0], which
-    LAPACK returns as such, so it is scaled without the call.  At d = 1 the
-    block is (-1)^j sqrt(2j+1) times the shifted Legendre polynomial; j = 0
-    gives the constant sqrt(d!).
+    (Farouki, Goodman & Sauer, CAGD 2003).  Every multiindex of degree
+    <= m comes from one enumeration, multiindices(d+1, m) read as
+    (m - j, a) with |a| = j, and the column (j, b) of U is the degree-m
+    multiindex (m - j, b), so the blocks come in order j = 0..m.
+
+    X = E_all R_all holds every R_b elevated to degree m: each entry is a
+    sum of integer products prod_i C(A_i, a_i) times a Rodrigues
+    coefficient, at most C(m, j) C(j, j/2) < 2^53 for every m the binomial
+    table allows, so exact, then divided once by C(m, j).  One Cholesky
+    factor C of the block-diagonal Gram matrix makes the blocks
+    orthonormal: U = X C^{-T}.  The Gram entries carry their scale, so a
+    1 x 1 block (every block at d = 1, the constant block at every d) is
+    R / sqrt(G) through the reciprocal, the bits of its eigendecomposition.
+    Cached and read-only.  At d = 1 column j is (-1)^j sqrt(2j+1) times
+    the shifted Legendre polynomial, and the constant column is sqrt(d!).
     """
-    rows = _multiindex_array(d, j)
-    cols = _multiindex_array(d - 1, j)
-    binom = _binomials(2 * j)
-    sign = np.where((j - rows[:, 0]) % 2, -1.0, 1.0)
-    R = sign[:, None] * binom[cols[None, :, :], rows[:, None, 1:]].prod(axis=2)
-    G = binom[cols[:, None, :] + cols[None, :, :], cols[:, None, :]].prod(axis=2)
-    G = G * _factorial_ratio((j, j), (2 * j + d,))
-    if G.shape == (1, 1):
-        # the bits of V / sqrt(w) with V = [[1.0]]; R / sqrt(G) rounds otherwise
-        return R @ (1.0 / np.sqrt(G))
-    w, V = np.linalg.eigh(G)
-    return R @ (V / np.sqrt(w))
+    if d < 1 or m < 0:
+        raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
+    # rows (m - j, a): a is a degree-j multiindex, in blocks j = 0..m
+    slack = _multiindex_array(d + 1, m)
+    lower, degree = slack[:, 1:], m - slack[:, 0]
+    # the degree-m multiindices index the rows of U and, as (m - j, b), its columns
+    idx = lower[-math.comb(d + m, d):]
+    block = m - idx[:, 0]
+    binom = _binomials(2 * m)
+    # E_all[A, a] * C(m, j) = prod_i C(A_i, a_i); R_all^T[(j, b), a] on block j
+    elevate = binom[idx[:, 0]][:, lower[:, 0]]
+    rodrigues = np.where(block[:, None] == degree, 1.0 - 2.0 * ((degree - lower[:, 0]) % 2), 0.0)
+    gram = (block[:, None] == block).astype(float)
+    for i in range(1, d + 1):
+        # C(A_i, a_i) for the elevation and C(b_i, a_i) for R, b = A[1:]
+        factor = binom[idx[:, i]][:, lower[:, i]]
+        elevate *= factor
+        rodrigues *= factor
+        gram *= binom[idx[:, i, None] + idx[:, i], idx[:, i, None]]
+    X = (elevate @ rodrigues.T) / binom[m, block]
+    scale = np.array([_factorial_ratio((j, j), (2 * j + d,)) for j in range(m + 1)])
+    C = np.linalg.cholesky(gram * scale[block])
+    U = X @ np.linalg.inv(C).T
+    U.setflags(write=False)
+    return U
 
 
 @dataclass(frozen=True)
@@ -322,36 +353,20 @@ class SimplexSpectralFactors:
 
 
 @lru_cache(maxsize=128)
-def _elevated_blocks(d: int, m: int, n: int) -> np.ndarray:
-    """U^{m,n} = E^{m->n} [U^{m-1,m}, L_m], read-only and cached.
-
-    L_m is the degree-m complement block, so each (m, m) reuses the stack
-    one degree down, and each n > m elevates the cached (m, m) stack.
-    """
-    if n > m:
-        U = simplex_elevation(d, m, n) @ _elevated_blocks(d, m, m)
-    else:
-        lower = [_elevated_blocks(d, m - 1, m)] if m else []
-        U = np.hstack(lower + [orthogonal_complement_basis(d, m)])
-    U.setflags(write=False)
-    return U
-
-
-@lru_cache(maxsize=128)
 def simplex_spectral_factors(d: int, m: int, n: int) -> SimplexSpectralFactors:
     """The M-orthonormal complement blocks j = 0..m, elevated to degree n.
 
-    U^{m,n} = E^{m->n} [U^{m-1,m}, L_m] with L_m the degree-m complement
-    block.  The chain of U's is built and cached on its own, so the
-    eigenvalues and W = U U^T / 2 are formed only for the (m, n) asked for,
-    not for every degree below it.  Elevation preserves the L2 inner
-    product, so the columns of U are M^{d,n}-orthonormal eigenvectors of
-    M^{d,n}.  Cached: the factors are read-only and shared by every caller.
+    U^{m,n} = E^{m->n} U^{m,m}, with U^{m,m} from orthogonal_complement_basis
+    (itself at n = m).  Elevation preserves the L2 inner product, so the
+    columns of U are M^{d,n}-orthonormal eigenvectors of M^{d,n}.  Cached:
+    the factors are read-only and shared by every caller.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     lam_n, mult = simplex_mass_eigenvalues(d, n)
-    U = _elevated_blocks(d, m, n)
+    U = orthogonal_complement_basis(d, m)
+    if n > m:
+        U = simplex_elevation(d, m, n) @ U
     return SimplexSpectralFactors(
         dim=d,
         m=m,
@@ -374,8 +389,7 @@ def simplex_downgrade(d: int, m: int, n: int, y) -> PolyCoeffs:
     if y.shape != (want,):
         raise ValueError(f"expected vector of length {want}, got {y.shape}")
     fac_mn = simplex_spectral_factors(d, m, n)
-    fac_mm = simplex_spectral_factors(d, m, m)
-    q = fac_mm.U @ (fac_mn.eigenvalues * (fac_mn.U.T @ y))
+    q = orthogonal_complement_basis(d, m) @ (fac_mn.eigenvalues * (fac_mn.U.T @ y))
     return PolyCoeffs(degree=m, coeffs=q, dim=d)
 
 

@@ -198,17 +198,17 @@ class TestMassMatrix:
 
 
 class TestLegendre:
-    # the d = 1 complement block of degree j is (-1)^j sqrt(2j+1) times the
-    # shifted Legendre polynomial
+    # the d = 1 complement block of degree j, the last column of U^{j,j}, is
+    # (-1)^j sqrt(2j+1) times the shifted Legendre polynomial
     def test_constant(self):
         assert np.array_equal(sx.orthogonal_complement_basis(1, 0), [[1.0]])
 
     def test_degree_two(self):
-        L = sx.orthogonal_complement_basis(1, 2)[:, 0] / math.sqrt(5)
+        L = sx.orthogonal_complement_basis(1, 2)[:, -1] / math.sqrt(5)
         assert np.allclose(L, [1, -2, 1])
 
     def test_degree_three_orthogonality(self):
-        L = -sx.orthogonal_complement_basis(1, 3)[:, 0] / math.sqrt(7)
+        L = -sx.orthogonal_complement_basis(1, 3)[:, -1] / math.sqrt(7)
         assert np.allclose(L, exact.to_float(exact.legendre(3)))
         assert np.allclose(L, [-1, 3, -3, 1])
         p = sx.poly(L)
@@ -218,7 +218,7 @@ class TestLegendre:
 
     def test_norm(self):
         for j in (0, 1, 2, 5):
-            L = sx.orthogonal_complement_basis(1, j)[:, 0]
+            L = sx.orthogonal_complement_basis(1, j)[:, -1]
             assert np.allclose(L, legendre_column(j), rtol=1e-13, atol=0)
             norm2 = L @ exact.to_float(exact.mass(j)) @ L
             assert norm2 == pytest.approx(1.0, abs=1e-13)

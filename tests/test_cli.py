@@ -113,6 +113,18 @@ class TestErrorTable:
         assert m == "12" and kkt0 == project and kkt10 == project
 
 
+    def test_nonnegative_projection_is_every_cone_cell(self, tmp_path):
+        # f1's projection has nonnegative Bernstein coefficients at every
+        # degree, so it is its own cone optimum
+        out = tmp_path / "errors.csv"
+        rc = main(["--func", "f1", "--mmin", "1", "--mmax", "12",
+                   "--methods", "project,cone", "--out", str(out)])
+        assert rc == 0
+        lines = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert len(lines) == 12
+        assert all(cone_cell == project_cell for _, project_cell, cone_cell in lines)
+
+
 class TestSamples:
     def test_grid_and_feasibility(self, tmp_path):
         out = tmp_path / "errors.csv"
@@ -179,6 +191,30 @@ class TestFailureHandling:
         notes = [ln for ln in capsys.readouterr().err.splitlines()
                  if "exceeds the n=m KKT cost" in ln]
         assert len(notes) == 3
+
+    def test_kkt_cells_are_verified(self, tmp_path, capsys, monkeypatch):
+        argv = ["--func", "f2", "--mmin", "2", "--mmax", "4", "--elevate", "0",
+                "--elevate", "3", "--methods", "project,kkt,kkt-mass",
+                "--out", str(tmp_path / "errors.csv")]
+        assert main(argv) == 0  # the solver's own answers pass verify_kkt
+        solve = kkt.solve
+
+        def perturbed(problem):
+            sol = solve(problem)
+            q = bn.PolyCoeffs(sol.q.degree, sol.q.coeffs + 1e-3, sol.q.dim)
+            return dataclasses.replace(sol, q=q)
+
+        monkeypatch.setattr(kkt, "solve", perturbed)
+        assert main(argv) == 2
+        header, rows = read_table(tmp_path / "errors.csv")
+        assert header[1] == "project" and not np.isnan(rows[:, 1]).any()
+        assert np.isnan(rows[:, 2:]).all()
+        notes = [ln for ln in capsys.readouterr().err.splitlines() if "verify_kkt failed" in ln]
+        assert len(notes) == rows[:, 2:].size == 12
+        # q + 1e-3 breaks stationarity, and with delta = 1 the integral most
+        for ln in notes:
+            name = "integral" if ": kkt-mass" in ln else "stationarity"
+            assert f"largest residual is {name}" in ln, ln
 
     def test_top_of_the_1d_domain_is_solved(self, tmp_path):
         # m = 12 with offset 10: 23 constraints, past the enumerator's budget

@@ -295,7 +295,8 @@ class TestSolveCone:
 
         p = approx.project(approx.get_function("f2"), m, approx.default_rule(1))
         res = cone.solve_cone(p)
-        assert res.converged and res.evaluations > 0
+        # the optimizer runs exactly when a coefficient is negative
+        assert res.converged and (res.evaluations > 0) == (p.coeffs.min() < 0)
         prob = kkt.KktProblem(dim=1, m=m, n=m, target=p.coeffs)
         bound = kkt.objective(prob, kkt.solve(prob).q.coeffs)
         scale = kkt.objective(prob, np.zeros(m + 1))
@@ -326,17 +327,58 @@ class TestSolveCone:
 
     def test_saddle_point_is_not_converged(self, monkeypatch):
         # R = 0 is stationary for the factored cost, but the cost gradient
-        # in the blocks is not PSD there: the dual check rejects it
+        # in the blocks is not PSD there: the dual check rejects it.  f2's
+        # projection at m = 2 has a negative coefficient, so the optimizer runs
         from bernfit import approx
 
         minimize = cone.optimize.minimize
         monkeypatch.setattr(
             cone.optimize, "minimize", lambda fun, x0, **kw: minimize(fun, 0 * x0, **kw)
         )
-        res = cone.solve_cone(approx.project(approx.get_function("f2"), 0))
+        res = cone.solve_cone(approx.project(approx.get_function("f2"), 2))
         assert res.grad_norm == 0.0
         assert res.dual_min < -0.1
         assert not res.converged
+
+
+class TestNonnegativeTarget:
+    @pytest.mark.parametrize("m", range(cone.CONE_DEGREE_LIMIT + 1))
+    def test_is_its_own_optimum(self, m, monkeypatch):
+        # nonnegative Bernstein coefficients: q = p with a diagonal
+        # certificate, and the optimizer is never called
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("optimizer called on a nonnegative target")
+
+        monkeypatch.setattr(cone.optimize, "minimize", no_optimizer)
+        rng = np.random.default_rng(m)
+        c = rng.uniform(0.0, 1.0, m + 1)
+        c[rng.integers(m + 1)] = 0.0
+        p = bn.poly(c)
+        res = cone.solve_cone(p)
+        assert res.q is p
+        assert (res.iterations, res.evaluations) == (0, 0)
+        assert res.converged
+        assert res.objective <= 1e-30
+        for block in (res.point.A, res.point.B):
+            assert np.array_equal(block, np.diag(np.diag(block)))
+            assert np.all(np.diag(block) >= 0.0)
+        # the certificate is the target: u^m coefficients C(m, k) p_k
+        comb = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
+        assert np.array_equal(cone.omega_adjoint(res.point), c * comb)
+
+    def test_f1_projection_is_the_cone_optimum(self):
+        from bernfit import approx
+
+        f = approx.get_function("f1")
+        for m in range(cone.CONE_DEGREE_LIMIT + 1):
+            p = approx.project(f, m, approx.default_rule(1))
+            res = cone.solve_cone(p)
+            assert res.q is p and res.converged and res.evaluations == 0
+
+    def test_a_negative_coefficient_runs_the_optimizer(self):
+        p = bn.poly([0.5, -1e-12, 0.5])
+        res = cone.solve_cone(p)
+        assert res.evaluations > 0 and res.q is not p
 
 
 class TestCompositeGradient:

@@ -44,6 +44,24 @@ class TestConeCertificate:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
+    @pytest.mark.parametrize("m", [0, 1, 6, 11, 12])
+    def test_independent_verifier_accepts_the_diagonal_certificate(self, tmp_path, m):
+        # a nonnegative target is returned with a diagonal certificate
+        rng = np.random.default_rng(m)
+        p = bn.poly(rng.uniform(0.0, 1.0, m + 1))
+        res = cone.solve_cone(p)
+        assert res.evaluations == 0 and res.q is p
+        cert = tmp_path / "cert.csv"
+        coeffs = tmp_path / "coeffs.csv"
+        serialize.save_cone_point(cert, res.point)
+        coeffs.write_text(",".join(serialize.format_float(v) for v in p.coeffs))
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPT), str(cert), "--coeffs", str(coeffs)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
     def test_independent_verifier_rejects_indefinite(self, tmp_path):
         pt = cone.ConePoint(m=2, A=np.array([[1.0, 0.0], [0.0, -1.0]]), B=np.zeros((1, 1)))
         cert = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 from pathlib import Path
 
@@ -21,6 +22,11 @@ def triangle_quadrature(fn, npts=40):
         for vj, wj in zip(u, wu):
             total += wi * wj * (1 - ui) * fn(ui, vj * (1 - ui))
     return total
+
+
+def complement_block(d, j):
+    """Block j at degree j: the last C(d+j-1, d-1) columns of U^{j,j}."""
+    return sx.orthogonal_complement_basis(d, j)[:, -math.comb(d + j - 1, d - 1) :]
 
 
 def product_formula(alpha, point):
@@ -55,6 +61,22 @@ class TestMultiindices:
 
     def test_orders_sum_to_n(self):
         assert all(sum(a) == 3 for a in sx.multiindices(3, 3))
+
+    def test_enumeration_matches_recursion(self):
+        # the stars-and-bars enumeration gives the recursive order: a_0 from
+        # n down to 0, then the multiindices of n - a_0 in d coordinates
+        @functools.lru_cache(maxsize=None)
+        def recursive(d, n):
+            if d == 0:
+                return ((n,),)
+            return tuple((a0,) + rest for a0 in range(n, -1, -1) for rest in recursive(d - 1, n - a0))
+
+        for d in range(5):
+            for n in range(25):
+                ref = recursive(d, n)
+                assert sx.multiindices(d, n) == ref
+                idx = sx._multiindex_array(d, n)
+                assert idx.shape == (len(ref), d + 1) and idx.tolist() == [list(a) for a in ref]
 
 
 class TestEvaluate:
@@ -306,18 +328,18 @@ class TestMassMatrix:
             M = sx.simplex_mass_matrix(d, n)
             lam, _ = sx.simplex_mass_eigenvalues(d, n)
             for j in range(n + 1):
-                V = sx.simplex_elevation(d, j, n) @ sx.orthogonal_complement_basis(d, j)
+                V = sx.simplex_elevation(d, j, n) @ complement_block(d, j)
                 assert np.max(np.abs(M @ V - lam[j] * V)) < 1e-10
 
 
 class TestComplementBasis:
     def test_univariate_legendre_direction(self):
-        L = sx.orthogonal_complement_basis(1, 2)
+        L = complement_block(1, 2)
         assert L.shape == (3, 1)
         assert np.allclose(L[:, 0] / L[0, 0], [1, -2, 1], atol=1e-12)
         # the whole block: (-1)^j sqrt(2j+1) times the shifted Legendre column
         for j in range(13):
-            L = sx.orthogonal_complement_basis(1, j)
+            L = complement_block(1, j)
             ref = (-1) ** j * math.sqrt(2 * j + 1) * exact.to_float(exact.legendre(j))
             assert L.shape == (j + 1, 1)
             assert np.max(np.abs(L[:, 0] - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -334,7 +356,7 @@ class TestComplementBasis:
         G = binom[cols[:, None, :] + cols[None, :, :], cols[:, None, :]].prod(axis=2)
         assert G.shape == (1, 1)
         w, V = np.linalg.eigh(G * sx._factorial_ratio((j, j), (2 * j + d,)))
-        assert np.array_equal(sx.orthogonal_complement_basis(d, j), R @ (V / np.sqrt(w)))
+        assert np.array_equal(complement_block(d, j), R @ (V / np.sqrt(w)))
 
     def test_constant_block(self):
         # the constant 1 has M-norm 1/sqrt(d!) on the d-simplex
@@ -343,7 +365,7 @@ class TestComplementBasis:
         assert L[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_orthogonality(self):
-        L = sx.orthogonal_complement_basis(2, 1)
+        L = complement_block(2, 1)
         assert L.shape == (3, 2)
         M = sx.simplex_mass_matrix(2, 1)
         assert np.max(np.abs(np.ones(3) @ M @ L)) < 1e-12
@@ -352,7 +374,7 @@ class TestComplementBasis:
 
     @pytest.mark.parametrize("d,j", [(1, 3), (2, 2), (2, 3), (3, 2)])
     def test_counts_and_full_orthogonality(self, d, j):
-        L = sx.orthogonal_complement_basis(d, j)
+        L = complement_block(d, j)
         assert L.shape == (math.comb(d + j, d), math.comb(d + j - 1, d - 1))
         M = sx.simplex_mass_matrix(d, j)
         E = sx.simplex_elevation(d, j - 1, j)
@@ -410,6 +432,7 @@ class TestSpectralFactors:
             pytest.param(2, 8, 1e-10, id="8"),
             pytest.param(2, 10, 1e-10, id="10"),
             pytest.param(1, 12, 1e-14, id="d1-12"),
+            pytest.param(3, 5, 1e-13, id="d3-5"),
         ],
     )
     def test_inverse_against_high_precision(self, d, n, tol):
@@ -439,17 +462,23 @@ class TestSpectralFactors:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_unelevated_factors_are_the_stack(self, d):
-        # E^{m->m} is the identity, so U^{m,m} is [U^{m-1,m}, L_m] itself
+        # E^{m->m} is the identity, so U^{m,m} is the stack of complement
+        # blocks itself; its leading blocks are the stack one degree down,
+        # elevated, up to roundoff
         for m in range(7):
-            lower = [sx.simplex_spectral_factors(d, m - 1, m).U] if m else []
-            stack = np.hstack(lower + [sx.orthogonal_complement_basis(d, m)])
-            assert np.array_equal(sx.simplex_spectral_factors(d, m, m).U, stack)
+            U = sx.simplex_spectral_factors(d, m, m).U
+            assert U is sx.orthogonal_complement_basis(d, m)
+            if m:
+                lower = sx.simplex_spectral_factors(d, m - 1, m).U
+                gap = np.max(np.abs(U[:, : lower.shape[1]] - lower))
+                assert gap <= 1e-13 * np.max(np.abs(lower))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_elevated_factors_are_one_product(self, d):
-        for m in range(6):
-            Umm = sx.simplex_spectral_factors(d, m, m).U
-            for n in range(m, m + 4):
+        # U^{m,n} = E^{m->n} U^{m,m} bit for bit, over the one-shot cases
+        for m in [m for dim, m in ONE_SHOT_CASES if dim == d]:
+            Umm = sx.orthogonal_complement_basis(d, m)
+            for n in range(m, m + (11 if d == 1 else 3)):
                 U = sx.simplex_spectral_factors(d, m, n).U
                 assert np.array_equal(U, sx.simplex_elevation(d, m, n) @ Umm)
 
@@ -459,7 +488,7 @@ class TestSpectralFactors:
             S.U,
             S.W,
             S.eigenvalues,
-            sx._elevated_blocks(2, 3, 5),
+            sx.orthogonal_complement_basis(2, 3),
             sx._multiindex_array(2, 3),
             sx._binomials(6),
             sx.simplex_mass_matrix(2, 3),
@@ -480,6 +509,87 @@ class TestSpectralFactors:
         assert np.max(np.abs(sx.simplex_downgrade(2, 2, 4, y).coeffs - c)) < 1e-12
 
 
+ONE_SHOT_CASES = (
+    [(1, m) for m in range(13)] + [(2, m) for m in range(11)] + [(3, m) for m in range(6)]
+)
+
+
+def as_integers(U):
+    """Python integers Ui and an exponent e with U = Ui * 2**e exactly."""
+    parts = [math.frexp(x) for x in U.ravel().tolist()]
+    e = min((k for frac, k in parts if frac), default=53) - 53
+    Ui = [int(frac * 2**53) << (k - 53 - e) if frac else 0 for frac, k in parts]
+    return np.array(Ui, dtype=object).reshape(U.shape), e
+
+
+def exact_orthonormality_gap(d, m):
+    """max |U^T M U - I| for U = U^{m,m}, in exact integer arithmetic.
+
+    M = Mi / (2m+d)! with the integers Mi[a, b] = C(m; a) C(m; b) (a+b)!.
+    """
+    f = math.factorial
+    idx = sx.multiindices(d, m)
+    multi = [f(m) // math.prod(map(f, a)) for a in idx]
+    Mi = np.array(
+        [
+            [multi[r] * multi[c] * math.prod(f(x + y) for x, y in zip(a, b)) for c, b in enumerate(idx)]
+            for r, a in enumerate(idx)
+        ],
+        dtype=object,
+    )
+    Ui, e = as_integers(sx.orthogonal_complement_basis(d, m))
+    G = Ui.T.dot(Mi.dot(Ui))
+    den = f(2 * m + d) * 2 ** (-2 * e)
+    return max(abs(g - (den if i == j else 0)) / den for (i, j), g in np.ndenumerate(G))
+
+
+class TestOneShotBasis:
+    @pytest.mark.parametrize("d,m", ONE_SHOT_CASES)
+    def test_blocks_are_mass_eigenvectors(self, d, m):
+        # block j of U^{m,m} lies in the lam_j eigenspace of M^{d,m}
+        U = sx.orthogonal_complement_basis(d, m)
+        M = sx.simplex_mass_matrix(d, m)
+        lam, mult = sx.simplex_mass_eigenvalues(d, m)
+        assert U.shape == M.shape and U.flags.c_contiguous
+        start = 0
+        for j in range(m + 1):
+            block = U[:, start : start + mult[j]]
+            assert block.shape[1] == math.comb(d + j - 1, d - 1)
+            gap = np.max(np.abs(M @ block - lam[j] * block))
+            assert gap <= 1e-14 * lam[0] * np.max(np.abs(block))
+            start += mult[j]
+
+    @pytest.mark.parametrize("d,m", ONE_SHOT_CASES)
+    def test_mass_orthonormal(self, d, m):
+        U = sx.orthogonal_complement_basis(d, m)
+        M = sx.simplex_mass_matrix(d, m)
+        assert np.max(np.abs(U.T @ M @ U - np.eye(U.shape[1]))) < 1e-10
+
+    def test_univariate_basis_is_the_rounded_legendre_basis(self):
+        # at d = 1 and m = 20 every column is (-1)^j sqrt(2j+1) times the
+        # shifted Legendre polynomial to a few ulps of the column's largest entry
+        m = 20
+        U = sx.orthogonal_complement_basis(1, m)
+        for j in range(m + 1):
+            ref = (-1) ** j * math.sqrt(2 * j + 1) * exact.to_float(exact.elevate(exact.legendre(j), m))
+            assert np.max(np.abs(U[:, j] - ref)) <= 4e-16 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d,m,bound", [(1, 20, 1e-11), (2, 14, 2e-10)])
+    def test_exactly_orthonormal_past_the_caps(self, d, m, bound):
+        # in exact arithmetic U^T M U - I stays small where the float check
+        # U.T @ M @ U reads 1e-5 (1, 20) and 3e-9 (2, 14) from cancellation alone;
+        # at (1, 20) the bound is that of the correctly rounded exact basis
+        assert exact_orthonormality_gap(d, m) <= bound
+
+    def test_project_never_forms_w(self):
+        from bernfit import approx
+
+        sx.simplex_spectral_factors.cache_clear()
+        p = approx.project(approx.get_function("g0"), 5, approx.default_rule(2))
+        assert p.coeffs.shape == (21,)
+        assert sx.simplex_spectral_factors.cache_info().currsize == 0
+
+
 class TestIntegral:
     def test_constant(self):
         p = sx.PolyCoeffs(2, np.ones(6), dim=2)
@@ -491,6 +601,18 @@ class TestIntegral:
         p = sx.PolyCoeffs(3, c, dim=2)
         oracle = triangle_quadrature(lambda x, y: sx.simplex_evaluate(p, [x, y]))
         assert sx.simplex_integral(p) == pytest.approx(oracle, abs=1e-13)
+
+
+def test_imports_nothing_from_scipy():
+    # the basis layer is numpy only
+    for node in ast.walk(ast.parse(Path(sx.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[0] == "scipy" for name in names), ast.unparse(node)
 
 
 def test_imports_nothing_from_bernstein():
