@@ -6,8 +6,9 @@ Omega0*(A) + Omega1*(B) with A and B positive semidefinite (Nesterov,
 basis u^k_i = x^i (1-x)^(k-i) = B^k_i / C(k, i), products and the factors
 x and 1-x only shift indices, so both maps sum Hankel antidiagonals into
 one 0/1 matrix per degree, built once, and the Bernstein coefficients are
-the u^m coefficients divided by C(m, k).  A quasi-Newton solver minimizes
-the projection cost over the cone on square factors A = R0 R0^T, B = R1 R1^T.
+the u^m coefficients divided by C(m, k).  Damped Newton steps on the
+exact Hessian minimize the projection cost over the cone on square factors
+A = R0 R0^T, B = R1 R1^T.
 """
 
 from __future__ import annotations
@@ -17,19 +18,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 
 from . import kkt, simplex
 from .simplex import PolyCoeffs, simplex_evaluate
 
 CONE_DEGREE_LIMIT = 12
-# one L-BFGS-B run from a seeded random start; the optimizer aims at
-# GRAD_TOL, but line searches often stop a shade above it at the
-# double-precision floor, so only a final gradient beyond STALL_TOL is a stall
+# damped Newton steps from a seeded random start until max|g| <= GRAD_TOL:
+# a step is kept when the cost falls by more than ACCEPT times the decrease
+# its quadratic model predicts, and the damping starts at DAMPING
 SEED = 1234
-MAX_ITERATIONS = 5000
+MAX_ITERATIONS = 200
 GRAD_TOL = 1e-10
-STALL_TOL = 1e-8
+ACCEPT = 1e-4
+DAMPING = 1e-8
 # a stationary point of the factored cost is the convex optimum when the
 # cost gradient Z in the blocks is PSD; lambda_min(Z) is tested against the
 # size p^T M p of the problem
@@ -150,14 +151,28 @@ def _unpack(z, sa, sb):
     return R0, R1
 
 
+def _residual(z, m, scale, target, sa, sb):
+    """r = scale * (Omega0*(A) + Omega1*(B)) - target at A = R0 R0^T, B = R1 R1^T."""
+    R0, R1 = _unpack(z, sa, sb)
+    return scale * (omega_operator(m) @ _pack(R0 @ R0.T, R1 @ R1.T)) - target
+
+
+def _residual_change(z, d, m, scale, sa, sb):
+    """r(z + d) - r(z), formed from d: (R + D)(R + D)^T - R R^T = D R^T + R D^T
+    + D D^T keeps its digits when the step is small against R."""
+    R0, R1 = _unpack(z, sa, sb)
+    D0, D1 = _unpack(d, sa, sb)
+    S0 = D0 @ R0.T
+    S1 = D1 @ R1.T
+    return scale * (omega_operator(m) @ _pack(S0 + S0.T + D0 @ D0.T, S1 + S1.T + D1 @ D1.T))
+
+
 def _block_gradient(z, m, scale, M, target, sa, sb):
     """Cost d_p(scale * (Omega0*(A) + Omega1*(B))) at A = R0 R0^T, B = R1 R1^T,
     with its gradient (GA, GB) in the blocks."""
-    R0, R1 = _unpack(z, sa, sb)
-    W = omega_operator(m)
-    r = scale * (W @ _pack(R0 @ R0.T, R1 @ R1.T)) - target
+    r = _residual(z, m, scale, target, sa, sb)
     Mr = M @ r
-    return float(r @ Mr), _unpack(W.T @ (scale * (2.0 * Mr)), sa, sb)
+    return float(r @ Mr), _unpack(omega_operator(m).T @ (scale * (2.0 * Mr)), sa, sb)
 
 
 def _composite(z, m, scale, M, target, sa, sb):
@@ -167,6 +182,74 @@ def _composite(z, m, scale, M, target, sa, sb):
     return cost, _pack(2.0 * GA @ R0, 2.0 * GB @ R1)
 
 
+def _hessian(z, m, scale, M, target, sa, sb):
+    """Hessian of the cost in the factors: 2 J^T M J + blockdiag(2 GA (x) I, 2 GB (x) I).
+
+    J = dr/dz has the columns 2 scale * (W_k R0)[i, a] for R0[i, a], W_k the
+    Hankel matrix of row k of the operator, and likewise for R1.
+    """
+    R0, R1 = _unpack(z, sa, sb)
+    _, (GA, GB) = _block_gradient(z, m, scale, M, target, sa, sb)
+    W = omega_operator(m)
+    WA = W[:, : sa * sa].reshape(m + 1, sa, sa)
+    WB = W[:, sa * sa :].reshape(m + 1, sb, sb)
+    J = np.hstack([(WA @ R0).reshape(m + 1, -1), (WB @ R1).reshape(m + 1, -1)])
+    J *= (2.0 * scale)[:, None]
+    H = 2.0 * (J.T @ M @ J)
+    for G, k, s in ((GA, 0, sa), (GB, sa * sa, sb)):
+        # G (x) I: entry G[i, j] at rows i*s + a, columns j*s + a
+        GI = 2.0 * G[:, None, :, None] * np.eye(s)[None, :, None, :]
+        H[k : k + s * s, k : k + s * s] += GI.reshape(s * s, s * s)
+    return H
+
+
+def _start_point(sa, sb):
+    """The seeded random factors every Newton run starts from."""
+    rng = np.random.default_rng(SEED)
+    return _pack(rng.standard_normal((sa, sa)) * 0.5, rng.standard_normal((sb, sb)) * 0.5)
+
+
+def _newton(z, args):
+    """Damped Newton descent on the factored cost from z.
+
+    Each step is -Q diag(1 / (lam + max(0, -lam_min) + mu)) Q^T g, with
+    Q diag(lam) Q^T the exact Hessian: the shift makes the system positive
+    definite at a saddle, and the damping mu gives a trust-region step
+    (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).  The cost change
+    is taken from the change in the residual, so the acceptance test stays
+    accurate while the decrease is far below the rounding of the cost.  Stops
+    when max|g| <= GRAD_TOL or after MAX_ITERATIONS steps.  mu is divided by
+    4 after a step that gains at least 3/4 of the predicted decrease and
+    multiplied by 4 after a rejected one.  Returns z, the steps and the cost
+    evaluations: one per step and one at the start.
+    """
+    m, scale, M, target, sa, sb = args
+    r = _residual(z, m, scale, target, sa, sb)
+    _, grad = _composite(z, *args)
+    mu, steps, lam = DAMPING, 0, None
+    while np.abs(grad).max() > GRAD_TOL and steps < MAX_ITERATIONS:
+        if lam is None:  # a rejected step keeps the factorization
+            lam, Q = np.linalg.eigh(_hessian(z, *args))
+            qg = Q.T @ grad
+            shifted = lam + max(0.0, -lam[0])
+        c = -qg / (shifted + mu)
+        predicted = -(qg @ c + 0.5 * (lam * c) @ c)
+        d = Q @ c
+        dr = _residual_change(z, d, m, scale, sa, sb)
+        decrease = -(dr @ M @ (2.0 * r + dr))
+        steps += 1
+        if decrease > ACCEPT * predicted:
+            z = z + d
+            r = _residual(z, m, scale, target, sa, sb)
+            _, grad = _composite(z, *args)
+            lam = None
+            if decrease >= 0.75 * predicted:
+                mu /= 4.0
+        else:
+            mu *= 4.0
+    return z, steps, steps + 1
+
+
 def solve_cone(p: PolyCoeffs) -> ConeResult:
     """Best approximation of p among degree-m polynomials nonnegative on [0, 1].
 
@@ -174,12 +257,14 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
     optimum: each u^m_k is a square, or x, 1-x or x(1-x) times one, so its
     coefficient C(m, k) p_k goes on one diagonal entry of A or B, and p is
     returned unchanged with that diagonal certificate and no iteration.
-    Otherwise one L-BFGS-B run on square factors from a seeded random
-    start.  Every local minimum of the factored cost is then a global one
-    (Burer & Monteiro, Math. Program. 103, 2005), but a stationary point
-    may be a saddle, so converged also requires the blocks' cost gradient
-    to be PSD: with <Z, X> = 0 at a stationary point, that is the convex
-    problem's KKT condition.  Both answers pass the same tests.
+    Otherwise damped Newton steps on square factors from a seeded random
+    start run until the factor gradient is at most GRAD_TOL; iterations
+    counts the steps and evaluations the cost evaluations.  Every local
+    minimum of the factored cost is a global one (Burer & Monteiro, Math.
+    Program. 103, 2005), but a stationary point may be a saddle, so
+    converged also requires the blocks' cost gradient to be PSD: with
+    <Z, X> = 0 at a stationary point, that is the convex problem's KKT
+    condition.  Both answers pass the same tests.
     """
     m = p.degree
     if m > CONE_DEGREE_LIMIT:
@@ -197,24 +282,13 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
         s = m % 2
         point = ConePoint(m=m, A=np.diag(u[s::2]), B=np.diag(u[1 - s :: 2]))
         z = _pack(np.diag(np.sqrt(u[s::2])), np.diag(np.sqrt(u[1 - s :: 2])))
-        cost, grad = _composite(z, *args)
         q, iterations, evaluations = p, 0, 0
     else:
-        rng = np.random.default_rng(SEED)
-        z0 = _pack(rng.standard_normal((sa, sa)) * 0.5, rng.standard_normal((sb, sb)) * 0.5)
-        res = optimize.minimize(
-            _composite,
-            z0,
-            args=args,
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(maxiter=MAX_ITERATIONS, gtol=GRAD_TOL, ftol=1e-18, maxcor=30),
-        )
-        z, cost, grad = res.x, res.fun, res.jac
+        z, iterations, evaluations = _newton(_start_point(sa, sb), args)
         R0, R1 = _unpack(z, sa, sb)
         point = ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
         q = PolyCoeffs(degree=m, coeffs=scale * omega_adjoint(point))
-        iterations, evaluations = res.nit, res.nfev
+    cost, grad = _composite(z, *args)
     gnorm = float(np.abs(grad).max())
     _, blocks = _block_gradient(z, *args)
     dual_min = min(np.linalg.eigvalsh(G)[0] for G in blocks if G.size)
@@ -225,7 +299,7 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
         objective=float(cost),
         grad_norm=gnorm,
         dual_min=float(dual_min),
-        converged=gnorm <= STALL_TOL and dual_min >= -floor,
+        converged=gnorm <= GRAD_TOL and dual_min >= -floor,
         iterations=int(iterations),
         evaluations=int(evaluations),
     )

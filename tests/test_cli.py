@@ -124,6 +124,18 @@ class TestErrorTable:
         assert len(lines) == 12
         assert all(cone_cell == project_cell for _, project_cell, cone_cell in lines)
 
+    def test_nonnegative_function_is_its_cone_cell(self, tmp_path):
+        # f0's projection at m = 11, 12 is nonnegative on [0, 1] though not
+        # coefficientwise: the cone cell must reach the projection's error,
+        # not a solver floor near 1e-6
+        out = tmp_path / "errors.csv"
+        rc = main(["--func", "f0", "--mmin", "11", "--mmax", "12",
+                   "--methods", "project,cone", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_table(out)
+        assert rows[:, 0].tolist() == [11.0, 12.0]
+        assert np.all(np.abs(rows[:, 2] - rows[:, 1]) <= 0.02 * rows[:, 1])
+
 
 class TestSamples:
     def test_grid_and_feasibility(self, tmp_path):

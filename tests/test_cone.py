@@ -302,11 +302,11 @@ class TestSolveCone:
         scale = kkt.objective(prob, np.zeros(m + 1))
         assert cone.cone_objective(p, res.q) <= bound + 1e-6 * (bound + scale) + 1e-14
 
-    @pytest.mark.parametrize("ident", ["f2", "f3", "f2alt"])
+    @pytest.mark.parametrize("ident", ["f0", "f1", "f2", "f3", "f2alt"])
     def test_converges_up_to_the_degree_limit(self, ident):
-        # the targets on which a monomial-basis certificate stalled.  The
-        # degree m-1 cone lies inside the degree m cone, so the squared L2
-        # distance to f, cost + ||p - f||^2, is nonincreasing in m
+        # every corpus target converges within the step cap.  The degree
+        # m-1 cone lies inside the degree m cone, so the squared L2 distance
+        # to f, cost + ||p - f||^2, is nonincreasing in m
         from bernfit import approx
 
         f = approx.get_function(ident)
@@ -316,6 +316,7 @@ class TestSolveCone:
             p = approx.project(f, m, quad)
             res = cone.solve_cone(p)
             assert res.converged, (m, res.grad_norm, res.dual_min)
+            assert res.iterations < cone.MAX_ITERATIONS, (m, res.iterations)
             prob = kkt.KktProblem(dim=1, m=m, n=m, target=p.coeffs)
             bound = kkt.objective(prob, kkt.solve(prob).q.coeffs)
             scale = kkt.objective(prob, np.zeros(m + 1))
@@ -325,16 +326,29 @@ class TestSolveCone:
             assert dist <= previous + 1e-6 * scale, (m, dist, previous)
             previous = dist
 
+    @pytest.mark.parametrize("ident, m", [("f0", 11), ("f0", 12), ("f3", 11), ("f3", 12)])
+    def test_nonnegative_projection_reaches_zero_cost(self, ident, m):
+        # these projections are nonnegative on [0, 1] (adaptive de Casteljau
+        # subdivision proves it) but have negative Bernstein coefficients, so
+        # the Newton run must find p itself: cost 0 up to rounding
+        from bernfit import approx
+
+        p = approx.project(approx.get_function(ident), m)
+        assert p.coeffs.min() < 0.0
+        res = cone.solve_cone(p)
+        assert res.converged
+        assert res.objective < 1e-15
+        assert cone.cone_objective(p, res.q) < 1e-15
+
     def test_saddle_point_is_not_converged(self, monkeypatch):
         # R = 0 is stationary for the factored cost, but the cost gradient
         # in the blocks is not PSD there: the dual check rejects it.  f2's
-        # projection at m = 2 has a negative coefficient, so the optimizer runs
+        # projection at m = 2 has a negative coefficient, so the Newton loop
+        # runs, from R = 0
         from bernfit import approx
 
-        minimize = cone.optimize.minimize
-        monkeypatch.setattr(
-            cone.optimize, "minimize", lambda fun, x0, **kw: minimize(fun, 0 * x0, **kw)
-        )
+        start_point = cone._start_point
+        monkeypatch.setattr(cone, "_start_point", lambda sa, sb: 0.0 * start_point(sa, sb))
         res = cone.solve_cone(approx.project(approx.get_function("f2"), 2))
         assert res.grad_norm == 0.0
         assert res.dual_min < -0.1
@@ -349,7 +363,7 @@ class TestNonnegativeTarget:
         def no_optimizer(*args, **kwargs):
             raise AssertionError("optimizer called on a nonnegative target")
 
-        monkeypatch.setattr(cone.optimize, "minimize", no_optimizer)
+        monkeypatch.setattr(cone, "_newton", no_optimizer)
         rng = np.random.default_rng(m)
         c = rng.uniform(0.0, 1.0, m + 1)
         c[rng.integers(m + 1)] = 0.0
@@ -413,3 +427,23 @@ class TestCompositeGradient:
             lambda zz: cone._composite(zz, m, scale, M, target, sa, sb)[0], z, h=1e-5
         )
         assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5
+
+
+class TestHessian:
+    @pytest.mark.parametrize("m", [0, 1, 4, 7, 12])
+    def test_against_finite_differences_of_the_gradient(self, m):
+        rng = np.random.default_rng(70 + m)
+        sa, sb = cone._block_sizes(m)
+        scale = 1.0 / np.array([math.comb(m, k) for k in range(m + 1)])
+        M = sx.simplex_mass_matrix(1, m)
+        target = rng.uniform(-1, 1, m + 1)
+        z = rng.standard_normal(sa * sa + sb * sb)
+        args = (m, scale, M, target, sa, sb)
+        H = cone._hessian(z, *args)
+        h = 1e-5
+        fd = np.column_stack([
+            (cone._composite(z + e, *args)[1] - cone._composite(z - e, *args)[1]) / (2 * h)
+            for e in h * np.eye(z.size)
+        ])
+        assert np.max(np.abs(H - H.T)) <= 1e-14 * max(1.0, np.max(np.abs(H)))
+        assert np.max(np.abs(H - fd)) <= 1e-8 * max(1.0, np.max(np.abs(H)))
