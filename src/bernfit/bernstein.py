@@ -3,9 +3,10 @@
 The basis layer lives in simplex.py, which runs the interval through the
 same functions as every other dimension.  This module re-exports the
 polynomial type and de Casteljau evaluation under their univariate names.
-The three d = 1 views below compute nothing of their own; they stay only
-because the benchmark's tracer wraps them by name (bench/tracing.py, pinned
-by tests/test_names.py), and go with the next change to the benchmark.
+The three d = 1 views below compute nothing of their own (spectral_factors
+returns the array U^{m,n}); they stay only because the benchmark's tracer
+wraps them by name (bench/tracing.py, pinned by tests/test_names.py), and
+go with the next change to the benchmark.
 """
 
 from __future__ import annotations

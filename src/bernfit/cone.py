@@ -151,12 +151,6 @@ def _unpack(z, sa, sb):
     return R0, R1
 
 
-def _residual(z, m, scale, target, sa, sb):
-    """r = scale * (Omega0*(A) + Omega1*(B)) - target at A = R0 R0^T, B = R1 R1^T."""
-    R0, R1 = _unpack(z, sa, sb)
-    return scale * (omega_operator(m) @ _pack(R0 @ R0.T, R1 @ R1.T)) - target
-
-
 def _residual_change(z, d, m, scale, sa, sb):
     """r(z + d) - r(z), formed from d: (R + D)(R + D)^T - R R^T = D R^T + R D^T
     + D D^T keeps its digits when the step is small against R."""
@@ -167,29 +161,28 @@ def _residual_change(z, d, m, scale, sa, sb):
     return scale * (omega_operator(m) @ _pack(S0 + S0.T + D0 @ D0.T, S1 + S1.T + D1 @ D1.T))
 
 
-def _block_gradient(z, m, scale, M, target, sa, sb):
-    """Cost d_p(scale * (Omega0*(A) + Omega1*(B))) at A = R0 R0^T, B = R1 R1^T,
-    with its gradient (GA, GB) in the blocks."""
-    r = _residual(z, m, scale, target, sa, sb)
-    Mr = M @ r
-    return float(r @ Mr), _unpack(omega_operator(m).T @ (scale * (2.0 * Mr)), sa, sb)
-
-
-def _composite(z, m, scale, M, target, sa, sb):
-    """The cost and its gradient in the factors: 2 GA R0 and 2 GB R1."""
-    cost, (GA, GB) = _block_gradient(z, m, scale, M, target, sa, sb)
+def _state(z, m, scale, M, target, sa, sb):
+    """The residual r = scale * (Omega0*(A) + Omega1*(B)) - target at
+    A = R0 R0^T, B = R1 R1^T, formed once, with the cost r^T M r, its
+    gradient (GA, GB) in the blocks and its gradient in the factors,
+    2 GA R0 and 2 GB R1."""
     R0, R1 = _unpack(z, sa, sb)
-    return cost, _pack(2.0 * GA @ R0, 2.0 * GB @ R1)
+    W = omega_operator(m)
+    r = scale * (W @ _pack(R0 @ R0.T, R1 @ R1.T)) - target
+    Mr = M @ r
+    GA, GB = _unpack(W.T @ (scale * (2.0 * Mr)), sa, sb)
+    return r, float(r @ Mr), (GA, GB), _pack(2.0 * GA @ R0, 2.0 * GB @ R1)
 
 
-def _hessian(z, m, scale, M, target, sa, sb):
+def _hessian(z, blocks, m, scale, M, sa, sb):
     """Hessian of the cost in the factors: 2 J^T M J + blockdiag(2 GA (x) I, 2 GB (x) I).
 
-    J = dr/dz has the columns 2 scale * (W_k R0)[i, a] for R0[i, a], W_k the
-    Hankel matrix of row k of the operator, and likewise for R1.
+    blocks is (GA, GB) at z, from _state.  J = dr/dz has the columns
+    2 scale * (W_k R0)[i, a] for R0[i, a], W_k the Hankel matrix of row k of
+    the operator, and likewise for R1.
     """
     R0, R1 = _unpack(z, sa, sb)
-    _, (GA, GB) = _block_gradient(z, m, scale, M, target, sa, sb)
+    GA, GB = blocks
     W = omega_operator(m)
     WA = W[:, : sa * sa].reshape(m + 1, sa, sa)
     WB = W[:, sa * sa :].reshape(m + 1, sb, sb)
@@ -223,13 +216,12 @@ def _newton(z, args):
     multiplied by 4 after a rejected one.  Returns z, the steps and the cost
     evaluations: one per step and one at the start.
     """
-    m, scale, M, target, sa, sb = args
-    r = _residual(z, m, scale, target, sa, sb)
-    _, grad = _composite(z, *args)
+    m, scale, M, _, sa, sb = args
+    r, _, blocks, grad = _state(z, *args)
     mu, steps, lam = DAMPING, 0, None
     while np.abs(grad).max() > GRAD_TOL and steps < MAX_ITERATIONS:
         if lam is None:  # a rejected step keeps the factorization
-            lam, Q = np.linalg.eigh(_hessian(z, *args))
+            lam, Q = np.linalg.eigh(_hessian(z, blocks, m, scale, M, sa, sb))
             qg = Q.T @ grad
             shifted = lam + max(0.0, -lam[0])
         c = -qg / (shifted + mu)
@@ -240,8 +232,7 @@ def _newton(z, args):
         steps += 1
         if decrease > ACCEPT * predicted:
             z = z + d
-            r = _residual(z, m, scale, target, sa, sb)
-            _, grad = _composite(z, *args)
+            r, _, blocks, grad = _state(z, *args)
             lam = None
             if decrease >= 0.75 * predicted:
                 mu /= 4.0
@@ -288,9 +279,8 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
         R0, R1 = _unpack(z, sa, sb)
         point = ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
         q = PolyCoeffs(degree=m, coeffs=scale * omega_adjoint(point))
-    cost, grad = _composite(z, *args)
+    _, cost, blocks, grad = _state(z, *args)
     gnorm = float(np.abs(grad).max())
-    _, blocks = _block_gradient(z, *args)
     dual_min = min(np.linalg.eigvalsh(G)[0] for G in blocks if G.size)
     floor = DUAL_RTOL * float(target @ M @ target) + DUAL_ATOL
     return ConeResult(

@@ -5,32 +5,29 @@ elevation is componentwise nonnegative, optionally with the integral of q
 pinned to the integral of p (the delta switch).  Works on the interval
 (dim = 1) and on the unit right d-simplex with one code path.
 
-For an active set J the reduced system
+In the orthonormal coordinates q = p + U^{m,m} v the cost is ||v||^2 and
+the constraints read G v >= -E p, with G = U^{m,n} = E U^{m,m}; delta = 1
+drops G's constant column 0 (and v's entry), so the integral stays fixed.
+solve finds the active set J with one nonnegative least-squares (NNLS)
+call: Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23) turn
+this least distance program into an NNLS problem whose support is J.  On
+J the multipliers solve
 
-    sum_{j in J} (W_ij - c * delta) mu_j = -(E p)_i,   i in J,
+    (1/2) G_J G_J^T mu_J = -(E p)_J,
 
-is solved, where W is half the elevated inverse-mass product U U^T and
-c = d!/2.  J is accepted when the multipliers are nonnegative and the
-reconstructed elevated vector is feasible.
-
-solve finds J with one nonnegative least-squares (NNLS) call: in the
-orthonormal coordinates c = lam * U^T y the problem is the least distance
-program min ||c - c_p|| subject to U c >= 0, which Lawson & Hanson
-(Solving Least Squares Problems, 1974, ch. 23) turn into an NNLS problem
-whose support is J.  The exact reduced solve on J then gives the answer,
-so the constraint count is not bounded here.  A target whose elevation is
+and v = G_J^T mu_J / 2 gives both the elevated vector E p + G v and q.
+No subset is enumerated, so the constraint count is not bounded here.  A
+target whose elevation is
 already feasible skips NNLS and the reduced solve: it is its own answer.
-The paper's exhaustive search over every J, with its 2^MAX_SUBSET_BITS
-budget, is kept in the oracles module as the reference method the tests
-check solve against; solve shares the reduced solve and its checks
-(_accepted) with it only for the NNLS set.
+The paper's exhaustive search over every J, in the form (W - c delta)
+mu_J = -(E p)_J with W = U^{m,n} (U^{m,n})^T / 2, is kept in the oracles
+module as the reference method the tests check solve against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import optimize
@@ -50,7 +47,8 @@ NNLS_ITERATIONS = 10
 
 
 class NoFeasibleSubsetError(Exception):
-    """Raised when NNLS finds no active set or none passes both KKT checks.
+    """Raised when NNLS finds no active set, or its set fails the rank
+    guard, the dual check or the primal check.
 
     Should be impossible for a well-posed feasible problem; seeing it means
     either the constraints are infeasible (e.g. a mass constraint with
@@ -122,86 +120,38 @@ class KktDiagnostics:
 
 @dataclass(frozen=True)
 class _ProblemData:
-    """Precomputed matrices shared by every subset of one instance, all
-    read-only from simplex's caches."""
+    """The basis layer's matrices for one instance, all read-only from
+    simplex's caches."""
 
     E: np.ndarray            # elevation, constraints x unknowns
-    W: np.ndarray            # U^{m,n} (U^{m,n})^T / 2
-    Umn: np.ndarray
+    U: np.ndarray            # U^{m,m}: M-orthonormal basis at degree m
+    Umn: np.ndarray          # U^{m,n} = E U^{m,m}
     M: np.ndarray            # degree-m mass matrix
-    c_delta: float           # d!/2, subtracted from W on the active block
     c_eq: float              # m!/(m+d)!: integral of one degree-m basis function
-    d_factorial: float
 
 
-@lru_cache(maxsize=64)
 def _problem_data(dim: int, m: int, n: int) -> _ProblemData:
-    fac = simplex.simplex_spectral_factors(dim, m, n)
-    dfact = float(math.factorial(dim))
     return _ProblemData(
         E=simplex.simplex_elevation(dim, m, n),
-        W=fac.W,
-        Umn=fac.U,
+        U=simplex.orthogonal_complement_basis(dim, m),
+        Umn=simplex.simplex_spectral_factors(dim, m, n),
         M=simplex.simplex_mass_matrix(dim, m),
-        c_delta=dfact / 2.0,
         c_eq=_factorial_ratio((m,), (m + dim,)),
-        d_factorial=dfact,
     )
 
 
-def _candidate_solution(data, problem, J, mu_J):
-    """Assemble (mu, nu, y) for a dual-feasible subset; y is the elevated q."""
-    N = problem.num_constraints
-    mu = np.zeros(N)
-    if len(J):
-        mu[np.asarray(J)] = mu_J
-    nu = -data.d_factorial * float(mu.sum()) if problem.delta else 0.0
-    y = data.W @ mu + data.E @ problem.target
-    if problem.delta:
-        y += 0.5 * nu
-    return mu, nu, y
-
-
-def _accepted(data, problem: KktProblem, ep, chunk, counters: dict):
-    """Yield (J, mu, nu, y) for every row of chunk passing both KKT checks.
-
-    chunk stacks subsets of one size k as rows of constraint indices; the
-    accepted ones come out in row order.  A reduced matrix whose rank at
-    tolerance RANK_TOL * max|A| is below k is skipped, a zero block too.
-    """
-    batch, k = chunk.shape
-    A = data.W[chunk[:, :, None], chunk[:, None, :]]
-    if problem.delta:
-        A = A - data.c_delta
-    tol = RANK_TOL * np.abs(A).max(axis=(1, 2), initial=0.0)
-    fullrank = np.linalg.matrix_rank(A, tol=tol, hermitian=True) == k
-    chunk = chunk[fullrank]
-    x = np.linalg.solve(A[fullrank], -ep[chunk][..., None])[..., 0]
-    counters["subsets"] += batch
-    counters["solved"] += len(chunk)
-    counters["rank_skips"] += batch - len(chunk)
-    dual_ok = np.all(x >= -DUAL_TOL, axis=1)
-    for J, mu_J in zip(chunk[dual_ok], x[dual_ok]):
-        J = tuple(int(c) for c in J)
-        mu, nu, y = _candidate_solution(data, problem, J, mu_J)
-        counters["reconstructed"] += 1
-        if y.min() >= -PRIMAL_TOL:
-            yield J, mu, nu, y
-
-
-def _nnls_active_set(problem: KktProblem, data, ep) -> tuple[int, ...]:
+def _nnls_active_set(problem: KktProblem, G, ep) -> tuple[int, ...]:
     """The active set, as the support of one NNLS solution.
 
-    With x = c - c_p the problem is min ||x|| subject to G x >= h, where
-    G = Umn and h = -E p; with delta = 1 the constant column 0 of Umn is
-    dropped, so the integral stays fixed.  Lawson & Hanson solve it as
+    In the coordinates v of the module docstring the problem is
+    min ||v|| subject to G v >= h, where G is Umn, without its constant
+    column 0 when delta = 1, and h = -E p.  Lawson & Hanson solve it as
     min ||A u - e_last|| over u >= 0 with A = [G^T; h^T].  h is scaled to
     max |h| = 1, which leaves the support unchanged and bounds the distance
     to the feasible set by ||p||_L2 / max |E p| <= 1, so a feasible problem
-    has residual r_last = -1 / (1 + ||x||^2) <= -1/2 and an infeasible one
+    has residual r_last = -1 / (1 + ||v||^2) <= -1/2 and an infeasible one
     has r_last = 0.
     """
-    G = data.Umn[:, 1:] if problem.delta else data.Umn
     h = -ep / np.abs(ep).max()
     A = np.vstack([G.T, h])
     b = np.zeros(A.shape[0])
@@ -222,63 +172,71 @@ def _nnls_active_set(problem: KktProblem, data, ep) -> tuple[int, ...]:
     return tuple(int(j) for j in np.flatnonzero(u))
 
 
-def _counters() -> dict:
-    return dict(subsets=0, solved=0, reconstructed=0, rank_skips=0)
-
-
-def _finish(problem: KktProblem, J, mu, nu, y, counters) -> KktSolution:
-    """The solution for an accepted subset J.
-
-    With J = () the target is feasible and is returned unchanged;
-    otherwise q is the degree-m preimage of y.
-    """
-    if J:
-        q = simplex.simplex_downgrade(problem.dim, problem.m, problem.n, y)
-    else:
-        q = PolyCoeffs(problem.m, problem.target, problem.dim)
-    return KktSolution(
-        q=q,
-        mu=mu,
-        nu=nu,
-        active_set=J,
-        elevated=y,
-        subsets_examined=counters["subsets"],
-        systems_solved=counters["solved"],
-        candidates_reconstructed=counters["reconstructed"],
-        rank_skips=counters["rank_skips"],
-    )
-
-
 def solve(problem: KktProblem) -> KktSolution:
     """Find the unique constrained minimizer.
 
     A target whose elevation is feasible is its own answer (J = ()), its
     coefficients returned unchanged; the test reads the signs of E p
     alone, with no reduced solve.
-    Otherwise NNLS names the active set J, and the reduced system on J,
-    checked as in the exhaustive search (_accepted), gives the solution.
-    The counters report the one or two subsets this examines: the empty
-    set, which the feasibility test stands for, then J.
+    Otherwise NNLS names the active set J, and the reduced system on J
+    gives the solution, refused unless it passes the rank guard, the dual
+    check and the primal check.  The counters report the one or two
+    subsets this examines: the empty set, which the feasibility test
+    stands for, then J.
     """
     data = _problem_data(problem.dim, problem.m, problem.n)
     ep = data.E @ problem.target
-    # the empty set examined, solved (0 x 0) and reconstructed
-    counters = dict(subsets=1, solved=1, reconstructed=1, rank_skips=0)
     if ep.min() >= -PRIMAL_TOL:
-        mu = np.zeros(problem.num_constraints)
-        # the empty set's nu, -d! * 0.0, keeps its sign bit
-        nu = -0.0 if problem.delta else 0.0
-        return _finish(problem, (), mu, nu, ep, counters)
-    J = _nnls_active_set(problem, data, ep)
-    chunk = np.array([J], dtype=np.intp)
-    found = next(_accepted(data, problem, ep, chunk, counters), None)
-    if found is None:
-        raise NoFeasibleSubsetError(
-            f"the active set {J} found by NNLS failed the KKT checks "
+        # the empty set examined, solved (0 x 0) and reconstructed; its nu,
+        # -d! * 0.0, keeps its sign bit
+        return KktSolution(
+            q=PolyCoeffs(problem.m, problem.target, problem.dim),
+            mu=np.zeros(problem.num_constraints),
+            nu=-0.0 if problem.delta else 0.0,
+            active_set=(),
+            elevated=ep,
+            subsets_examined=1,
+            systems_solved=1,
+            candidates_reconstructed=1,
+            rank_skips=0,
+        )
+    G = data.Umn[:, problem.delta :]
+    J = _nnls_active_set(problem, G, ep)
+
+    def refuse(check):
+        return NoFeasibleSubsetError(
+            f"the active set {J} found by NNLS fails the {check} "
             f"(m={problem.m}, n={problem.n}, dim={problem.dim}, "
             f"delta={problem.delta})"
         )
-    return _finish(problem, *found, counters)
+
+    active = list(J)
+    GJ = G[active]
+    A = 0.5 * (GJ @ GJ.T)
+    tol = RANK_TOL * np.abs(A).max(initial=0.0)
+    if np.linalg.matrix_rank(A, tol=tol, hermitian=True) < len(J):
+        raise refuse("rank guard")
+    mu_J = np.linalg.solve(A, -ep[active])
+    if not np.all(mu_J >= -DUAL_TOL):
+        raise refuse("dual check")
+    # q - p = U v: the cost is ||v||^2, and E p + G v is the elevated q
+    v = 0.5 * (GJ.T @ mu_J)
+    y = ep + G @ v
+    if not y.min() >= -PRIMAL_TOL:
+        raise refuse("primal check")
+    mu = np.zeros(problem.num_constraints)
+    mu[active] = mu_J
+    return KktSolution(
+        q=PolyCoeffs(problem.m, problem.target + data.U[:, problem.delta :] @ v, problem.dim),
+        mu=mu,
+        nu=-math.factorial(problem.dim) * float(mu.sum()) if problem.delta else 0.0,
+        active_set=J,
+        elevated=y,
+        subsets_examined=2,
+        systems_solved=2,
+        candidates_reconstructed=2,
+        rank_skips=0,
+    )
 
 
 def objective(problem: KktProblem, qvec) -> float:

@@ -1,27 +1,37 @@
 """Reference methods the test suite checks the production solvers against.
 
 enumerate_solve is the paper's exhaustive active-set search: it tries
-every subset J of the constraints by size, then lexicographically, with
-kkt's reduced solve and checks, and the minimizer is unique, so the first
-accepted J is the answer.  Its cost grows as 2^N in the constraint count N,
-so subset_iterator refuses N above MAX_SUBSET_BITS.
+every subset J of the constraints by size, then lexicographically, and
+solves the paper's reduced system
+
+    sum_{j in J} (W_ij - c * delta) mu_j = -(E p)_i,   i in J,
+
+with W = U^{m,n} (U^{m,n})^T / 2 formed here and c = d!/2.  J is accepted
+when the multipliers are nonnegative and the elevated vector W mu + E p +
+nu/2 is feasible, and q comes from the stationarity condition
+2 M (q - p) = E^T mu + nu c_eq 1.  The minimizer is unique, so the first
+accepted J is the answer.  Its cost grows as 2^N in the constraint count
+N, so subset_iterator refuses N above MAX_SUBSET_BITS.  kkt.solve shares
+only the basis layer's matrices with it, not its reduced solve.
 
 penalty_solve minimizes the same quadratic cost but replaces the
 constraints with quadratic penalty terms on an increasing weight schedule.
-It shares no code path with kkt (no subsets, no W matrices), which is the
-point: agreement between the two is evidence, not tautology.
+It shares no code path with kkt (no subsets, no reduced systems), which is
+the point: agreement between the two is evidence, not tautology.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from . import kkt
-from .kkt import KktProblem, KktSolution, _problem_data
+from . import kkt, simplex
+from .kkt import DUAL_TOL, PRIMAL_TOL, RANK_TOL, KktProblem, KktSolution, _problem_data
+from .simplex import PolyCoeffs
 
 # subsets of one size stacked into one batch of reduced solves
 _CHUNK = 32768
@@ -43,6 +53,63 @@ def subset_iterator(num_constraints: int):
         yield from itertools.combinations(range(num_constraints), k)
 
 
+@dataclass(frozen=True)
+class _PaperSystem:
+    """The paper's reduced-system matrix for one instance."""
+
+    W: np.ndarray            # U^{m,n} (U^{m,n})^T / 2
+    c_delta: float           # d!/2, subtracted from W on the active block
+
+
+def _paper_system(problem: KktProblem) -> _PaperSystem:
+    U = simplex.simplex_spectral_factors(problem.dim, problem.m, problem.n)
+    return _PaperSystem(W=0.5 * (U @ U.T), c_delta=math.factorial(problem.dim) / 2.0)
+
+
+def _counters() -> dict:
+    return dict(subsets=0, solved=0, reconstructed=0, rank_skips=0)
+
+
+def _candidate_solution(system, problem, ep, J, mu_J):
+    """Assemble (mu, nu, y) for a dual-feasible subset; y is the elevated q."""
+    N = problem.num_constraints
+    mu = np.zeros(N)
+    if len(J):
+        mu[np.asarray(J)] = mu_J
+    nu = -math.factorial(problem.dim) * float(mu.sum()) if problem.delta else 0.0
+    y = system.W @ mu + ep
+    if problem.delta:
+        y += 0.5 * nu
+    return mu, nu, y
+
+
+def _accepted(system, problem: KktProblem, ep, chunk, counters: dict):
+    """Yield (J, mu, nu, y) for every row of chunk passing both KKT checks.
+
+    chunk stacks subsets of one size k as rows of constraint indices; the
+    accepted ones come out in row order.  A reduced matrix whose rank at
+    tolerance RANK_TOL * max|A| is below k is skipped, a zero block too.
+    """
+    batch, k = chunk.shape
+    A = system.W[chunk[:, :, None], chunk[:, None, :]]
+    if problem.delta:
+        A = A - system.c_delta
+    tol = RANK_TOL * np.abs(A).max(axis=(1, 2), initial=0.0)
+    fullrank = np.linalg.matrix_rank(A, tol=tol, hermitian=True) == k
+    chunk = chunk[fullrank]
+    x = np.linalg.solve(A[fullrank], -ep[chunk][..., None])[..., 0]
+    counters["subsets"] += batch
+    counters["solved"] += len(chunk)
+    counters["rank_skips"] += batch - len(chunk)
+    dual_ok = np.all(x >= -DUAL_TOL, axis=1)
+    for J, mu_J in zip(chunk[dual_ok], x[dual_ok]):
+        J = tuple(int(c) for c in J)
+        mu, nu, y = _candidate_solution(system, problem, ep, J, mu_J)
+        counters["reconstructed"] += 1
+        if y.min() >= -PRIMAL_TOL:
+            yield J, mu, nu, y
+
+
 def _enumerate_accepted(problem: KktProblem, counters: dict):
     """Yield (J, mu, nu, y) for every subset passing both KKT checks.
 
@@ -51,15 +118,34 @@ def _enumerate_accepted(problem: KktProblem, counters: dict):
     matrix of rank r is singular beyond size r, so the rank guard would
     reject every such subset anyway.
     """
-    data = _problem_data(problem.dim, problem.m, problem.n)
-    ep = data.E @ problem.target
+    system = _paper_system(problem)
+    ep = _problem_data(problem.dim, problem.m, problem.n).E @ problem.target
     max_card = len(problem.target) - problem.delta
     for k, subsets in itertools.groupby(subset_iterator(problem.num_constraints), len):
         if k > max_card:
             break
         while chunk := list(itertools.islice(subsets, _CHUNK)):
             rows = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
-            yield from kkt._accepted(data, problem, ep, rows, counters)
+            yield from _accepted(system, problem, ep, rows, counters)
+
+
+def _finish(problem: KktProblem, J, mu, nu, y, counters) -> KktSolution:
+    """The solution for an accepted subset J, q from stationarity:
+    2 M (q - p) = E^T mu + nu c_eq 1."""
+    data = _problem_data(problem.dim, problem.m, problem.n)
+    rhs = data.E.T @ mu + nu * data.c_eq
+    q = problem.target + 0.5 * np.linalg.solve(data.M, rhs)
+    return KktSolution(
+        q=PolyCoeffs(problem.m, q, problem.dim),
+        mu=mu,
+        nu=nu,
+        active_set=J,
+        elevated=y,
+        subsets_examined=counters["subsets"],
+        systems_solved=counters["solved"],
+        candidates_reconstructed=counters["reconstructed"],
+        rank_skips=counters["rank_skips"],
+    )
 
 
 def enumerate_solve(problem: KktProblem, exhaustive: bool = False) -> KktSolution:
@@ -70,7 +156,7 @@ def enumerate_solve(problem: KktProblem, exhaustive: bool = False) -> KktSolutio
     makes all accepted subsets reconstruct the same polynomial, which tests
     verify).
     """
-    counters = kkt._counters()
+    counters = _counters()
     accepted = _enumerate_accepted(problem, counters)
     found = next(accepted, None)
     if found is None:
@@ -82,12 +168,12 @@ def enumerate_solve(problem: KktProblem, exhaustive: bool = False) -> KktSolutio
     if exhaustive:
         for _ in accepted:
             pass
-    return kkt._finish(problem, *found, counters)
+    return _finish(problem, *found, counters)
 
 
 def accepted_subsets(problem: KktProblem) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """All accepted (J, elevated vector) pairs, for uniqueness checks."""
-    return [(J, y) for J, _, _, y in _enumerate_accepted(problem, kkt._counters())]
+    return [(J, y) for J, _, _, y in _enumerate_accepted(problem, _counters())]
 
 
 class PenaltyStalledError(Exception):

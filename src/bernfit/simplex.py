@@ -332,65 +332,22 @@ def orthogonal_complement_basis(d: int, m: int) -> np.ndarray:
     return U
 
 
-@dataclass(frozen=True)
-class SimplexSpectralFactors:
-    """Block spectral data for the simplex mass matrices between degrees m <= n.
-
-    eigenvalues repeats lam^{d,n}_j according to its multiplicity
-    C(d+j-1, d-1), matching the column blocks of U.  W = U U^T / 2.
-    """
-
-    dim: int
-    m: int
-    n: int
-    eigenvalues: np.ndarray
-    U: np.ndarray
-    W: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.eigenvalues, self.U, self.W):
-            a.setflags(write=False)
-
-
 @lru_cache(maxsize=128)
-def simplex_spectral_factors(d: int, m: int, n: int) -> SimplexSpectralFactors:
-    """The M-orthonormal complement blocks j = 0..m, elevated to degree n.
+def simplex_spectral_factors(d: int, m: int, n: int) -> np.ndarray:
+    """U^{m,n}: the M-orthonormal complement blocks j = 0..m, elevated to degree n.
 
     U^{m,n} = E^{m->n} U^{m,m}, with U^{m,m} from orthogonal_complement_basis
     (itself at n = m).  Elevation preserves the L2 inner product, so the
-    columns of U are M^{d,n}-orthonormal eigenvectors of M^{d,n}.  Cached:
-    the factors are read-only and shared by every caller.
+    columns are M^{d,n}-orthonormal eigenvectors of M^{d,n}.  Cached and
+    read-only.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    lam_n, mult = simplex_mass_eigenvalues(d, n)
     U = orthogonal_complement_basis(d, m)
     if n > m:
         U = simplex_elevation(d, m, n) @ U
-    return SimplexSpectralFactors(
-        dim=d,
-        m=m,
-        n=n,
-        eigenvalues=np.repeat(lam_n[: m + 1], mult[: m + 1]),
-        U=U,
-        W=0.5 * (U @ U.T),
-    )
-
-
-def simplex_downgrade(d: int, m: int, n: int, y) -> PolyCoeffs:
-    """Least-squares degree reduction of a degree-n coefficient vector.
-
-    Returns the degree-m coefficients solving min_x ||E^{m,n} x - y||_2,
-    computed in the spectral form U^{m,m} diag(lam^n) (U^{m,n})^T y.  Exact
-    (up to roundoff) whenever y lies in the range of the elevation.
-    """
-    y = np.asarray(y, dtype=float)
-    want = math.comb(d + n, d)
-    if y.shape != (want,):
-        raise ValueError(f"expected vector of length {want}, got {y.shape}")
-    fac_mn = simplex_spectral_factors(d, m, n)
-    q = orthogonal_complement_basis(d, m) @ (fac_mn.eigenvalues * (fac_mn.U.T @ y))
-    return PolyCoeffs(degree=m, coeffs=q, dim=d)
+        U.setflags(write=False)
+    return U
 
 
 def simplex_integral(p: PolyCoeffs) -> float:

@@ -37,10 +37,11 @@ def test_criterion_01_structural_identities():
         for n in range(0, 11):
             Mn = sx.simplex_mass_matrix(1, n)
             assert np.max(np.abs(Mn - exact.to_float(exact.mass(n)))) < 1e-15
-            S = sx.simplex_spectral_factors(1, n, n)
-            assert np.max(np.abs(S.eigenvalues - exact.to_float(exact.eigenvalues(n)))) < 1e-15
-            Q = S.U * np.sqrt(S.eigenvalues)
-            assert np.max(np.abs(Q @ np.diag(S.eigenvalues) @ Q.T - Mn)) < 1e-10
+            U = sx.simplex_spectral_factors(1, n, n)
+            lam, _ = sx.simplex_mass_eigenvalues(1, n)
+            assert np.max(np.abs(lam - exact.to_float(exact.eigenvalues(n)))) < 1e-15
+            Q = U * np.sqrt(lam)
+            assert np.max(np.abs(Q @ np.diag(lam) @ Q.T - Mn)) < 1e-10
             lam_n = exact.eigenvalues(n)
             for m in range(0, n + 1):
                 E = sx.simplex_elevation(1, m, n)
@@ -59,17 +60,14 @@ def test_criterion_02_w_spectrum():
     def check():
         for n in range(0, 11):
             for m in range(0, n + 1):
-                S = sx.simplex_spectral_factors(1, m, n)
-                ev = np.sort(np.linalg.eigvalsh(S.W))
-                nonzeros = ev[n - m :]
-                expected = np.sort(1.0 / (2.0 * S.eigenvalues))
+                # W = U U^T / 2 has rank m + 1 and the nonzero spectrum of
+                # U^T U / 2, which is diag(1 / (2 lam^n)) exactly
+                U = sx.simplex_spectral_factors(1, m, n)
+                expected = 1.0 / exact.to_float(exact.eigenvalues(n)[: m + 1])
                 # 1e-9 read as a relative tolerance: the largest of these
-                # eigenvalues is ~2e6, far beyond absolute 1e-9 resolution
-                rel = np.abs(nonzeros - expected) / np.maximum(1.0, expected)
-                assert np.max(rel) < 1e-9
-                zeros = ev[: n - m]
-                if len(zeros):
-                    assert np.max(np.abs(zeros)) < 1e-9 * max(1.0, expected.max())
+                # entries is ~4e6, far beyond absolute 1e-9 resolution
+                scale = np.maximum(1.0, np.sqrt(np.outer(expected, expected)))
+                assert np.max(np.abs(U.T @ U - np.diag(expected)) / scale) < 1e-9
 
     report(2, "W spectrum", check, budget=5.0)
 
@@ -189,9 +187,9 @@ def test_criterion_08_gradient_checks():
         M = sx.simplex_mass_matrix(1, m)
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
-        _, grad = cone._composite(z, m, to_bernstein, M, target, sa, sb)
+        grad = cone._state(z, m, to_bernstein, M, target, sa, sb)[3]
         fd = oracles.finite_diff_gradient(
-            lambda zz: cone._composite(zz, m, to_bernstein, M, target, sa, sb)[0], z, h=1e-5
+            lambda zz: cone._state(zz, m, to_bernstein, M, target, sa, sb)[1], z, h=1e-5
         )
         assert np.max(np.abs(fd - grad)) / max(np.max(np.abs(grad)), 1e-12) < 1e-5
 

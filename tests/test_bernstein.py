@@ -228,19 +228,23 @@ class TestSpectralFactors:
     def test_eigenvalues_1_1(self):
         # oracle: symmetric eigensolve of the 2x2 mass matrix
         oracle = np.sort(np.linalg.eigvalsh(exact.to_float(exact.mass(1))))[::-1]
-        S = sx.simplex_spectral_factors(1, 1, 1)
-        assert np.allclose(S.eigenvalues, oracle, atol=1e-15)
-        assert np.allclose(S.eigenvalues, [0.5, 1 / 6], atol=1e-15)
+        lam, _ = sx.simplex_mass_eigenvalues(1, 1)
+        assert np.allclose(lam, oracle, atol=1e-15)
+        assert np.allclose(lam, [0.5, 1 / 6], atol=1e-15)
+        # each column of U^{1,1} is an eigenvector of M for its eigenvalue
+        U = sx.simplex_spectral_factors(1, 1, 1)
+        assert np.allclose(exact.to_float(exact.mass(1)) @ U, U * lam, atol=1e-15)
 
     def test_trivial(self):
-        S = sx.simplex_spectral_factors(1, 0, 0)
-        assert np.allclose(S.U, [[1.0]])
-        assert np.allclose(S.W, [[0.5]])
+        U = sx.simplex_spectral_factors(1, 0, 0)
+        assert np.allclose(U, [[1.0]])
+        # W = U U^T / 2
+        assert np.allclose(0.5 * U @ U.T, [[0.5]])
 
     def test_u_columns_1_2(self):
-        S = sx.simplex_spectral_factors(1, 1, 2)
-        assert np.allclose(S.U[:, 0], [1, 1, 1], atol=1e-15)
-        assert np.allclose(S.U[:, 1], math.sqrt(3) * np.array([1, 0, -1]), atol=1e-14)
+        U = sx.simplex_spectral_factors(1, 1, 2)
+        assert np.allclose(U[:, 0], [1, 1, 1], atol=1e-15)
+        assert np.allclose(U[:, 1], math.sqrt(3) * np.array([1, 0, -1]), atol=1e-14)
 
     def test_eigenvalue_formula(self):
         lam, mult = sx.simplex_mass_eigenvalues(1, 6)
@@ -249,40 +253,38 @@ class TestSpectralFactors:
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_reconstruction_and_orthogonality(self, n):
-        S = sx.simplex_spectral_factors(1, n, n)
+        U = sx.simplex_spectral_factors(1, n, n)
+        lam, _ = sx.simplex_mass_eigenvalues(1, n)
         M = exact.to_float(exact.mass(n))
         # the orthonormal eigenvectors: column j of U times sqrt(lam_j)
-        Q = S.U * np.sqrt(S.eigenvalues)
-        assert np.max(np.abs(Q @ np.diag(S.eigenvalues) @ Q.T - M)) < 1e-10
+        Q = U * np.sqrt(lam)
+        assert np.max(np.abs(Q @ np.diag(lam) @ Q.T - M)) < 1e-10
         assert np.max(np.abs(Q.T @ Q - np.eye(n + 1))) < 1e-10
 
     def test_u_matches_dense_elevation(self):
         for m, n in [(0, 3), (2, 6), (4, 9)]:
-            S = sx.simplex_spectral_factors(1, m, n)
+            U = sx.simplex_spectral_factors(1, m, n)
             for j in range(m + 1):
-                assert np.max(np.abs(S.U[:, j] - legendre_column(j, n))) < 1e-12
+                assert np.max(np.abs(U[:, j] - legendre_column(j, n))) < 1e-12
 
     def test_w_spectrum(self):
         for m in range(0, 11):
             for n in range(m, 11):
-                S = sx.simplex_spectral_factors(1, m, n)
-                ev = np.sort(np.linalg.eigvalsh(S.W))
-                zeros, nonzeros = ev[: n - m], ev[n - m :]
-                lam = exact.to_float(exact.eigenvalues(n)[: m + 1])
-                expected = np.sort(1.0 / (2.0 * lam))
-                rel = np.abs(nonzeros - expected) / np.maximum(1.0, expected)
-                assert np.max(rel) < 1e-9
-                if len(zeros):
-                    assert np.max(np.abs(zeros)) < 1e-9 * max(1.0, expected.max())
+                # W = U U^T / 2 has rank m + 1 and the nonzero spectrum of
+                # U^T U / 2, which is diag(1 / (2 lam^n)) exactly
+                U = sx.simplex_spectral_factors(1, m, n)
+                expected = 1.0 / exact.to_float(exact.eigenvalues(n)[: m + 1])
+                scale = np.maximum(1.0, np.sqrt(np.outer(expected, expected)))
+                assert np.max(np.abs(U.T @ U - np.diag(expected)) / scale) < 1e-9
 
     def test_elevated_inverse_identity(self):
         for n in range(0, 11):
             for m in range(0, n + 1):
                 E = exact.to_float(exact.elevation(m, n))
-                Smm = sx.simplex_spectral_factors(1, m, m)
-                Minv = Smm.U @ Smm.U.T  # inverse via the factors themselves
-                S = sx.simplex_spectral_factors(1, m, n)
-                assert np.max(np.abs(E @ Minv @ E.T - S.U @ S.U.T)) < 1e-9
+                Umm = sx.simplex_spectral_factors(1, m, m)
+                Minv = Umm @ Umm.T  # inverse via the factors themselves
+                U = sx.simplex_spectral_factors(1, m, n)
+                assert np.max(np.abs(E @ Minv @ E.T - U @ U.T)) < 1e-9
 
     def test_ete_eigenrelation(self):
         for n in range(0, 11):
@@ -294,36 +296,6 @@ class TestSpectralFactors:
                     v = legendre_column(j, m)
                     resid = E.T @ (E @ v) - float(lam_m[j] / lam_n[j]) * v
                     assert np.max(np.abs(resid)) < 1e-10
-
-
-class TestDowngrade:
-    def test_invert_elevation(self):
-        q = sx.simplex_downgrade(1, 1, 2, [0, 0.5, 1]).coeffs
-        assert np.allclose(q, [0, 1], atol=1e-12)
-
-    def test_identity_when_equal(self):
-        y = np.array([0.3, -1.2, 0.5])
-        assert np.allclose(sx.simplex_downgrade(1, 2, 2, y).coeffs, y, atol=1e-13)
-
-    def test_normal_equations_oracle(self):
-        q = sx.simplex_downgrade(1, 0, 1, [0, 1]).coeffs
-        assert np.allclose(q, [0.5], atol=1e-15)
-        rng = np.random.default_rng(3)
-        for m, n in [(0, 1), (2, 5), (4, 9)]:
-            y = rng.uniform(-1, 1, n + 1)
-            E = exact.to_float(exact.elevation(m, n))
-            oracle = np.linalg.lstsq(E, y, rcond=None)[0]
-            q = sx.simplex_downgrade(1, m, n, y).coeffs
-            assert np.max(np.abs(q - oracle)) < 1e-10
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(4)
-        for m, n in [(0, 6), (3, 5), (5, 12)]:
-            c = rng.uniform(-1, 1, m + 1)
-            E = exact.to_float(exact.elevation(m, n))
-            y = E @ c
-            back = sx.simplex_downgrade(1, m, n, y).coeffs
-            assert np.max(np.abs(E @ back - y)) < 1e-10
 
 
 class TestPolyCoeffs:
@@ -343,6 +315,6 @@ class TestViews:
         assert np.array_equal(bn.elevation_matrix(2, 5), exact.to_float(exact.elevation(2, 5)))
         ref = exact.to_float(exact.mass(4))
         assert np.max(np.abs(bn.mass_matrix(4) - ref) / ref) <= 1e-15
-        S = bn.spectral_factors(2, 4)
+        U = bn.spectral_factors(2, 4)
         for j in range(3):
-            assert np.max(np.abs(S.U[:, j] - legendre_column(j, 4))) < 1e-12
+            assert np.max(np.abs(U[:, j] - legendre_column(j, 4))) < 1e-12

@@ -406,9 +406,9 @@ class TestCompositeGradient:
         M = sx.simplex_mass_matrix(1, m)
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
-        val, grad = cone._composite(z, m, scale, M, target, sa, sb)
+        grad = cone._state(z, m, scale, M, target, sa, sb)[3]
         fd = finite_diff_gradient(
-            lambda zz: cone._composite(zz, m, scale, M, target, sa, sb)[0], z, h=1e-5
+            lambda zz: cone._state(zz, m, scale, M, target, sa, sb)[1], z, h=1e-5
         )
         assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5
 
@@ -422,9 +422,9 @@ class TestCompositeGradient:
         M = sx.simplex_mass_matrix(1, m)
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
-        val, grad = cone._composite(z, m, scale, M, target, sa, sb)
+        grad = cone._state(z, m, scale, M, target, sa, sb)[3]
         fd = finite_diff_gradient(
-            lambda zz: cone._composite(zz, m, scale, M, target, sa, sb)[0], z, h=1e-5
+            lambda zz: cone._state(zz, m, scale, M, target, sa, sb)[1], z, h=1e-5
         )
         assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-5
 
@@ -439,10 +439,10 @@ class TestHessian:
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
         args = (m, scale, M, target, sa, sb)
-        H = cone._hessian(z, *args)
+        H = cone._hessian(z, cone._state(z, *args)[2], m, scale, M, sa, sb)
         h = 1e-5
         fd = np.column_stack([
-            (cone._composite(z + e, *args)[1] - cone._composite(z - e, *args)[1]) / (2 * h)
+            (cone._state(z + e, *args)[3] - cone._state(z - e, *args)[3]) / (2 * h)
             for e in h * np.eye(z.size)
         ])
         assert np.max(np.abs(H - H.T)) <= 1e-14 * max(1.0, np.max(np.abs(H)))

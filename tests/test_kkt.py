@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+import exact
 from bernfit import bernstein as bn
 from bernfit import approx, kkt, oracles
 from bernfit import simplex as sx
@@ -207,7 +208,7 @@ class TestOptimalityProperties:
         tried = 0
         while tried < 100:
             z = rng.uniform(0, 1, 7)
-            q = sx.simplex_downgrade(1, 3, 6, z).coeffs
+            q = np.linalg.lstsq(E, z, rcond=None)[0]
             if (E @ q).min() >= 0:
                 tried += 1
                 assert best <= kkt.objective(prob, q) + 1e-10
@@ -246,8 +247,9 @@ class TestOptimalityProperties:
             first = oracles.enumerate_solve(prob)
             accepted = oracles.accepted_subsets(prob)
             assert accepted[0][0] == first.active_set
+            E = sx.simplex_elevation(1, m, n)
             for J, y in accepted:
-                q = sx.simplex_downgrade(1, m, n, y).coeffs
+                q = np.linalg.lstsq(E, y, rcond=None)[0]
                 assert np.max(np.abs(q - first.q.coeffs)) < 1e-9
 
     def test_rank_guard_never_trips_without_duplicates(self):
@@ -260,13 +262,13 @@ class TestOptimalityProperties:
             assert sol.rank_skips == 0
 
     def test_zero_block_is_rank_deficient(self):
-        # W_jj - d!/2 == 0: the rank guard skips the block rather than
-        # solving a system with no pivot
+        # W_jj - d!/2 == 0: the enumerator's rank guard skips the block
+        # rather than solving a system with no pivot
         prob = kkt.KktProblem(dim=1, m=0, n=0, target=np.array([1.0]), delta=1)
-        data = types.SimpleNamespace(W=np.full((1, 1), 0.5), c_delta=0.5)
-        counters = kkt._counters()
+        system = types.SimpleNamespace(W=np.full((1, 1), 0.5), c_delta=0.5)
+        counters = oracles._counters()
         chunk = np.array([[0]], dtype=np.intp)
-        assert list(kkt._accepted(data, prob, np.array([-1.0]), chunk, counters)) == []
+        assert list(oracles._accepted(system, prob, np.array([-1.0]), chunk, counters)) == []
         assert counters == dict(subsets=1, solved=0, reconstructed=0, rank_skips=1)
 
     def test_subset_counters_reported(self):
@@ -276,6 +278,82 @@ class TestOptimalityProperties:
         assert sol.active_set != ()
         counts = (sol.subsets_examined, sol.systems_solved, sol.candidates_reconstructed, sol.rank_skips)
         assert counts == (2, 2, 2, 0)
+
+
+class TestRefusals:
+    """The reduced solve refuses a wrong active set, naming the check it fails."""
+
+    def refusal(self, monkeypatch, prob, J):
+        monkeypatch.setattr(kkt, "_nnls_active_set", lambda *args: J)
+        with pytest.raises(kkt.NoFeasibleSubsetError) as err:
+            kkt.solve(prob)
+        return str(err.value)
+
+    def test_rank_guard(self, monkeypatch):
+        # with the integral pinned, G at m = n = 0 has no column, so the
+        # reduced matrix on J = (0,) is zero
+        prob = kkt.KktProblem(dim=1, m=0, n=0, target=np.array([-1.0]), delta=1)
+        assert "rank guard" in self.refusal(monkeypatch, prob, (0,))
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_dual_check(self, monkeypatch, delta):
+        # the true set is (0, 2); the middle constraint alone needs mu_1 < 0
+        prob = kkt.KktProblem(dim=1, m=2, n=2, target=np.array([-1.0, 2.0, -1.0]), delta=delta)
+        assert kkt.solve(prob).active_set == (0, 2)
+        assert "dual check" in self.refusal(monkeypatch, prob, (1,))
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_primal_check(self, monkeypatch, delta):
+        # half the true set leaves the other end's elevated value negative
+        prob = kkt.KktProblem(dim=1, m=2, n=2, target=np.array([-1.0, 2.0, -1.0]), delta=delta)
+        assert "primal check" in self.refusal(monkeypatch, prob, (0,))
+
+
+def reference_solution(prob, J):
+    """q solving the KKT system of the active set J in 60-digit arithmetic:
+    2 M (q - p) = E_J^T mu_J + nu 1, (E q)_J = 0 and, with delta = 1,
+    sum(q) = sum(p), from the exact interval mass and elevation matrices."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        def mp(entries):
+            return mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in entries])
+
+        M = mp(exact.mass(prob.m))
+        E = mp(exact.elevation(prob.m, prob.n))
+        p = mpmath.matrix([mpmath.mpf(float(x)) for x in prob.target])
+        N, k = prob.m + 1, len(J)
+        size = N + k + prob.delta
+        A = mpmath.zeros(size, size)
+        rhs = mpmath.zeros(size, 1)
+        A[:N, :N] = 2 * M
+        rhs[:N, 0] = 2 * M * p
+        for r, j in enumerate(J):
+            for i in range(N):
+                A[i, N + r] = -E[j, i]
+                A[N + r, i] = E[j, i]
+        if prob.delta:
+            for i in range(N):
+                A[i, N + k] = -1
+                A[N + k, i] = 1
+            rhs[N + k] = sum(p)
+        x = mpmath.lu_solve(A, rhs)
+        return np.array([float(x[i]) for i in range(N)])
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("ident", ["f0", "f1", "f2", "f2alt", "f3"])
+    def test_against_60_digits_on_the_same_set(self, ident):
+        # the reduced solve on G_J stays within 4.1e-11 of the exact KKT
+        # solution of its own active set at the top of the 1-D range
+        f = approx.get_function(ident)
+        for m in (11, 12):
+            p = approx.project(f, m).coeffs
+            for delta in (0, 1):
+                prob = kkt.KktProblem(dim=1, m=m, n=m, target=p, delta=delta)
+                sol = kkt.solve(prob)
+                ref = reference_solution(prob, sol.active_set)
+                assert np.max(np.abs(sol.q.coeffs - ref)) <= 4.1e-11, (m, delta)
 
 
 # every property below runs on the same instances, drawn from fixed seeds so
@@ -367,16 +445,30 @@ class TestInputs:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cached_problem_data_is_read_only(self, dim):
-        kkt._problem_data.cache_clear()
         data = kkt._problem_data(dim, 2, 3)
         arrays = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 4
         # one cache per matrix: every array is the basis layer's own
-        fac = sx.simplex_spectral_factors(dim, 2, 3)
         assert data.E is sx.simplex_elevation(dim, 2, 3)
         assert data.M is sx.simplex_mass_matrix(dim, 2)
-        assert data.W is fac.W and data.Umn is fac.U
+        assert data.U is sx.orthogonal_complement_basis(dim, 2)
+        assert data.Umn is sx.simplex_spectral_factors(dim, 2, 3)
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
+
+    def test_problem_data_outlives_the_basis_caches(self):
+        # the problem data is read from the basis layer's caches on each call,
+        # so it never holds a second copy of a matrix they have dropped
+        kkt._problem_data(2, 2, 3)
+        for n in range(17):
+            for m in range(n + 1):
+                sx.simplex_elevation(1, m, n)
+                sx.simplex_spectral_factors(1, m, n)
+        assert sx.simplex_elevation.cache_info().maxsize < 17 * 18 // 2
+        assert sx.simplex_spectral_factors.cache_info().maxsize < 17 * 18 // 2
+        data = kkt._problem_data(2, 2, 3)
+        assert data.E is sx.simplex_elevation(2, 2, 3)
+        assert data.Umn is sx.simplex_spectral_factors(2, 2, 3)
+

@@ -391,39 +391,47 @@ class TestSpectralFactors:
             coeffs = exact.elevate(exact.legendre(j), n)
             return (-1) ** j * math.sqrt(2 * j + 1) * exact.to_float(coeffs)
 
-        S1 = sx.simplex_spectral_factors(1, 2, 4)
+        U1 = sx.simplex_spectral_factors(1, 2, 4)
         for j in range(3):
-            assert np.max(np.abs(S1.U[:, j] - legendre_column(j, 4))) < 1e-10
-        assert np.allclose(S1.eigenvalues, exact.to_float(exact.eigenvalues(4)[:3]), atol=1e-14)
+            assert np.max(np.abs(U1[:, j] - legendre_column(j, 4))) < 1e-10
+        lam, _ = sx.simplex_mass_eigenvalues(1, 4)
+        assert np.allclose(lam[:3], exact.to_float(exact.eigenvalues(4)[:3]), atol=1e-14)
         # the CLI's whole 1-D range: m <= 12, n <= m + 10
         for m in range(13):
             for n in range(m, m + 11):
-                S1 = sx.simplex_spectral_factors(1, m, n)
+                U1 = sx.simplex_spectral_factors(1, m, n)
                 for j in range(m + 1):
                     ref = legendre_column(j, n)
                     scale = np.max(np.abs(ref))
-                    assert np.max(np.abs(S1.U[:, j] - ref)) <= 1e-13 * scale
-                lam = exact.to_float(exact.eigenvalues(n)[: m + 1])
-                assert np.max(np.abs(S1.eigenvalues - lam) / lam) <= 1e-13
+                    assert np.max(np.abs(U1[:, j] - ref)) <= 1e-13 * scale
+                lam, _ = sx.simplex_mass_eigenvalues(1, n)
+                ref = exact.to_float(exact.eigenvalues(n))
+                assert np.max(np.abs(lam - ref) / ref) <= 1e-13
 
     def test_reconstruction(self):
-        S = sx.simplex_spectral_factors(2, 1, 1)
-        Q = S.U * np.sqrt(S.eigenvalues)
+        U = sx.simplex_spectral_factors(2, 1, 1)
+        lam, mult = sx.simplex_mass_eigenvalues(2, 1)
+        lam = np.repeat(lam, mult)
+        Q = U * np.sqrt(lam)
         M = sx.simplex_mass_matrix(2, 1)
-        assert np.max(np.abs(Q @ np.diag(S.eigenvalues) @ Q.T - M)) < 1e-10
+        assert np.max(np.abs(Q @ np.diag(lam) @ Q.T - M)) < 1e-10
 
     def test_w_rank(self):
-        S = sx.simplex_spectral_factors(2, 1, 2)
-        ev = np.sort(np.linalg.eigvalsh(S.W))[::-1]
-        assert np.max(np.abs(ev[3:])) < 1e-10
-        assert np.min(ev[:3]) > 0.1
+        # W = U U^T / 2 has rank 3: the spectrum of U^T U / 2, which is
+        # diag(1 / (2 lam^2)) with lam^{2,2} = (1/12, 1/30, 1/30)
+        U = sx.simplex_spectral_factors(2, 1, 2)
+        assert U.shape == (6, 3)
+        lam, mult = sx.simplex_mass_eigenvalues(2, 2)
+        expected = 1.0 / np.repeat(lam, mult)[:3]
+        assert np.max(np.abs(U.T @ U - np.diag(expected))) < 1e-10 * expected.max()
+        assert np.min(np.linalg.eigvalsh(0.5 * U.T @ U)) > 0.1
 
     @pytest.mark.parametrize("d,m,n", [(1, 2, 4), (2, 1, 2), (2, 2, 4), (3, 1, 3)])
     def test_elevated_inverse_identity(self, d, m, n):
-        S = sx.simplex_spectral_factors(d, m, n)
+        U = sx.simplex_spectral_factors(d, m, n)
         E = sx.simplex_elevation(d, m, n)
         Minv = np.linalg.inv(sx.simplex_mass_matrix(d, m))
-        assert np.max(np.abs(E @ Minv @ E.T - S.U @ S.U.T)) < 1e-9
+        assert np.max(np.abs(E @ Minv @ E.T - U @ U.T)) < 1e-9
 
     @pytest.mark.parametrize(
         "d,n,tol",
@@ -450,14 +458,14 @@ class TestSpectralFactors:
 
         exact = mpmath.matrix([[entry(a, b) for b in idx] for a in idx])
         ref = np.array(mpmath.inverse(exact).tolist(), dtype=float)
-        S = sx.simplex_spectral_factors(d, n, n)
-        assert np.max(np.abs(S.U @ S.U.T - ref)) <= tol * np.max(np.abs(ref))
+        U = sx.simplex_spectral_factors(d, n, n)
+        assert np.max(np.abs(U @ U.T - ref)) <= tol * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_orthonormal_in_degree_n_mass(self, n):
         M = sx.simplex_mass_matrix(2, n)
         for m in range(n):
-            U = sx.simplex_spectral_factors(2, m, n).U
+            U = sx.simplex_spectral_factors(2, m, n)
             assert np.max(np.abs(U.T @ M @ U - np.eye(U.shape[1]))) < 1e-10
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -466,10 +474,10 @@ class TestSpectralFactors:
         # blocks itself; its leading blocks are the stack one degree down,
         # elevated, up to roundoff
         for m in range(7):
-            U = sx.simplex_spectral_factors(d, m, m).U
+            U = sx.simplex_spectral_factors(d, m, m)
             assert U is sx.orthogonal_complement_basis(d, m)
             if m:
-                lower = sx.simplex_spectral_factors(d, m - 1, m).U
+                lower = sx.simplex_spectral_factors(d, m - 1, m)
                 gap = np.max(np.abs(U[:, : lower.shape[1]] - lower))
                 assert gap <= 1e-13 * np.max(np.abs(lower))
 
@@ -479,15 +487,13 @@ class TestSpectralFactors:
         for m in [m for dim, m in ONE_SHOT_CASES if dim == d]:
             Umm = sx.orthogonal_complement_basis(d, m)
             for n in range(m, m + (11 if d == 1 else 3)):
-                U = sx.simplex_spectral_factors(d, m, n).U
+                U = sx.simplex_spectral_factors(d, m, n)
                 assert np.array_equal(U, sx.simplex_elevation(d, m, n) @ Umm)
 
     def test_cached_arrays_are_read_only(self):
-        S = sx.simplex_spectral_factors(2, 3, 5)
         for a in (
-            S.U,
-            S.W,
-            S.eigenvalues,
+            sx.simplex_spectral_factors(2, 3, 5),
+            sx.simplex_spectral_factors(2, 3, 3),
             sx.orthogonal_complement_basis(2, 3),
             sx._multiindex_array(2, 3),
             sx._binomials(6),
@@ -501,12 +507,6 @@ class TestSpectralFactors:
     def test_mass_and_elevation_are_built_once(self):
         assert sx.simplex_mass_matrix(2, 4) is sx.simplex_mass_matrix(2, 4)
         assert sx.simplex_elevation(1, 3, 13) is sx.simplex_elevation(1, 3, 13)
-
-    def test_downgrade_roundtrip(self):
-        rng = np.random.default_rng(3)
-        c = rng.uniform(-1, 1, 6)
-        y = sx.simplex_elevation(2, 2, 4) @ c
-        assert np.max(np.abs(sx.simplex_downgrade(2, 2, 4, y).coeffs - c)) < 1e-12
 
 
 ONE_SHOT_CASES = (
