@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .simplex import PolyCoeffs, orthogonal_complement_basis, simplex_basis_values
+from .simplex import PolyCoeffs, _binomials, _multiindex_array, orthogonal_complement_basis
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,11 @@ def function_from_expression(expr: str, dim: int = 1) -> TargetFunction:
 class Quadrature:
     """Fixed integration rule on the unit d-simplex: [0, 1] for d = 1.
 
+    axis holds the rule's 1-D nodes u on [0, 1].  At d = 1 they are the
+    nodes themselves; at d = 2 the nodes are their tensor grid collapsed
+    onto the triangle, node i * P + j at (u_i, u_j (1 - u_i)) for P axis
+    nodes, with the Jacobian (1 - u_i) folded into its weight.  Moments
+    and node values are formed from univariate tables on the axis.
     Rules compare and hash by identity, so a rule can key a cache.
     """
 
@@ -150,10 +155,17 @@ class Quadrature:
     nodes: np.ndarray  # (npts, dim)
     weights: np.ndarray
     design_degree: int
+    axis: np.ndarray  # (P,), npts = P ** dim
 
     def __post_init__(self):
+        if self.nodes.shape[0] != self.axis.shape[0] ** self.dim:
+            raise ValueError(
+                f"{self.nodes.shape[0]} nodes do not form the {self.dim}-fold "
+                f"grid of {self.axis.shape[0]} axis nodes"
+            )
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
+        self.axis.setflags(write=False)
 
     def integrate_values(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
@@ -167,11 +179,13 @@ def interval_rule(points: int = 24) -> Quadrature:
     """Composite Gauss-Legendre rule on [0, 1]: points nodes on each of 16 panels."""
     x, w = np.polynomial.legendre.leggauss(points)
     h = 1.0 / 16
+    u = (np.arange(16)[:, None] * h + 0.5 * h * (x + 1.0)).ravel()
     return Quadrature(
         dim=1,
-        nodes=(np.arange(16)[:, None] * h + 0.5 * h * (x + 1.0)).reshape(-1, 1),
+        nodes=u.reshape(-1, 1),
         weights=np.tile(0.5 * h * w, 16),
         design_degree=2 * points - 1,
+        axis=u,
     )
 
 
@@ -182,6 +196,8 @@ def simplex_rule(points: int = 32) -> Quadrature:
     Maps the square through (u, v) -> (u, v(1-u)) with Jacobian (1-u); a
     polynomial of total degree k becomes a bivariate polynomial of degree
     at most k+1 per axis, so the rule is exact through degree 2*points - 2.
+    Both axes carry the same points Gauss nodes u on [0, 1], kept as the
+    rule's axis; nodes run u-major.
     """
     x, w = np.polynomial.legendre.leggauss(points)
     u = 0.5 * (x + 1.0)
@@ -195,6 +211,7 @@ def simplex_rule(points: int = 32) -> Quadrature:
         nodes=nodes,
         weights=weights,
         design_degree=2 * points - 2,
+        axis=u,
     )
 
 
@@ -205,24 +222,52 @@ def default_rule(dim: int, points: int | None = None) -> Quadrature:
 
 
 @lru_cache(maxsize=32)
-def _node_basis(quad: Quadrature, n: int) -> np.ndarray:
-    """Every degree-n basis polynomial at the rule's nodes, read-only.
+def _node_factors(quad: Quadrature, n: int) -> tuple[np.ndarray, ...]:
+    """The degree-n basis at the nodes as univariate tables, one per axis.
 
-    Cached, so the moments and the error of every approximant of one
-    degree share one matrix.
+    On the collapsed rule B^n_a(u, v(1-u)) = B^n_{a1}(u) B^{n-a1}_{a2}(v),
+    so at d = 2 the value of B^n_a at node i * P + j is
+    first[i, a] * second[j, a]; at d = 1 the one table is the basis at
+    the nodes.  Column a of the table of axis t holds B^k_c at the P axis
+    nodes, c = a_{t+1} and k = n - a_1 - ... - a_t, with a running over
+    multiindices(d, n), so no contraction gathers columns.  Each entry is
+    C(k, c) (1-u)^(k-c) u^c from repeated powers, multiplied in the order
+    of simplex_basis_values, so at d = 1 the table has its bits.  Cached
+    and read-only, so the moments and the error of every approximant of
+    one degree share the tables.
     """
-    basis = simplex_basis_values(quad.dim, n, quad.nodes)
-    basis.setflags(write=False)
-    return basis
+    c = _multiindex_array(quad.dim, n)[:, 1:].T
+    # the exponent k - c of (1 - u) on axis t: n - a_1 - ... - a_{t+1}
+    e = n - c.cumsum(0)
+    # pows[0, i] = (1-u)^i and pows[1, i] = u^i, one multiply per exponent
+    pows = np.ones((2, n + 1, quad.axis.shape[0]))
+    b = np.stack([1.0 - quad.axis, quad.axis])
+    for i in range(1, n + 1):
+        pows[:, i] = pows[:, i - 1] * b
+    tables = (_binomials(n)[e + c, c][..., None] * pows[0, e]) * pows[1, c]
+    factors = np.ascontiguousarray(tables.transpose(0, 2, 1))
+    factors.setflags(write=False)
+    return tuple(factors)
 
 
 def moments(f: TargetFunction, m: int, quad: Quadrature | None = None) -> np.ndarray:
-    """Integrals of f against every degree-m basis polynomial."""
+    """Integrals of f against every degree-m basis polynomial.
+
+    At d = 2 the weighted values F (P x P, u-major) are summed over v
+    first, H = F @ second, then over u against the first factor, so no
+    table of every basis polynomial at every node is formed.
+    """
     quad = quad or default_rule(f.dim)
     if quad.dim != f.dim:
         raise ValueError(f"rule is {quad.dim}-dimensional but f is {f.dim}-dimensional")
     fv = f(*quad.nodes.T)
-    return _node_basis(quad, m).T @ (quad.weights * np.asarray(fv, dtype=float))
+    weighted = quad.weights * np.asarray(fv, dtype=float)
+    factors = _node_factors(quad, m)
+    if quad.dim == 1:
+        return factors[0].T @ weighted
+    first, second = factors
+    P = first.shape[0]
+    return (first * (weighted.reshape(P, P) @ second)).sum(axis=0)
 
 
 def project(f: TargetFunction, m: int, quad: Quadrature | None = None) -> PolyCoeffs:
@@ -275,10 +320,19 @@ def p1_interpolant(f: TargetFunction, m: int) -> PiecewiseLinear:
 
 
 def _evaluate_candidate(q, quad: Quadrature) -> np.ndarray:
+    """Values of an approximant at the rule's nodes, in the nodes' order.
+
+    A PolyCoeffs at d = 2 is contracted factor by factor:
+    ((first * q) @ second^T)[i, j] is its value at node i * P + j.
+    """
     if isinstance(q, PolyCoeffs):
         if q.dim != quad.dim:
             raise ValueError(f"rule is {quad.dim}-dimensional but q is {q.dim}-dimensional")
-        return _node_basis(quad, q.degree) @ q.coeffs
+        factors = _node_factors(quad, q.degree)
+        if quad.dim == 1:
+            return factors[0] @ q.coeffs
+        first, second = factors
+        return ((first * q.coeffs) @ second.T).ravel()
     if callable(q):
         return q(*quad.nodes.T)
     raise TypeError(f"cannot evaluate approximation of type {type(q)!r}")

@@ -6,7 +6,8 @@ Optionally also writes the sampled approximants at one degree on a
 512-point grid (a second CSV next to the error table).
 
 Exit codes: 0 full success, 2 partial (some cells are NaN, each with a
-note on stderr), 1 on a bad specification.
+note on stderr), 1 on a bad specification or an output file that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -217,10 +218,22 @@ def _check_finite(f: TargetFunction, points, where: str) -> None:
         raise SpecError(f"target {f.ident} is not finite at every {where}")
 
 
+def _check_output(path: Path) -> None:
+    """Reject an output file that cannot be created, before any row."""
+    if not path.parent.is_dir():
+        raise SpecError(f"cannot write {path}: {path.parent} is not a directory")
+    if path.is_dir():
+        raise SpecError(f"cannot write {path}: it is a directory")
+
+
 def run(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     elevations = args.elevate if args.elevate else [0]
     _validate(args, methods, elevations)
+    out = Path(args.out)
+    _check_output(out)
+    if args.samples_degree is not None:
+        _check_output(samples_path(out))
     f = _resolve_function(args.func, args.dim)
     quad = approx.default_rule(args.dim, args.quad_points)
     # the mass-matrix normal equations integrate products of two degree-m
@@ -265,14 +278,8 @@ def run(args) -> int:
                 approximants[name] = obj
         table[m] = row
 
-    out = Path(args.out)
     header = ["m"] + [name for name, _, _ in cols]
-    with open(out, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for m in degrees:
-            cells = [str(m)] + [format_float(v) for v in table[m]]
-            fh.write(",".join(cells) + "\n")
-
+    columns = None
     if args.samples_degree is not None:
         columns = {"x": xs, "f": np.asarray(f(xs), dtype=float)}
         for name, _, _ in cols:
@@ -283,11 +290,21 @@ def run(args) -> int:
                 columns[name] = np.asarray(obj(xs), dtype=float)
             else:
                 columns[name] = simplex_evaluate(obj, xs)
-        spath = samples_path(out)
-        with open(spath, "w", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
-            for i in range(SAMPLE_POINTS):
-                fh.write(",".join(format_float(columns[k][i]) for k in columns) + "\n")
+
+    try:
+        with open(out, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for m in degrees:
+                cells = [str(m)] + [format_float(v) for v in table[m]]
+                fh.write(",".join(cells) + "\n")
+        if columns is not None:
+            with open(samples_path(out), "w", newline="\n") as fh:
+                fh.write(",".join(columns) + "\n")
+                for i in range(SAMPLE_POINTS):
+                    fh.write(",".join(format_float(columns[k][i]) for k in columns) + "\n")
+    except OSError as e:
+        print(f"bernfit: cannot write the output: {e}", file=sys.stderr)
+        return 1
 
     return 2 if failures else 0
 

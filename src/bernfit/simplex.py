@@ -266,19 +266,6 @@ def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
     return M
 
 
-def simplex_mass_eigenvalues(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues lam_j = (n!)^2 / ((n+j+d)! (n-j)!) with multiplicities.
-
-    Returns (values for j = 0..n, multiplicities C(d+j-1, d-1)).
-    """
-    lam = np.empty(n + 1)
-    lam[0] = _factorial_ratio((n,), (n + d,))
-    for j in range(n):
-        lam[j + 1] = lam[j] * (n - j) / (n + j + d + 1)
-    mult = np.array([math.comb(d + j - 1, d - 1) for j in range(n + 1)])
-    return lam, mult
-
-
 @lru_cache(maxsize=128)
 def orthogonal_complement_basis(d: int, m: int) -> np.ndarray:
     """U^{m,m}: the M^{d,m}-orthonormal complement blocks j = 0..m at degree m.

@@ -2,7 +2,8 @@
 
 Every quantity is a closed form over fractions.Fraction and math.comb, so
 the interval's mass, elevation and spectral data can be checked against
-numbers the package's own basis layer did not produce.
+numbers the package's own basis layer did not produce.  mass_eigenvalues
+gives the closed-form mass spectrum at every d in floating point.
 """
 
 import math
@@ -47,6 +48,22 @@ def eigenvalues(n):
         Fraction(math.factorial(n) ** 2, math.factorial(n + j + 1) * math.factorial(n - j))
         for j in range(n + 1)
     ]
+
+
+def mass_eigenvalues(d, n):
+    """Eigenvalues lam_j = (n!)^2 / ((n+j+d)! (n-j)!) of the degree-n mass
+    matrix on the d-simplex, with multiplicities.
+
+    Returns (values for j = 0..n, multiplicities C(d+j-1, d-1)): lam_0 =
+    n!/(n+d)! correctly rounded, then lam_{j+1} = lam_j (n-j)/(n+j+d+1)
+    in floating point.
+    """
+    lam = np.empty(n + 1)
+    lam[0] = math.factorial(n) / math.factorial(n + d)
+    for j in range(n):
+        lam[j + 1] = lam[j] * (n - j) / (n + j + d + 1)
+    mult = np.array([math.comb(d + j - 1, d - 1) for j in range(n + 1)])
+    return lam, mult
 
 
 def elevate(coeffs, n):

@@ -132,42 +132,99 @@ class TestProject:
         assert np.max(np.abs(resid)) < 1e-12
 
 
+def polynomial_target(q):
+    """A degree-m polynomial on the triangle as a target, by de Casteljau."""
+    return approx.TargetFunction(
+        "poly", q.dim, lambda *xy: sx.simplex_evaluate(q, np.column_stack(xy))
+    )
+
+
+def factor_outer(quad, n):
+    """Every degree-n basis polynomial at the nodes, from the rule's factors."""
+    first, second = approx._node_factors(quad, n)
+    P = quad.axis.shape[0]
+    return (first[:, None, :] * second[None, :, :]).reshape(P * P, -1)
+
+
 class TestNodeBasis:
     @pytest.mark.parametrize("ident,m", [("f2", 6), ("g2", 4)])
     def test_one_matrix_per_row(self, ident, m, monkeypatch):
         # project, then the errors of the projection and of a constrained
-        # fit of the same degree, build the node basis once
+        # fit of the same degree, build the univariate tables once and
+        # evaluate no basis polynomial at the nodes one by one
         built = []
 
         def counting(*args):
             built.append(args[:2])
             return sx.simplex_basis_values(*args)
 
-        monkeypatch.setattr(approx, "simplex_basis_values", counting)
+        # approx holds no name for it; one imported later is caught too
+        monkeypatch.setattr(sx, "simplex_basis_values", counting)
+        monkeypatch.setattr(approx, "simplex_basis_values", counting, raising=False)
         f = approx.get_function(ident)
         quad = approx.default_rule(f.dim)
-        approx._node_basis.cache_clear()
+        approx._node_factors.cache_clear()
         pr = approx.project(f, m, quad)
         approx.l2_error(f, pr, quad)
         sol = kkt.solve(kkt.KktProblem(dim=f.dim, m=m, n=m, target=pr.coeffs))
         approx.l2_error(f, sol.q, quad)
-        assert approx._node_basis.cache_info().misses == 1
-        assert built == [(f.dim, m)]
+        assert approx._node_factors.cache_info().misses == 1
+        assert built == []
 
     def test_read_only_and_unchanged(self):
-        quad = approx.simplex_rule()
-        basis = approx._node_basis(quad, 3)
-        assert not basis.flags.writeable
-        assert np.array_equal(basis, sx.simplex_basis_values(2, 3, quad.nodes))
+        for quad, axes, columns in [(approx.simplex_rule(), 2, 10), (approx.interval_rule(), 1, 4)]:
+            factors = approx._node_factors(quad, 3)
+            assert len(factors) == axes
+            for table in factors:
+                assert not table.flags.writeable
+                # one row per axis node, not per node of the rule
+                assert table.shape == (quad.axis.shape[0], columns)
+            assert factors is approx._node_factors(quad, 3)
+
+    @pytest.mark.parametrize("points", [1, 5, 24])
+    def test_one_axis_table_is_the_node_basis(self, points):
+        quad = approx.interval_rule(points)
+        for n in range(13):
+            (table,) = approx._node_factors(quad, n)
+            assert table.flags.c_contiguous
+            assert np.array_equal(table, sx.simplex_basis_values(1, n, quad.nodes))
+
+    @pytest.mark.parametrize("points", [5, 8, 16, 32])
+    def test_factors_match_basis_values(self, points):
+        quad = approx.simplex_rule(points)
+        for n in range(min(12, 2 * points - 1) + 1):
+            ref = sx.simplex_basis_values(2, n, quad.nodes)
+            assert np.max(np.abs(factor_outer(quad, n) - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("points,m", [(8, 7), (32, 10), (32, 12)])
+    def test_moments_of_a_polynomial(self, points, m):
+        # the rule is exact through degree 2m, so the moments are M q
+        quad = approx.simplex_rule(points)
+        rng = np.random.default_rng(m)
+        q = sx.PolyCoeffs(m, rng.uniform(-1, 1, math.comb(m + 2, 2)), dim=2)
+        ref = sx.simplex_mass_matrix(2, m) @ q.coeffs
+        mom = approx.moments(polynomial_target(q), m, quad)
+        assert np.max(np.abs(mom - ref)) <= 2e-14 * np.max(np.abs(ref))
+        values = approx._evaluate_candidate(q, quad)
+        assert values.shape == (points * points,)
+        assert np.max(np.abs(values - sx.simplex_evaluate(q, quad.nodes))) <= 1e-14
 
     def test_rules_hash_by_identity(self):
         a = approx.simplex_rule(points=8)
         b = approx.Quadrature(
             dim=a.dim, nodes=a.nodes.copy(), weights=a.weights.copy(),
-            design_degree=a.design_degree,
+            design_degree=a.design_degree, axis=a.axis.copy(),
         )
         assert a == a and a != b
         assert len({a, b}) == 2
+
+    def test_nodes_must_form_the_axis_grid(self):
+        a = approx.simplex_rule(points=8)
+        with pytest.raises(ValueError, match="grid"):
+            approx.Quadrature(
+                dim=2, nodes=a.nodes.copy(), weights=a.weights.copy(),
+                design_degree=a.design_degree, axis=a.axis[:7].copy(),
+            )
 
 
 class TestBernsteinOperator:

@@ -228,7 +228,7 @@ class TestSpectralFactors:
     def test_eigenvalues_1_1(self):
         # oracle: symmetric eigensolve of the 2x2 mass matrix
         oracle = np.sort(np.linalg.eigvalsh(exact.to_float(exact.mass(1))))[::-1]
-        lam, _ = sx.simplex_mass_eigenvalues(1, 1)
+        lam, _ = exact.mass_eigenvalues(1, 1)
         assert np.allclose(lam, oracle, atol=1e-15)
         assert np.allclose(lam, [0.5, 1 / 6], atol=1e-15)
         # each column of U^{1,1} is an eigenvector of M for its eigenvalue
@@ -247,14 +247,14 @@ class TestSpectralFactors:
         assert np.allclose(U[:, 1], math.sqrt(3) * np.array([1, 0, -1]), atol=1e-14)
 
     def test_eigenvalue_formula(self):
-        lam, mult = sx.simplex_mass_eigenvalues(1, 6)
+        lam, mult = exact.mass_eigenvalues(1, 6)
         assert mult.tolist() == [1] * 7
         assert np.allclose(lam, exact.to_float(exact.eigenvalues(6)), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_reconstruction_and_orthogonality(self, n):
         U = sx.simplex_spectral_factors(1, n, n)
-        lam, _ = sx.simplex_mass_eigenvalues(1, n)
+        lam, _ = exact.mass_eigenvalues(1, n)
         M = exact.to_float(exact.mass(n))
         # the orthonormal eigenvectors: column j of U times sqrt(lam_j)
         Q = U * np.sqrt(lam)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bernfit import approx, cone, kkt
+from bernfit import approx, cli, cone, kkt
 from bernfit import bernstein as bn
 from bernfit.cli import main, samples_path
 
@@ -287,6 +287,33 @@ class TestSpecErrors:
         assert main(argv + ["--out", str(out)]) == 0
         _, rows = read_table(out)
         assert np.isfinite(rows).all()
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--samples-degree", "2"]], ids=["errors", "samples"]
+    )
+    def test_unwritable_output_fails_before_the_first_row(
+        self, extra, tmp_path, capsys, monkeypatch
+    ):
+        rows = []
+        monkeypatch.setattr(approx, "project", lambda *a: rows.append(a))
+        for out in (tmp_path / "missing" / "errors.csv", tmp_path):
+            argv = ["--func", "f1", "--mmax", "3", "--out", str(out)] + extra
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("bernfit: cannot write ")
+        assert rows == []
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_write_is_a_note(self, tmp_path, capsys, monkeypatch):
+        def refusing(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "open", refusing, raising=False)
+        out = tmp_path / "errors.csv"
+        assert main(["--func", "f1", "--mmax", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("bernfit: cannot write the output: ")
+        assert str(out) in err[0]
 
     @pytest.mark.parametrize(
         "argv",

@@ -304,7 +304,7 @@ class TestMassMatrix:
         assert worst <= 1e-15
 
     def test_eigenvalue_fixture(self):
-        lam, mult = sx.simplex_mass_eigenvalues(2, 1)
+        lam, mult = exact.mass_eigenvalues(2, 1)
         assert np.allclose(lam, [1 / 6, 1 / 24])
         assert mult.tolist() == [1, 2]
 
@@ -312,7 +312,7 @@ class TestMassMatrix:
     @pytest.mark.parametrize("n", range(0, 5))
     def test_eigenvalue_multiset(self, d, n):
         M = sx.simplex_mass_matrix(d, n)
-        lam, mult = sx.simplex_mass_eigenvalues(d, n)
+        lam, mult = exact.mass_eigenvalues(d, n)
         expected = np.sort(np.repeat(lam, mult))
         got = np.sort(np.linalg.eigvalsh(M))
         assert np.max(np.abs(expected - got)) < 1e-10
@@ -326,7 +326,7 @@ class TestMassMatrix:
     def test_eigenvector_relation(self):
         for d, n in [(2, 3), (3, 2)]:
             M = sx.simplex_mass_matrix(d, n)
-            lam, _ = sx.simplex_mass_eigenvalues(d, n)
+            lam, _ = exact.mass_eigenvalues(d, n)
             for j in range(n + 1):
                 V = sx.simplex_elevation(d, j, n) @ complement_block(d, j)
                 assert np.max(np.abs(M @ V - lam[j] * V)) < 1e-10
@@ -394,7 +394,7 @@ class TestSpectralFactors:
         U1 = sx.simplex_spectral_factors(1, 2, 4)
         for j in range(3):
             assert np.max(np.abs(U1[:, j] - legendre_column(j, 4))) < 1e-10
-        lam, _ = sx.simplex_mass_eigenvalues(1, 4)
+        lam, _ = exact.mass_eigenvalues(1, 4)
         assert np.allclose(lam[:3], exact.to_float(exact.eigenvalues(4)[:3]), atol=1e-14)
         # the CLI's whole 1-D range: m <= 12, n <= m + 10
         for m in range(13):
@@ -404,13 +404,13 @@ class TestSpectralFactors:
                     ref = legendre_column(j, n)
                     scale = np.max(np.abs(ref))
                     assert np.max(np.abs(U1[:, j] - ref)) <= 1e-13 * scale
-                lam, _ = sx.simplex_mass_eigenvalues(1, n)
+                lam, _ = exact.mass_eigenvalues(1, n)
                 ref = exact.to_float(exact.eigenvalues(n))
                 assert np.max(np.abs(lam - ref) / ref) <= 1e-13
 
     def test_reconstruction(self):
         U = sx.simplex_spectral_factors(2, 1, 1)
-        lam, mult = sx.simplex_mass_eigenvalues(2, 1)
+        lam, mult = exact.mass_eigenvalues(2, 1)
         lam = np.repeat(lam, mult)
         Q = U * np.sqrt(lam)
         M = sx.simplex_mass_matrix(2, 1)
@@ -421,7 +421,7 @@ class TestSpectralFactors:
         # diag(1 / (2 lam^2)) with lam^{2,2} = (1/12, 1/30, 1/30)
         U = sx.simplex_spectral_factors(2, 1, 2)
         assert U.shape == (6, 3)
-        lam, mult = sx.simplex_mass_eigenvalues(2, 2)
+        lam, mult = exact.mass_eigenvalues(2, 2)
         expected = 1.0 / np.repeat(lam, mult)[:3]
         assert np.max(np.abs(U.T @ U - np.diag(expected))) < 1e-10 * expected.max()
         assert np.min(np.linalg.eigvalsh(0.5 * U.T @ U)) > 0.1
@@ -549,7 +549,7 @@ class TestOneShotBasis:
         # block j of U^{m,m} lies in the lam_j eigenspace of M^{d,m}
         U = sx.orthogonal_complement_basis(d, m)
         M = sx.simplex_mass_matrix(d, m)
-        lam, mult = sx.simplex_mass_eigenvalues(d, m)
+        lam, mult = exact.mass_eigenvalues(d, m)
         assert U.shape == M.shape and U.flags.c_contiguous
         start = 0
         for j in range(m + 1):
