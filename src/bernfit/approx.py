@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -143,29 +143,40 @@ def function_from_expression(expr: str, dim: int = 1) -> TargetFunction:
 class Quadrature:
     """Fixed integration rule on the unit d-simplex: [0, 1] for d = 1.
 
-    axis holds the rule's 1-D nodes u on [0, 1].  At d = 1 they are the
-    nodes themselves; at d = 2 the nodes are their tensor grid collapsed
-    onto the triangle, node i * P + j at (u_i, u_j (1 - u_i)) for P axis
-    nodes, with the Jacobian (1 - u_i) folded into its weight.  Moments
-    and node values are formed from univariate tables on the axis.
-    Rules compare and hash by identity, so a rule can key a cache.
+    A rule is its 1-D rule, nodes u (axis) and weights on [0, 1] exact
+    through axis_degree, plus a dimension.  Its nodes are the dim-fold
+    tensor grid of the axis collapsed onto the simplex, node
+    (i_1, ..., i_d), u-major, at x_t = u_t (1 - u_1) ... (1 - u_{t-1}),
+    with weight (w_1 ... w_d) (1 - u_1)^(d-1) ... (1 - u_{d-1}), the
+    Jacobian of the collapse.  That Jacobian costs the 1-D rule d - 1
+    degrees, so the rule is exact through design_degree =
+    axis_degree - (d - 1).  At d = 1 the nodes and weights are the axis
+    rule itself.  Moments and node values are contracted axis by axis
+    from univariate tables (_node_factors).  Rules compare and hash by
+    identity, so a rule can key a cache.
     """
 
     dim: int
-    nodes: np.ndarray  # (npts, dim)
-    weights: np.ndarray
-    design_degree: int
-    axis: np.ndarray  # (P,), npts = P ** dim
+    axis: np.ndarray  # (P,)
+    axis_weights: np.ndarray  # (P,)
+    axis_degree: int
+    nodes: np.ndarray = field(init=False)  # (P ** dim, dim)
+    weights: np.ndarray = field(init=False)  # (P ** dim,)
+    design_degree: int = field(init=False)
 
     def __post_init__(self):
-        if self.nodes.shape[0] != self.axis.shape[0] ** self.dim:
-            raise ValueError(
-                f"{self.nodes.shape[0]} nodes do not form the {self.dim}-fold "
-                f"grid of {self.axis.shape[0]} axis nodes"
-            )
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-        self.axis.setflags(write=False)
+        # row t of idx is i_t over the grid, u-major
+        idx = np.indices((self.axis.shape[0],) * self.dim).reshape(self.dim, -1)
+        u = self.axis[idx]
+        # rest[t] = (1 - u_1) ... (1 - u_t), the length left to axis t + 1
+        rest = np.cumprod(np.vstack([np.ones_like(u[:1]), 1.0 - u[:-1]]), axis=0)
+        # the weight's Jacobian is rest[1] ... rest[d-1]
+        weights = self.axis_weights[idx].prod(axis=0) * rest[1:].prod(axis=0)
+        object.__setattr__(self, "nodes", (u * rest).T)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "design_degree", self.axis_degree - (self.dim - 1))
+        for a in (self.axis, self.axis_weights, self.nodes, self.weights):
+            a.setflags(write=False)
 
     def integrate_values(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
@@ -174,61 +185,44 @@ class Quadrature:
         return self.integrate_values(fn(*self.nodes.T))
 
 
+def _gauss_axis(points: int, panels: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Composite Gauss-Legendre rule on [0, 1]: points nodes on each of panels panels."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    h = 1.0 / panels
+    u = (np.arange(panels)[:, None] * h + 0.5 * h * (x + 1.0)).ravel()
+    return u, np.tile(0.5 * h * w, panels), 2 * points - 1
+
+
 @lru_cache(maxsize=16)
 def interval_rule(points: int = 24) -> Quadrature:
     """Composite Gauss-Legendre rule on [0, 1]: points nodes on each of 16 panels."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    h = 1.0 / 16
-    u = (np.arange(16)[:, None] * h + 0.5 * h * (x + 1.0)).ravel()
-    return Quadrature(
-        dim=1,
-        nodes=u.reshape(-1, 1),
-        weights=np.tile(0.5 * h * w, 16),
-        design_degree=2 * points - 1,
-        axis=u,
-    )
+    return Quadrature(1, *_gauss_axis(points, 16))
 
 
 @lru_cache(maxsize=16)
 def simplex_rule(points: int = 32) -> Quadrature:
-    """Rule on the unit right triangle by collapsing a tensor Gauss grid.
+    """Rule on the unit right triangle: one points-node Gauss panel, collapsed.
 
-    Maps the square through (u, v) -> (u, v(1-u)) with Jacobian (1-u); a
-    polynomial of total degree k becomes a bivariate polynomial of degree
-    at most k+1 per axis, so the rule is exact through degree 2*points - 2.
-    Both axes carry the same points Gauss nodes u on [0, 1], kept as the
-    rule's axis; nodes run u-major.
+    The collapse (u, v) -> (u, v(1-u)) costs one degree, so the rule is
+    exact through degree 2*points - 2.
     """
-    x, w = np.polynomial.legendre.leggauss(points)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    U, V = np.meshgrid(u, u, indexing="ij")
-    WU, WV = np.meshgrid(wu, wu, indexing="ij")
-    nodes = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
-    weights = (WU * WV * (1.0 - U)).ravel()
-    return Quadrature(
-        dim=2,
-        nodes=nodes,
-        weights=weights,
-        design_degree=2 * points - 2,
-        axis=u,
-    )
+    return Quadrature(2, *_gauss_axis(points, 1))
 
 
 def default_rule(dim: int, points: int | None = None) -> Quadrature:
-    if dim == 1:
-        return interval_rule() if points is None else interval_rule(points=points)
-    return simplex_rule() if points is None else simplex_rule(points=points)
+    rule = interval_rule if dim == 1 else simplex_rule
+    return rule() if points is None else rule(points)
 
 
 @lru_cache(maxsize=32)
 def _node_factors(quad: Quadrature, n: int) -> tuple[np.ndarray, ...]:
     """The degree-n basis at the nodes as univariate tables, one per axis.
 
-    On the collapsed rule B^n_a(u, v(1-u)) = B^n_{a1}(u) B^{n-a1}_{a2}(v),
-    so at d = 2 the value of B^n_a at node i * P + j is
-    first[i, a] * second[j, a]; at d = 1 the one table is the basis at
-    the nodes.  Column a of the table of axis t holds B^k_c at the P axis
+    On the collapsed rule a basis polynomial factors axis by axis,
+    B^n_a(x) = B^n_{a1}(u_1) B^{n-a1}_{a2}(u_2) ... B^{n-a1-...-a(d-1)}_{ad}(u_d),
+    so B^n_a at node (i_1, ..., i_d) is the product over axes t of
+    factors[t][i_t, a]; at d = 1 the one table is the basis at the
+    nodes.  Column a of the table of axis t holds B^k_c at the P axis
     nodes, c = a_{t+1} and k = n - a_1 - ... - a_t, with a running over
     multiindices(d, n), so no contraction gathers columns.  Each entry is
     C(k, c) (1-u)^(k-c) u^c from repeated powers, multiplied in the order
@@ -250,24 +244,30 @@ def _node_factors(quad: Quadrature, n: int) -> tuple[np.ndarray, ...]:
     return tuple(factors)
 
 
-def moments(f: TargetFunction, m: int, quad: Quadrature | None = None) -> np.ndarray:
-    """Integrals of f against every degree-m basis polynomial.
-
-    At d = 2 the weighted values F (P x P, u-major) are summed over v
-    first, H = F @ second, then over u against the first factor, so no
-    table of every basis polynomial at every node is formed.
-    """
+def _rule(f: TargetFunction, quad: Quadrature | None) -> Quadrature:
+    """quad, or f's default rule; refuses a rule of another dimension."""
     quad = quad or default_rule(f.dim)
     if quad.dim != f.dim:
         raise ValueError(f"rule is {quad.dim}-dimensional but f is {f.dim}-dimensional")
-    fv = f(*quad.nodes.T)
-    weighted = quad.weights * np.asarray(fv, dtype=float)
-    factors = _node_factors(quad, m)
-    if quad.dim == 1:
-        return factors[0].T @ weighted
-    first, second = factors
-    P = first.shape[0]
-    return (first * (weighted.reshape(P, P) @ second)).sum(axis=0)
+    return quad
+
+
+def moments(f: TargetFunction, m: int, quad: Quadrature | None = None) -> np.ndarray:
+    """Integrals of f against every degree-m basis polynomial.
+
+    The weighted values W, a P x ... x P grid, are summed over the last
+    axis against its table, H = W @ last, then over the slowest axis left
+    against each earlier table in turn, so no table of every basis
+    polynomial at every node is formed.
+    """
+    quad = _rule(f, quad)
+    weighted = quad.weights * np.asarray(f(*quad.nodes.T), dtype=float)
+    *earlier, last = _node_factors(quad, m)
+    P, N = last.shape
+    H = weighted.reshape(-1, P) @ last
+    for F in earlier:
+        H = (F[:, None, :] * H.reshape(P, -1, N)).sum(axis=0)
+    return H.reshape(N)
 
 
 def project(f: TargetFunction, m: int, quad: Quadrature | None = None) -> PolyCoeffs:
@@ -322,17 +322,18 @@ def p1_interpolant(f: TargetFunction, m: int) -> PiecewiseLinear:
 def _evaluate_candidate(q, quad: Quadrature) -> np.ndarray:
     """Values of an approximant at the rule's nodes, in the nodes' order.
 
-    A PolyCoeffs at d = 2 is contracted factor by factor:
-    ((first * q) @ second^T)[i, j] is its value at node i * P + j.
+    A PolyCoeffs is contracted factor by factor: X = q, then
+    X = F * X for each table but the last, one more axis of nodes per
+    table, and X @ last^T gives the values on the u-major grid.
     """
     if isinstance(q, PolyCoeffs):
         if q.dim != quad.dim:
             raise ValueError(f"rule is {quad.dim}-dimensional but q is {q.dim}-dimensional")
-        factors = _node_factors(quad, q.degree)
-        if quad.dim == 1:
-            return factors[0] @ q.coeffs
-        first, second = factors
-        return ((first * q.coeffs) @ second.T).ravel()
+        *earlier, last = _node_factors(quad, q.degree)
+        X = q.coeffs
+        for F in earlier:
+            X = (F * X[..., None, :]).reshape(-1, X.shape[-1])
+        return (X @ last.T).reshape(-1)
     if callable(q):
         return q(*quad.nodes.T)
     raise TypeError(f"cannot evaluate approximation of type {type(q)!r}")
@@ -340,7 +341,7 @@ def _evaluate_candidate(q, quad: Quadrature) -> np.ndarray:
 
 def l2_error(f: TargetFunction, q, quad: Quadrature | None = None) -> float:
     """L2 norm of f - q over the domain, by quadrature."""
-    quad = quad or default_rule(f.dim)
+    quad = _rule(f, quad)
     fv = f(*quad.nodes.T)
     qv = _evaluate_candidate(q, quad)
     diff = np.asarray(fv, dtype=float) - qv

@@ -19,11 +19,6 @@ from itertools import chain, combinations
 
 import numpy as np
 
-# Largest degree for which mass-matrix entries are built from exact integer
-# factorial ratios; beyond this the entries come from log-gamma.
-MASS_EXACT_LIMIT = 30
-
-
 @dataclass(frozen=True)
 class PolyCoeffs:
     """A polynomial held as its Bernstein coefficient vector of fixed degree.
@@ -62,21 +57,11 @@ def poly(coeffs) -> PolyCoeffs:
 def _factorial_ratio(num_factorials, den_factorials) -> float:
     """Product of factorials over product of factorials as a float.
 
-    Exact integer arithmetic (correctly rounded on division) below
-    MASS_EXACT_LIMIT-sized inputs; log-gamma otherwise.
+    Exact integer arithmetic, then one int / int division, which Python
+    rounds correctly for integers of any size.
     """
-    if max(list(num_factorials) + list(den_factorials), default=0) <= 2 * MASS_EXACT_LIMIT + 1:
-        num = 1
-        for a in num_factorials:
-            num *= math.factorial(a)
-        den = 1
-        for a in den_factorials:
-            den *= math.factorial(a)
-        return num / den
-    s = sum(math.lgamma(a + 1) for a in num_factorials) - sum(
-        math.lgamma(a + 1) for a in den_factorials
-    )
-    return math.exp(s)
+    num = math.prod(map(math.factorial, num_factorials))
+    return num / math.prod(map(math.factorial, den_factorials))
 
 
 @lru_cache(maxsize=None)

@@ -43,6 +43,12 @@ class TestCorpus:
             approx.get_function("nope")
 
 
+def gauss_rule(dim, points):
+    """The dim-fold collapse of one points-node Gauss panel on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    return approx.Quadrature(dim, 0.5 * (x + 1.0), 0.5 * w, 2 * points - 1)
+
+
 class TestQuadrature:
     def test_interval_polynomial_exactness(self):
         quad = approx.interval_rule()
@@ -67,6 +73,37 @@ class TestQuadrature:
     def test_design_degree_recorded(self):
         assert approx.interval_rule().design_degree >= 40
         assert approx.simplex_rule().design_degree >= 20
+
+    @pytest.mark.parametrize("points", [1, 5, 8, 32])
+    def test_triangle_is_the_collapsed_grid(self, points):
+        quad = approx.simplex_rule(points)
+        x, w = np.polynomial.legendre.leggauss(points)
+        u, w = 0.5 * (x + 1.0), 0.5 * w
+        nodes = [(u[i], u[j] * (1.0 - u[i])) for i in range(points) for j in range(points)]
+        weights = [w[i] * w[j] * (1.0 - u[i]) for i in range(points) for j in range(points)]
+        assert np.array_equal(quad.axis, u) and np.array_equal(quad.axis_weights, w)
+        assert np.array_equal(quad.nodes, np.array(nodes))
+        assert np.array_equal(quad.weights, np.array(weights))
+        assert quad.design_degree == 2 * points - 2
+
+    @pytest.mark.parametrize("points", [1, 5, 24])
+    def test_interval_is_its_axis_rule(self, points):
+        quad = approx.interval_rule(points)
+        assert quad.nodes.shape == (16 * points, 1)
+        assert np.array_equal(quad.nodes[:, 0], quad.axis)
+        assert np.array_equal(quad.weights, quad.axis_weights)
+        assert quad.design_degree == quad.axis_degree == 2 * points - 1
+
+    @pytest.mark.parametrize(
+        "dim,points", [(d, p) for d in (1, 2, 3) for p in (1, 2, 3, 4) if 2 * p - 1 >= d - 1]
+    )
+    def test_exact_through_design_degree(self, dim, points):
+        # every Bernstein polynomial of degree n integrates to n!/(n+d)!
+        quad = gauss_rule(dim, points)
+        n = quad.design_degree
+        got = quad.weights @ sx.simplex_basis_values(dim, n, quad.nodes)
+        want = math.factorial(n) / math.factorial(n + dim)
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestMoments:
@@ -133,9 +170,9 @@ class TestProject:
 
 
 def polynomial_target(q):
-    """A degree-m polynomial on the triangle as a target, by de Casteljau."""
+    """A degree-m polynomial on the simplex as a target, by de Casteljau."""
     return approx.TargetFunction(
-        "poly", q.dim, lambda *xy: sx.simplex_evaluate(q, np.column_stack(xy))
+        "poly", q.dim, lambda *x: sx.simplex_evaluate(q, np.column_stack(x))
     )
 
 
@@ -196,35 +233,33 @@ class TestNodeBasis:
             ref = sx.simplex_basis_values(2, n, quad.nodes)
             assert np.max(np.abs(factor_outer(quad, n) - ref)) <= 2e-15 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("points,m", [(8, 7), (32, 10), (32, 12)])
-    def test_moments_of_a_polynomial(self, points, m):
+    @pytest.mark.parametrize(
+        "dim,points,m",
+        [(2, 8, 7), (2, 32, 10), (2, 32, 12), (1, 24, 12), (3, 8, 6)],
+        ids=["8-7", "32-10", "32-12", "interval-24-12", "tetrahedron-8-6"],
+    )
+    def test_moments_of_a_polynomial(self, dim, points, m):
         # the rule is exact through degree 2m, so the moments are M q
-        quad = approx.simplex_rule(points)
+        quad = approx.default_rule(dim, points) if dim < 3 else gauss_rule(dim, points)
+        assert quad.design_degree >= 2 * m
         rng = np.random.default_rng(m)
-        q = sx.PolyCoeffs(m, rng.uniform(-1, 1, math.comb(m + 2, 2)), dim=2)
-        ref = sx.simplex_mass_matrix(2, m) @ q.coeffs
+        q = sx.PolyCoeffs(m, rng.uniform(-1, 1, math.comb(m + dim, dim)), dim=dim)
+        ref = sx.simplex_mass_matrix(dim, m) @ q.coeffs
         mom = approx.moments(polynomial_target(q), m, quad)
         assert np.max(np.abs(mom - ref)) <= 2e-14 * np.max(np.abs(ref))
         values = approx._evaluate_candidate(q, quad)
-        assert values.shape == (points * points,)
+        assert values.shape == (quad.nodes.shape[0],)
         assert np.max(np.abs(values - sx.simplex_evaluate(q, quad.nodes))) <= 1e-14
 
     def test_rules_hash_by_identity(self):
         a = approx.simplex_rule(points=8)
         b = approx.Quadrature(
-            dim=a.dim, nodes=a.nodes.copy(), weights=a.weights.copy(),
-            design_degree=a.design_degree, axis=a.axis.copy(),
+            dim=a.dim, axis=a.axis.copy(), axis_weights=a.axis_weights.copy(),
+            axis_degree=a.axis_degree,
         )
+        assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
         assert a == a and a != b
         assert len({a, b}) == 2
-
-    def test_nodes_must_form_the_axis_grid(self):
-        a = approx.simplex_rule(points=8)
-        with pytest.raises(ValueError, match="grid"):
-            approx.Quadrature(
-                dim=2, nodes=a.nodes.copy(), weights=a.weights.copy(),
-                design_degree=a.design_degree, axis=a.axis[:7].copy(),
-            )
 
 
 class TestBernsteinOperator:
@@ -333,6 +368,13 @@ class TestL2Error:
         q = bn.PolyCoeffs(1, np.ones(3), dim=2)
         with pytest.raises(ValueError):
             approx.l2_error(approx.get_function("f1"), q)
+
+    def test_rule_of_another_dimension(self):
+        # a callable q evaluates anywhere, so only the rule's check
+        # stops a 1-D target from being measured on the triangle
+        f = approx.function_from_expression("x", 1)
+        with pytest.raises(ValueError, match="rule is 2-dimensional"):
+            approx.l2_error(f, lambda *xy: xy[0], approx.simplex_rule())
 
 
 class TestExpressions:
