@@ -13,14 +13,13 @@ A = R0 R0^T, B = R1 R1^T.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import kkt, simplex
-from .simplex import PolyCoeffs, simplex_evaluate
+from . import simplex
+from .simplex import PolyCoeffs
 
 CONE_DEGREE_LIMIT = 12
 # damped Newton steps from a seeded random start until max|g| <= GRAD_TOL:
@@ -120,12 +119,6 @@ def omega_forward(m: int, q) -> tuple[np.ndarray, np.ndarray]:
 def omega_adjoint(point: ConePoint) -> np.ndarray:
     """Coefficients Omega0*(A) + Omega1*(B) of a cone point in the basis u^m."""
     return omega_operator(point.m) @ _pack(point.A, point.B)
-
-
-def grid_min(p: PolyCoeffs, npoints: int = 10_001) -> float:
-    """Minimum of p over a uniform grid on [0, 1]."""
-    x = np.linspace(0.0, 1.0, npoints)
-    return float(np.min(simplex_evaluate(p, x)))
 
 
 @dataclass(frozen=True)
@@ -258,11 +251,13 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
     condition.  Both answers pass the same tests.
     """
     m = p.degree
+    if p.dim != 1:
+        raise ValueError("the cone solver is univariate")
     if m > CONE_DEGREE_LIMIT:
         raise ValueError(f"degree {m} exceeds the cone solver's limit ({CONE_DEGREE_LIMIT})")
     sa, sb = _block_sizes(m)
     # from u^m to Bernstein form: u^m_k = B^m_k / C(m, k)
-    comb = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
+    comb = simplex._binomials(m)[m]
     scale = 1.0 / comb
     M = simplex.simplex_mass_matrix(1, m)
     target = np.asarray(p.coeffs, dtype=float)
@@ -297,5 +292,5 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
 
 def cone_objective(p: PolyCoeffs, q: PolyCoeffs) -> float:
     """Projection cost (q - p)^T M^m (q - p) at the common degree m."""
-    prob = kkt.KktProblem(dim=1, m=p.degree, n=p.degree, target=p.coeffs)
-    return kkt.objective(prob, q.coeffs)
+    r = np.asarray(q.coeffs, dtype=float) - p.coeffs
+    return float(r @ simplex.simplex_mass_matrix(1, p.degree) @ r)

@@ -118,28 +118,6 @@ class KktDiagnostics:
     passed: bool
 
 
-@dataclass(frozen=True)
-class _ProblemData:
-    """The basis layer's matrices for one instance, all read-only from
-    simplex's caches."""
-
-    E: np.ndarray            # elevation, constraints x unknowns
-    U: np.ndarray            # U^{m,m}: M-orthonormal basis at degree m
-    Umn: np.ndarray          # U^{m,n} = E U^{m,m}
-    M: np.ndarray            # degree-m mass matrix
-    c_eq: float              # m!/(m+d)!: integral of one degree-m basis function
-
-
-def _problem_data(dim: int, m: int, n: int) -> _ProblemData:
-    return _ProblemData(
-        E=simplex.simplex_elevation(dim, m, n),
-        U=simplex.orthogonal_complement_basis(dim, m),
-        Umn=simplex.simplex_spectral_factors(dim, m, n),
-        M=simplex.simplex_mass_matrix(dim, m),
-        c_eq=_factorial_ratio((m,), (m + dim,)),
-    )
-
-
 def _nnls_active_set(problem: KktProblem, G, ep) -> tuple[int, ...]:
     """The active set, as the support of one NNLS solution.
 
@@ -184,8 +162,7 @@ def solve(problem: KktProblem) -> KktSolution:
     subsets this examines: the empty set, which the feasibility test
     stands for, then J.
     """
-    data = _problem_data(problem.dim, problem.m, problem.n)
-    ep = data.E @ problem.target
+    ep = simplex.simplex_elevation(problem.dim, problem.m, problem.n) @ problem.target
     if ep.min() >= -PRIMAL_TOL:
         # the empty set examined, solved (0 x 0) and reconstructed; its nu,
         # -d! * 0.0, keeps its sign bit
@@ -200,7 +177,7 @@ def solve(problem: KktProblem) -> KktSolution:
             candidates_reconstructed=1,
             rank_skips=0,
         )
-    G = data.Umn[:, problem.delta :]
+    G = simplex.simplex_spectral_factors(problem.dim, problem.m, problem.n)[:, problem.delta :]
     J = _nnls_active_set(problem, G, ep)
 
     def refuse(check):
@@ -226,8 +203,9 @@ def solve(problem: KktProblem) -> KktSolution:
         raise refuse("primal check")
     mu = np.zeros(problem.num_constraints)
     mu[active] = mu_J
+    U = simplex.orthogonal_complement_basis(problem.dim, problem.m)
     return KktSolution(
-        q=PolyCoeffs(problem.m, problem.target + data.U[:, problem.delta :] @ v, problem.dim),
+        q=PolyCoeffs(problem.m, problem.target + U[:, problem.delta :] @ v, problem.dim),
         mu=mu,
         nu=-math.factorial(problem.dim) * float(mu.sum()) if problem.delta else 0.0,
         active_set=J,
@@ -241,26 +219,29 @@ def solve(problem: KktProblem) -> KktSolution:
 
 def objective(problem: KktProblem, qvec) -> float:
     """The cost (q - p)^T M (q - p) being minimized."""
-    data = _problem_data(problem.dim, problem.m, problem.n)
+    M = simplex.simplex_mass_matrix(problem.dim, problem.m)
     r = np.asarray(qvec, dtype=float) - problem.target
-    return float(r @ data.M @ r)
+    return float(r @ M @ r)
 
 
 def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnostics:
     """Recompute every KKT residual from scratch and compare against tol."""
-    data = _problem_data(problem.dim, problem.m, problem.n)
+    E = simplex.simplex_elevation(problem.dim, problem.m, problem.n)
+    M = simplex.simplex_mass_matrix(problem.dim, problem.m)
+    # m!/(m+d)!: the integral of one degree-m basis function
+    c_eq = _factorial_ratio((problem.m,), (problem.m + problem.dim,))
     qvec = np.asarray(sol.q.coeffs, dtype=float)
     # gradient of the Lagrangian at (q, mu, nu); zero at the optimum
     stat = (
-        2.0 * data.M @ (qvec - problem.target)
-        - data.E.T @ sol.mu
-        - problem.delta * sol.nu * data.c_eq
+        2.0 * M @ (qvec - problem.target)
+        - E.T @ sol.mu
+        - problem.delta * sol.nu * c_eq
     )
-    elevated = data.E @ qvec
+    elevated = E @ qvec
     slack = np.abs(sol.mu * elevated)
     # c_eq times the coefficient sum is the integral of a degree-m polynomial
     gap = (
-        abs(data.c_eq * float(np.sum(qvec)) - data.c_eq * float(np.sum(problem.target)))
+        abs(c_eq * float(np.sum(qvec)) - c_eq * float(np.sum(problem.target)))
         if problem.delta
         else 0.0
     )

@@ -30,8 +30,8 @@ import numpy as np
 from scipy import optimize
 
 from . import kkt, simplex
-from .kkt import DUAL_TOL, PRIMAL_TOL, RANK_TOL, KktProblem, KktSolution, _problem_data
-from .simplex import PolyCoeffs
+from .kkt import DUAL_TOL, PRIMAL_TOL, RANK_TOL, KktProblem, KktSolution
+from .simplex import PolyCoeffs, _factorial_ratio
 
 # subsets of one size stacked into one batch of reduced solves
 _CHUNK = 32768
@@ -119,7 +119,7 @@ def _enumerate_accepted(problem: KktProblem, counters: dict):
     reject every such subset anyway.
     """
     system = _paper_system(problem)
-    ep = _problem_data(problem.dim, problem.m, problem.n).E @ problem.target
+    ep = simplex.simplex_elevation(problem.dim, problem.m, problem.n) @ problem.target
     max_card = len(problem.target) - problem.delta
     for k, subsets in itertools.groupby(subset_iterator(problem.num_constraints), len):
         if k > max_card:
@@ -132,9 +132,10 @@ def _enumerate_accepted(problem: KktProblem, counters: dict):
 def _finish(problem: KktProblem, J, mu, nu, y, counters) -> KktSolution:
     """The solution for an accepted subset J, q from stationarity:
     2 M (q - p) = E^T mu + nu c_eq 1."""
-    data = _problem_data(problem.dim, problem.m, problem.n)
-    rhs = data.E.T @ mu + nu * data.c_eq
-    q = problem.target + 0.5 * np.linalg.solve(data.M, rhs)
+    E = simplex.simplex_elevation(problem.dim, problem.m, problem.n)
+    M = simplex.simplex_mass_matrix(problem.dim, problem.m)
+    c_eq = _factorial_ratio((problem.m,), (problem.m + problem.dim,))
+    q = problem.target + 0.5 * np.linalg.solve(M, E.T @ mu + nu * c_eq)
     return KktSolution(
         q=PolyCoeffs(problem.m, q, problem.dim),
         mu=mu,
@@ -191,26 +192,26 @@ class PenaltyConfig:
             raise ValueError("penalty weights must be strictly increasing")
 
 
-def _penalty_objective(q, rho, data, problem, upper):
+def _penalty_objective(q, rho, E, M, c_eq, problem, upper):
     r = q - problem.target
-    val = r @ data.M @ r
-    grad = 2.0 * data.M @ r
-    eq = data.E @ q
+    val = r @ M @ r
+    grad = 2.0 * M @ r
+    eq = E @ q
     neg = np.minimum(eq, 0.0)
     val += rho * float(neg @ neg)
-    grad += 2.0 * rho * (data.E.T @ neg)
+    grad += 2.0 * rho * (E.T @ neg)
     if upper is not None:
         over = np.maximum(eq - upper, 0.0)
         val += rho * float(over @ over)
-        grad += 2.0 * rho * (data.E.T @ over)
+        grad += 2.0 * rho * (E.T @ over)
     if problem.delta:
-        h = data.c_eq * float(np.sum(problem.target - q))
+        h = c_eq * float(np.sum(problem.target - q))
         val += rho * h * h
-        grad += 2.0 * rho * h * (-data.c_eq)
+        grad += 2.0 * rho * h * (-c_eq)
     return val, grad
 
 
-def _newton_polish(q, rho, data, problem, upper, iterations=25):
+def _newton_polish(q, rho, E, M, c_eq, problem, upper, iterations=25):
     """Drive one penalty stage to its exact minimizer.
 
     The penalized objective is piecewise quadratic, so once the sign pattern
@@ -218,9 +219,8 @@ def _newton_polish(q, rho, data, problem, upper, iterations=25):
     piece lands on the stage optimum.  Quasi-Newton alone stalls along the
     mass matrix's soft eigendirections; this polish removes that slack.
     """
-    E, M, c = data.E, data.M, data.c_eq
     for _ in range(iterations):
-        val, g = _penalty_objective(q, rho, data, problem, upper)
+        val, g = _penalty_objective(q, rho, E, M, c_eq, problem, upper)
         eq = E @ q
         active = eq < 0.0
         H = 2.0 * M + 2.0 * rho * (E[active].T @ E[active])
@@ -228,7 +228,7 @@ def _newton_polish(q, rho, data, problem, upper, iterations=25):
             over = eq > upper
             H = H + 2.0 * rho * (E[over].T @ E[over])
         if problem.delta:
-            H = H + 2.0 * rho * c * c * np.ones_like(H)
+            H = H + 2.0 * rho * c_eq * c_eq * np.ones_like(H)
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -236,7 +236,7 @@ def _newton_polish(q, rho, data, problem, upper, iterations=25):
         if not np.all(np.isfinite(step)):
             break
         trial = q + step
-        if _penalty_objective(trial, rho, data, problem, upper)[0] <= val:
+        if _penalty_objective(trial, rho, E, M, c_eq, problem, upper)[0] <= val:
             q = trial
         else:
             q = q + 0.5 * step
@@ -260,13 +260,15 @@ def penalty_solve(
     if problem.num_constraints > 64:
         raise ValueError("oracle is meant for modest instances (<= 64 constraints)")
     cfg = config or PenaltyConfig()
-    data = _problem_data(problem.dim, problem.m, problem.n)
+    E = simplex.simplex_elevation(problem.dim, problem.m, problem.n)
+    M = simplex.simplex_mass_matrix(problem.dim, problem.m)
+    c_eq = _factorial_ratio((problem.m,), (problem.m + problem.dim,))
     q = problem.target.copy()
     for rho in cfg.rhos:
         res = optimize.minimize(
             _penalty_objective,
             q,
-            args=(rho, data, problem, upper),
+            args=(rho, E, M, c_eq, problem, upper),
             jac=True,
             method="L-BFGS-B",
             options=dict(
@@ -281,7 +283,7 @@ def penalty_solve(
             raise PenaltyStalledError(
                 f"stage rho={rho} hit {cfg.max_inner_iterations} iterations"
             )
-        q = _newton_polish(q, rho, data, problem, upper)
+        q = _newton_polish(q, rho, E, M, c_eq, problem, upper)
     return q
 
 

@@ -172,15 +172,11 @@ def simplex_basis_values(d: int, n: int, points) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-# rows of the cached Pascal table: every table the CLI's degree caps reach
-# has at most 2 * 12 + 1 rows, so one table per row of output serves them all
-_PASCAL_ROWS = 32
 # the last row of Pascal's rule in float64 that is exact: row 58 holds 2
 # rounded entries
 _BINOMIAL_EXACT_ROWS = 57
 
 
-@lru_cache(maxsize=None)
 def _pascal(rows: int) -> np.ndarray:
     """Read-only table of C(a, b), 0 <= a, b < rows, zero for b > a, by Pascal's rule."""
     C = np.zeros((rows, rows))
@@ -191,19 +187,21 @@ def _pascal(rows: int) -> np.ndarray:
     return C
 
 
+# every binomial coefficient the package computes with, built once at import
+_PASCAL = _pascal(_BINOMIAL_EXACT_ROWS + 1)
+
+
 def _binomials(n: int) -> np.ndarray:
     """Read-only table of C(a, b), 0 <= a, b <= n, zero for b > a.
 
-    The top-left corner of one cached Pascal table.  Row a of Pascal's rule
-    depends only on row a - 1, so every corner holds the same floating-point
-    sums, and these are the exact integers through row 57.
+    The top-left corner of the one Pascal table, whose entries are the
+    exact integers through row 57; larger n is refused.
     """
     if n > _BINOMIAL_EXACT_ROWS:
         raise ValueError(
             f"binomials are exact in float64 through row {_BINOMIAL_EXACT_ROWS}, asked for {n}"
         )
-    rows = _PASCAL_ROWS if n < _PASCAL_ROWS else _BINOMIAL_EXACT_ROWS + 1
-    return _pascal(rows)[: n + 1, : n + 1]
+    return _PASCAL[: n + 1, : n + 1]
 
 
 @lru_cache(maxsize=128)
@@ -226,7 +224,7 @@ def simplex_elevation(d: int, m: int, n: int) -> np.ndarray:
         prod = prod * binom[upper[:, i]][:, lower[:, i]]
     # the gathers can leave prod in Fortran order; C order fixes BLAS's
     # summation order in products with E, and so every written digit
-    E = np.ascontiguousarray(prod) / math.comb(n, m)
+    E = np.ascontiguousarray(prod) / binom[n, m]
     E.setflags(write=False)
     return E
 
@@ -320,9 +318,3 @@ def simplex_spectral_factors(d: int, m: int, n: int) -> np.ndarray:
         U = simplex_elevation(d, m, n) @ U
         U.setflags(write=False)
     return U
-
-
-def simplex_integral(p: PolyCoeffs) -> float:
-    """Integral over the simplex: every basis function integrates to n!/(n+d)!."""
-    n, d = p.degree, p.dim
-    return _factorial_ratio((n,), (n + d,)) * float(p.coeffs.sum())

@@ -3,7 +3,9 @@
 Every quantity is a closed form over fractions.Fraction and math.comb, so
 the interval's mass, elevation and spectral data can be checked against
 numbers the package's own basis layer did not produce.  mass_eigenvalues
-gives the closed-form mass spectrum at every d in floating point.
+gives the closed-form mass spectrum at every d in floating point, integral
+a polynomial's integral over the simplex and grid_min a univariate
+polynomial's minimum over a uniform grid, by its own de Casteljau loop.
 """
 
 import math
@@ -64,6 +66,25 @@ def mass_eigenvalues(d, n):
         lam[j + 1] = lam[j] * (n - j) / (n + j + d + 1)
     mult = np.array([math.comb(d + j - 1, d - 1) for j in range(n + 1)])
     return lam, mult
+
+
+def integral(p):
+    """Integral of a PolyCoeffs over its simplex: every degree-n basis
+    function integrates to n!/(n+d)!."""
+    n, d = p.degree, p.dim
+    return math.factorial(n) / math.factorial(n + d) * float(p.coeffs.sum())
+
+
+def grid_min(p, npoints=10_001):
+    """Minimum of a univariate PolyCoeffs over a uniform grid on [0, 1].
+
+    De Casteljau steps beta_i (1 - x) + beta_{i+1} x at every grid point.
+    """
+    x = np.linspace(0.0, 1.0, npoints)
+    beta = np.outer(p.coeffs, np.ones(npoints))
+    for _ in range(p.degree):
+        beta = beta[:-1] * (1.0 - x) + beta[1:] * x
+    return float(beta.min())
 
 
 def elevate(coeffs, n):

@@ -112,7 +112,7 @@ def test_criterion_04_closed_form_fixture():
         seq = kkt.solve(peq)
         assert np.max(np.abs(seq.q.coeffs)) <= 1e-12
         target = sx.PolyCoeffs(peq.m, peq.target, peq.dim)
-        assert abs(sx.simplex_integral(seq.q) - sx.simplex_integral(target)) <= 1e-12
+        assert abs(exact.integral(seq.q) - exact.integral(target)) <= 1e-12
 
     report(4, "closed-form fixture", check)
 
@@ -164,7 +164,7 @@ def test_criterion_07_cone_low_degree():
                 # absolute 1e-18 slack covers the cases where both costs sit
                 # at the floating-point floor (~1e-22)
                 assert d_cone <= 1.05 * d_kkt + 1e-18, (ident, m, d_cone, d_kkt)
-                assert cone.grid_min(res.q, 10_001) >= -1e-7, (ident, m)
+                assert exact.grid_min(res.q, 10_001) >= -1e-7, (ident, m)
 
     report(7, "cone tracks elevated active-set solve for m <= 5", check, budget=300.0)
 
@@ -175,10 +175,9 @@ def test_criterion_08_gradient_checks():
         for _ in range(10):
             m = int(rng.integers(0, 7))
             prob = kkt.KktProblem(dim=1, m=m, n=m, target=rng.uniform(-1, 1, m + 1))
-            data = kkt._problem_data(1, m, m)
             x = rng.uniform(-1, 1, m + 1)
             g_fd = oracles.finite_diff_gradient(lambda q: kkt.objective(prob, q), x)
-            g_an = 2.0 * data.M @ (x - prob.target)
+            g_an = 2.0 * sx.simplex_mass_matrix(1, m) @ (x - prob.target)
             scale = max(np.max(np.abs(g_an)), 1e-12)
             assert np.max(np.abs(g_fd - g_an)) / scale < 1e-6
         m = 4

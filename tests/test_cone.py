@@ -1,11 +1,14 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 from bernfit import bernstein as bn
 from bernfit import cone, kkt
 from bernfit import simplex as sx
@@ -227,7 +230,7 @@ class TestCertificateSoundness:
             R1 = rng.standard_normal((sb, sb))
             pt = cone.ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
             q = bn.poly(bernstein_coeffs(pt))
-            assert cone.grid_min(q) >= -1e-9
+            assert exact.grid_min(q) >= -1e-9
 
 
 class TestSolveCone:
@@ -257,7 +260,7 @@ class TestSolveCone:
         for m in (1, 2, 3):
             for _ in range(7):
                 c = rng.uniform(-1, 1, m + 1)
-                shift = cone.grid_min(bn.poly(c), 4001)
+                shift = exact.grid_min(bn.poly(c), 4001)
                 p = bn.poly(c - shift)  # now min over [0,1] is ~0
                 res = cone.solve_cone(p)
                 assert res.objective <= 1e-6
@@ -274,7 +277,7 @@ class TestSolveCone:
         for m in (1, 2, 4, 5):
             p = bn.poly(rng.uniform(-1, 1, m + 1))
             res = cone.solve_cone(p)
-            assert cone.grid_min(res.q) >= -1e-7
+            assert exact.grid_min(res.q) >= -1e-7
 
     def test_determinism(self):
         p = bn.poly([-0.5, 0.3, 0.8, -0.1])
@@ -286,6 +289,23 @@ class TestSolveCone:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             cone.solve_cone(bn.poly(np.zeros(14)))
+
+    def test_univariate_only(self):
+        # a degree-2 polynomial on the triangle has 6 coefficients
+        for coeffs in (np.linspace(-1.0, 1.0, 6), np.ones(6)):
+            with pytest.raises(ValueError, match="univariate"):
+                cone.solve_cone(sx.PolyCoeffs(2, coeffs, dim=2))
+
+    def test_objective_reads_the_mass_matrix_alone(self):
+        p = bn.poly([-0.5, 0.3, 0.8, -0.1])
+        q = cone.solve_cone(p).q
+        unread = (sx.orthogonal_complement_basis, sx.simplex_spectral_factors, sx.simplex_elevation)
+        for cache in unread:
+            cache.cache_clear()
+        cost = cone.cone_objective(p, q)
+        assert [c.cache_info().misses for c in unread] == [0, 0, 0]
+        prob = kkt.KktProblem(dim=1, m=3, n=3, target=p.coeffs)
+        assert cost == kkt.objective(prob, q.coeffs)
 
 
     @pytest.mark.parametrize("m", range(1, 8))
@@ -447,3 +467,15 @@ class TestHessian:
         ])
         assert np.max(np.abs(H - H.T)) <= 1e-14 * max(1.0, np.max(np.abs(H)))
         assert np.max(np.abs(H - fd)) <= 1e-8 * max(1.0, np.max(np.abs(H)))
+
+
+def test_imports_nothing_from_kkt():
+    # the cone solver stands on the basis layer alone
+    for node in ast.walk(ast.parse(Path(cone.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert "kkt" not in names, ast.unparse(node)

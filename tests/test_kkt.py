@@ -45,11 +45,11 @@ class TestClosedFormFixture:
         s = kkt.solve(p)
         assert np.allclose(s.q.coeffs, [0.0, 0.0], atol=1e-12)
         target = bn.PolyCoeffs(p.m, p.target, p.dim)
-        assert abs(sx.simplex_integral(s.q) - sx.simplex_integral(target)) < 1e-12
+        assert abs(exact.integral(s.q) - exact.integral(target)) < 1e-12
 
     def test_feasible_target_returned_unchanged(self, monkeypatch):
         t = np.array([0.4, 0.05, 0.7])
-        E = kkt._problem_data(1, 2, 5).E
+        E = sx.simplex_elevation(1, 2, 5)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a feasible target needs no reduced solve")
@@ -444,31 +444,44 @@ class TestInputs:
             kkt.KktProblem(dim=1, m=1, n=1, target=np.array([bad, 1.0]))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_cached_problem_data_is_read_only(self, dim):
-        data = kkt._problem_data(dim, 2, 3)
-        arrays = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 4
-        # one cache per matrix: every array is the basis layer's own
-        assert data.E is sx.simplex_elevation(dim, 2, 3)
-        assert data.M is sx.simplex_mass_matrix(dim, 2)
-        assert data.U is sx.orthogonal_complement_basis(dim, 2)
-        assert data.Umn is sx.simplex_spectral_factors(dim, 2, 3)
-        for a in arrays:
+    def test_cached_basis_matrices_are_read_only(self, dim):
+        # the four basis caches kkt reads: one array per call, never writable
+        for cached, args in (
+            (sx.simplex_elevation, (dim, 2, 3)),
+            (sx.simplex_mass_matrix, (dim, 2)),
+            (sx.orthogonal_complement_basis, (dim, 2)),
+            (sx.simplex_spectral_factors, (dim, 2, 3)),
+        ):
+            a = cached(*args)
+            assert a is cached(*args)
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
 
-    def test_problem_data_outlives_the_basis_caches(self):
-        # the problem data is read from the basis layer's caches on each call,
-        # so it never holds a second copy of a matrix they have dropped
-        kkt._problem_data(2, 2, 3)
-        for n in range(17):
-            for m in range(n + 1):
-                sx.simplex_elevation(1, m, n)
-                sx.simplex_spectral_factors(1, m, n)
-        assert sx.simplex_elevation.cache_info().maxsize < 17 * 18 // 2
-        assert sx.simplex_spectral_factors.cache_info().maxsize < 17 * 18 // 2
-        data = kkt._problem_data(2, 2, 3)
-        assert data.E is sx.simplex_elevation(2, 2, 3)
-        assert data.Umn is sx.simplex_spectral_factors(2, 2, 3)
+
+class TestBasisReads:
+    """Each function reads only the basis matrices it uses."""
+
+    UNREAD = (sx.orthogonal_complement_basis, sx.simplex_spectral_factors, sx.simplex_elevation)
+
+    def _misses(self, call, caches):
+        for cache in caches:
+            cache.cache_clear()
+        call()
+        return {c.__name__: c.cache_info().misses for c in caches}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_objective_reads_the_mass_matrix_alone(self, dim):
+        prob = kkt.KktProblem(dim=dim, m=2, n=4, target=np.linspace(-1.0, 1.0, 3 * dim))
+        q = np.ones(3 * dim)
+        misses = self._misses(lambda: kkt.objective(prob, q), self.UNREAD)
+        assert misses == dict.fromkeys(misses, 0)
+
+    def test_verify_kkt_reads_no_orthonormal_basis(self):
+        prob = kkt.KktProblem(dim=2, m=2, n=3, target=np.linspace(-1.0, 1.0, 6), delta=1)
+        sol = kkt.solve(prob)
+        misses = self._misses(lambda: kkt.verify_kkt(prob, sol, 1e-9), self.UNREAD)
+        assert misses == dict(
+            orthogonal_complement_basis=0, simplex_spectral_factors=0, simplex_elevation=1
+        )
 

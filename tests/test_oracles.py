@@ -157,10 +157,9 @@ class TestFiniteDifferences:
     def test_projection_cost_gradient(self):
         rng = np.random.default_rng(5)
         prob = kkt.KktProblem(dim=1, m=3, n=3, target=rng.uniform(-1, 1, 4))
-        data = kkt._problem_data(1, 3, 3)
         x = rng.uniform(-1, 1, 4)
         g_fd = oracles.finite_diff_gradient(lambda q: kkt.objective(prob, q), x)
-        g_an = 2.0 * data.M @ (x - prob.target)
+        g_an = 2.0 * sx.simplex_mass_matrix(1, 3) @ (x - prob.target)
         assert np.max(np.abs(g_fd - g_an)) / np.max(np.abs(g_an)) < 1e-6
 
     def test_constant(self):

@@ -28,6 +28,38 @@ class TestConeCertificate:
         back = serialize.load_cone_point(path)
         assert back.A[0, 0] == 2.0 and back.B.shape == (0, 0)
 
+    def _lines(self, tmp_path):
+        # degree 3: "degree,3", then "block,A,2" and "block,B,2", each with two rows
+        pt = cone.ConePoint(m=3, A=np.array([[2.0, 1.0], [1.0, 2.0]]), B=np.eye(2))
+        serialize.save_cone_point(tmp_path / "cert.csv", pt)
+        return (tmp_path / "cert.csv").read_text().splitlines()
+
+    def _load(self, tmp_path, lines):
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return serialize.load_cone_point(path)
+
+    def test_missing_or_truncated_block(self, tmp_path):
+        lines = self._lines(tmp_path)
+        with pytest.raises(ValueError, match="no block B"):
+            self._load(tmp_path, lines[:4])
+        with pytest.raises(ValueError, match="block A is cut short"):
+            self._load(tmp_path, lines[:3])
+        with pytest.raises(ValueError, match="block B is cut short"):
+            self._load(tmp_path, lines[:6])
+
+    def test_repeated_block(self, tmp_path):
+        lines = self._lines(tmp_path)
+        with pytest.raises(ValueError, match="line 8: block B is repeated"):
+            self._load(tmp_path, lines + lines[4:])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry(self, tmp_path, bad):
+        lines = self._lines(tmp_path)
+        lines[5] = f"0,{bad}"
+        with pytest.raises(ValueError, match="line 6: block B has an entry that is not finite"):
+            self._load(tmp_path, lines)
+
     @pytest.mark.parametrize("m", [1, 2, 4, 5])
     def test_independent_verifier_accepts(self, tmp_path, m):
         rng = np.random.default_rng(m)

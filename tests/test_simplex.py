@@ -1,6 +1,7 @@
 import ast
 import functools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,19 @@ class TestElevation:
         # row 58 of Pascal's rule in float64 holds rounded entries
         with pytest.raises(ValueError):
             sx._binomials(58)
+
+    def test_binomials_are_one_table(self):
+        # every corner is a view of one read-only table, built at import,
+        # which clearing every functools cache in the package leaves in place
+        table = sx._binomials(57).base
+        assert table is not None and not table.flags.writeable
+        assert all(sx._binomials(n).base is table for n in range(58))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bernfit":
+                for obj in vars(module).values():
+                    if callable(getattr(obj, "cache_clear", None)):
+                        obj.cache_clear()
+        assert all(sx._binomials(n).base is table for n in range(58))
 
     def test_pointwise_preservation(self):
         rng = np.random.default_rng(2)
@@ -593,14 +607,14 @@ class TestOneShotBasis:
 class TestIntegral:
     def test_constant(self):
         p = sx.PolyCoeffs(2, np.ones(6), dim=2)
-        assert sx.simplex_integral(p) == pytest.approx(0.5)
+        assert exact.integral(p) == pytest.approx(0.5)
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(4)
         c = rng.uniform(-1, 1, 10)
         p = sx.PolyCoeffs(3, c, dim=2)
         oracle = triangle_quadrature(lambda x, y: sx.simplex_evaluate(p, [x, y]))
-        assert sx.simplex_integral(p) == pytest.approx(oracle, abs=1e-13)
+        assert exact.integral(p) == pytest.approx(oracle, abs=1e-13)
 
 
 def test_imports_nothing_from_scipy():
