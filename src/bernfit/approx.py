@@ -95,6 +95,27 @@ _ALLOWED_NAMES = {"pi": np.pi}
 _ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow}
 
 
+class _Float64Literals(ast.NodeTransformer):
+    """Bind each numeric literal to a name whose value in env is its float64.
+
+    The literals then follow the float64 rules of the arrays, not Python's
+    scalar rules: 1/0 and 10.0**400 are inf and 9**9**9 overflows at once,
+    where Python would raise or compute a huge integer.
+    """
+
+    def __init__(self, env: dict):
+        self.env = env
+
+    def visit_Constant(self, node):
+        try:
+            value = np.float64(node.value)
+        except OverflowError:  # an integer literal past the float64 range
+            value = np.float64(np.inf)
+        name = f"_{len(self.env)}"
+        self.env[name] = value
+        return ast.copy_location(ast.Name(id=name, ctx=ast.Load()), node)
+
+
 def function_from_expression(expr: str, dim: int = 1) -> TargetFunction:
     """Build a TargetFunction from a small arithmetic expression.
 
@@ -129,8 +150,9 @@ def function_from_expression(expr: str, dim: int = 1) -> TargetFunction:
             raise ValueError(f"unsupported syntax in expression: {expr!r}")
 
     check(tree)
-    code = compile(tree, "<expression>", "eval")
     env = dict(_ALLOWED_CALLS) | dict(_ALLOWED_NAMES)
+    tree = ast.fix_missing_locations(_Float64Literals(env).visit(tree))
+    code = compile(tree, "<expression>", "eval")
 
     def fn(*coords):
         out = eval(code, {"__builtins__": {}}, env | dict(zip("xy", coords)))

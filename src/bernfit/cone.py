@@ -51,6 +51,8 @@ class ConePoint:
     B: np.ndarray
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"degree must be nonnegative, got {self.m}")
         sa, sb = _block_sizes(self.m)
         A = np.asarray(self.A, dtype=float)
         B = np.asarray(self.B, dtype=float)

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -271,8 +274,15 @@ class TestSpecErrors:
             # bernstein and p1 sample the target at the control points i/m
             ["--func", "1/x", "--mmin", "1", "--mmax", "2",
              "--methods", "project,p1,bernstein"],
+            # literals are float64: Python's scalar rules would raise
+            # ZeroDivisionError or OverflowError, or give a complex number
+            ["--func", "x+1/0", "--mmax", "2"],
+            ["--func", "x+10.0**400", "--mmax", "2"],
+            ["--func", "(-8)**(1/3)+x", "--mmax", "2"],
+            ["--func", "x+1" + "0" * 400, "--mmax", "2"],
         ],
-        ids=["quadrature", "samples", "control-points"],
+        ids=["quadrature", "samples", "control-points", "int-division",
+             "float-overflow", "complex-power", "long-integer"],
     )
     def test_non_finite_target(self, argv, tmp_path, capsys):
         out = tmp_path / "errors.csv"
@@ -280,6 +290,20 @@ class TestSpecErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("bernfit: ")
         assert not out.exists()
+
+    def test_huge_integer_power_overflows_at_once(self, tmp_path):
+        # as Python integers, 9**9**9 has 370 million digits and never finishes
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bernfit", "--func", "x+9**9**9", "--mmax", "2",
+             "--out", str(tmp_path / "errors.csv")],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "bernfit: target expr:x+9**9**9 is not finite at every quadrature node"
+        ]
 
     def test_control_points_unchecked_without_the_sampling_methods(self, tmp_path):
         out = tmp_path / "errors.csv"

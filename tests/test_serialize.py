@@ -1,3 +1,4 @@
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bernfit import cone, serialize
+from bernfit import approx, cone, serialize
 from bernfit import bernstein as bn
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "verify_certificate.py"
@@ -60,6 +61,11 @@ class TestConeCertificate:
         with pytest.raises(ValueError, match="line 6: block B has an entry that is not finite"):
             self._load(tmp_path, lines)
 
+    def test_negative_degree(self, tmp_path):
+        # two empty blocks have the sizes _block_sizes(-1) gives
+        with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+            self._load(tmp_path, ["degree,-1", "block,A,0", "block,B,0"])
+
     @pytest.mark.parametrize("m", [1, 2, 4, 5])
     def test_independent_verifier_accepts(self, tmp_path, m):
         rng = np.random.default_rng(m)
@@ -102,3 +108,77 @@ class TestConeCertificate:
             [sys.executable, str(SCRIPT), str(cert)], capture_output=True, text=True
         )
         assert proc.returncode == 1
+
+
+@pytest.fixture(scope="module")
+def verify():
+    """The script's main(argv), loaded in this process."""
+    return runpy.run_path(str(SCRIPT))["main"]
+
+
+def _save(path, point, coeffs):
+    serialize.save_cone_point(path / "cert.csv", point)
+    (path / "coeffs.csv").write_text(",".join(serialize.format_float(v) for v in coeffs))
+    return [str(path / "cert.csv"), "--coeffs", str(path / "coeffs.csv")]
+
+
+class TestVerifier:
+    def _refused(self, verify, capsys, argv, name, reason):
+        assert verify(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"verify_certificate: {name}: {reason}"]
+
+    def _cert(self, tmp_path, lines):
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_refuses_a_repeated_block(self, verify, tmp_path, capsys):
+        # the first copy of B is indefinite, the second is not
+        path = self._cert(tmp_path, ["degree,2", "block,A,2", "1,0", "0,1",
+                                     "block,B,1", "-5", "block,B,1", "1"])
+        self._refused(verify, capsys, [path], path, "line 7: block B is repeated")
+
+    def test_refuses_a_missing_block(self, verify, tmp_path, capsys):
+        path = self._cert(tmp_path, ["degree,2", "block,A,2", "1,0", "0,1"])
+        self._refused(verify, capsys, [path], path, "certificate has no block B")
+
+    def test_refuses_a_non_finite_entry(self, verify, tmp_path, capsys):
+        path = self._cert(tmp_path, ["degree,2", "block,A,2", "1,nan", "nan,1",
+                                     "block,B,1", "1"])
+        self._refused(verify, capsys, [path], path,
+                      "line 3: block A has an entry that is not finite")
+
+    def test_refuses_a_negative_degree(self, verify, tmp_path, capsys):
+        path = self._cert(tmp_path, ["degree,-1", "block,A,0", "block,B,0"])
+        self._refused(verify, capsys, [path], path, "degree must be nonnegative, got -1")
+
+    def test_refuses_a_malformed_coeffs_file(self, verify, tmp_path, capsys):
+        point = cone.ConePoint(m=1, A=np.eye(1), B=np.eye(1))
+        argv = _save(tmp_path, point, [1.0, 1.0])
+        (tmp_path / "coeffs.csv").write_text("1,one\n")
+        self._refused(verify, capsys, argv, argv[2],
+                      "could not convert string to float: 'one'")
+
+    def test_refuses_a_missing_coeffs_file(self, verify, tmp_path, capsys):
+        point = cone.ConePoint(m=1, A=np.eye(1), B=np.eye(1))
+        argv = _save(tmp_path, point, [1.0, 1.0])[:2] + [str(tmp_path / "none.csv")]
+        assert verify(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"verify_certificate: {argv[2]}: ")
+
+    def test_fails_a_coefficient_mismatch(self, verify, tmp_path, capsys):
+        # q = (1 - x) + x = 1 is certified; the stored coefficients are 1, 2
+        argv = _save(tmp_path, cone.ConePoint(m=1, A=np.eye(1), B=np.eye(1)), [1.0, 2.0])
+        assert verify(argv) == 1
+        assert "max gap 1.000e+00 -> FAIL" in capsys.readouterr().out
+
+    def test_accepts_every_corpus_cone_cell(self, verify, tmp_path, capsys):
+        for ident in ("f0", "f1", "f2", "f2alt", "f3"):
+            f = approx.get_function(ident)
+            for m in range(13):
+                res = cone.solve_cone(approx.project(f, m))
+                assert res.converged, (ident, m)
+                assert verify(_save(tmp_path, res.point, res.q.coeffs)) == 0, (
+                    ident, m, capsys.readouterr().out)
