@@ -27,6 +27,8 @@ from .simplex import simplex_evaluate
 MAX_DEGREE_1D = 12
 MAX_ELEVATE_1D = 10
 MAX_DEGREE_2D = 4
+# numpy's leggauss is tested only up to degree 100
+MAX_QUAD_POINTS = 100
 
 KNOWN_METHODS = ("project", "kkt", "kkt-mass", "cone", "bernstein", "p1")
 SAMPLE_POINTS = 512
@@ -89,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="Gauss points per panel (1-D) or per axis (2-D) for the "
-        "moment/error quadrature; the rule must integrate degree 2*mmax exactly",
+        f"moment/error quadrature, at most {MAX_QUAD_POINTS}; the rule must "
+        "integrate degree 2*mmax exactly",
     )
     return p
 
@@ -107,9 +110,16 @@ def _resolve_function(ident: str, dim: int) -> TargetFunction:
 
 
 def _validate(args, methods, elevations):
+    if not methods:
+        raise SpecError("--methods names no method")
     for meth in methods:
         if meth not in KNOWN_METHODS:
             raise SpecError(f"unknown method {meth!r}; known: {KNOWN_METHODS}")
+    # each column is computed and written once
+    for kind, given in (("method", methods), ("elevation offset", elevations)):
+        repeated = [v for i, v in enumerate(given) if v in given[:i]]
+        if repeated:
+            raise SpecError(f"repeated {kind} {repeated[0]!r}")
     if args.mmin < 0 or args.mmin > args.mmax:
         raise SpecError(f"need 0 <= mmin <= mmax, got {args.mmin}..{args.mmax}")
     if any(off < 0 for off in elevations):
@@ -127,8 +137,10 @@ def _validate(args, methods, elevations):
         bad = [m for m in methods if m in ("cone", "bernstein", "p1")]
         if bad:
             raise SpecError(f"methods {bad} are univariate only")
-    if args.quad_points is not None and args.quad_points < 1:
-        raise SpecError(f"--quad-points must be at least 1, got {args.quad_points}")
+    if args.quad_points is not None and not 1 <= args.quad_points <= MAX_QUAD_POINTS:
+        raise SpecError(
+            f"--quad-points must lie in [1, {MAX_QUAD_POINTS}], got {args.quad_points}"
+        )
     if args.samples_degree is not None:
         if args.dim != 1:
             raise SpecError("sample output is available for 1-D runs only")
@@ -146,7 +158,7 @@ def _columns(methods, elevations):
     return cols
 
 
-def _approximant(method, offset, f, m, quad, projection):
+def _approximant(method, offset, f, m, projection):
     """Build one method's approximant; returns an object l2_error accepts."""
     if method == "project":
         return projection
@@ -262,7 +274,7 @@ def run(args) -> int:
         row = []
         for name, method, offset in cols:
             try:
-                obj = _approximant(method, offset, f, m, quad, projection)
+                obj = _approximant(method, offset, f, m, projection)
                 err = approx.l2_error(f, obj, quad)
             except Exception as e:
                 print(f"bernfit: {name} failed at m={m}: {e}", file=sys.stderr)

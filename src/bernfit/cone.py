@@ -133,6 +133,8 @@ class ConeResult:
     dual_min: float
     converged: bool
     iterations: int
+    # cost evaluations: one per Newton step and one at the start, 0 when the
+    # target is nonnegative and is returned at once
     evaluations: int
 
 
@@ -185,9 +187,7 @@ def _hessian(z, blocks, m, scale, M, sa, sb):
     J *= (2.0 * scale)[:, None]
     H = 2.0 * (J.T @ M @ J)
     for G, k, s in ((GA, 0, sa), (GB, sa * sa, sb)):
-        # G (x) I: entry G[i, j] at rows i*s + a, columns j*s + a
-        GI = 2.0 * G[:, None, :, None] * np.eye(s)[None, :, None, :]
-        H[k : k + s * s, k : k + s * s] += GI.reshape(s * s, s * s)
+        H[k : k + s * s, k : k + s * s] += np.kron(2.0 * G, np.eye(s))
     return H
 
 
@@ -208,11 +208,12 @@ def _newton(z, args):
     accurate while the decrease is far below the rounding of the cost.  Stops
     when max|g| <= GRAD_TOL or after MAX_ITERATIONS steps.  mu is divided by
     4 after a step that gains at least 3/4 of the predicted decrease and
-    multiplied by 4 after a rejected one.  Returns z, the steps and the cost
-    evaluations: one per step and one at the start.
+    multiplied by 4 after a rejected one.  Returns the last accepted z, its
+    _state tuple (residual, cost, block gradients, factor gradient), the
+    steps and the cost evaluations: one per step and one at the start.
     """
     m, scale, M, _, sa, sb = args
-    r, _, blocks, grad = _state(z, *args)
+    r, _, blocks, grad = state = _state(z, *args)
     mu, steps, lam = DAMPING, 0, None
     while np.abs(grad).max() > GRAD_TOL and steps < MAX_ITERATIONS:
         if lam is None:  # a rejected step keeps the factorization
@@ -227,13 +228,13 @@ def _newton(z, args):
         steps += 1
         if decrease > ACCEPT * predicted:
             z = z + d
-            r, _, blocks, grad = _state(z, *args)
+            r, _, blocks, grad = state = _state(z, *args)
             lam = None
             if decrease >= 0.75 * predicted:
                 mu /= 4.0
         else:
             mu *= 4.0
-    return z, steps, steps + 1
+    return z, state, steps, steps + 1
 
 
 def solve_cone(p: PolyCoeffs) -> ConeResult:
@@ -241,16 +242,16 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
 
     A target whose Bernstein coefficients are all nonnegative is its own
     optimum: each u^m_k is a square, or x, 1-x or x(1-x) times one, so its
-    coefficient C(m, k) p_k goes on one diagonal entry of A or B, and p is
-    returned unchanged with that diagonal certificate and no iteration.
-    Otherwise damped Newton steps on square factors from a seeded random
-    start run until the factor gradient is at most GRAD_TOL; iterations
-    counts the steps and evaluations the cost evaluations.  Every local
-    minimum of the factored cost is a global one (Burer & Monteiro, Math.
-    Program. 103, 2005), but a stationary point may be a saddle, so
-    converged also requires the blocks' cost gradient to be PSD: with
-    <Z, X> = 0 at a stationary point, that is the convex problem's KKT
-    condition.  Both answers pass the same tests.
+    coefficient C(m, k) p_k goes on one diagonal entry of A or B.  p is
+    returned at once with that certificate, where the residual, the cost and
+    both gradients are exactly 0.  Otherwise damped Newton steps on square
+    factors from a seeded random start run until the factor gradient is at
+    most GRAD_TOL, and the answer is read from the last accepted step's
+    state.  Every local minimum of the factored cost is a global one (Burer
+    & Monteiro, Math. Program. 103, 2005), but a stationary point may be a
+    saddle, so converged also requires the blocks' cost gradient to be PSD:
+    with <Z, X> = 0 at a stationary point, that is the convex problem's KKT
+    condition.
     """
     m = p.degree
     if p.dim != 1:
@@ -263,32 +264,31 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
     scale = 1.0 / comb
     M = simplex.simplex_mass_matrix(1, m)
     target = np.asarray(p.coeffs, dtype=float)
-    args = (m, scale, M, target, sa, sb)
     if target.min() >= 0.0:
         # A[i, i] lands on u^m_{2i+s} and B[i, i] on u^m_{2i+1-s}, s = m mod 2
         u = target * comb
         s = m % 2
         point = ConePoint(m=m, A=np.diag(u[s::2]), B=np.diag(u[1 - s :: 2]))
-        z = _pack(np.diag(np.sqrt(u[s::2])), np.diag(np.sqrt(u[1 - s :: 2])))
-        q, iterations, evaluations = p, 0, 0
-    else:
-        z, iterations, evaluations = _newton(_start_point(sa, sb), args)
-        R0, R1 = _unpack(z, sa, sb)
-        point = ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
-        q = PolyCoeffs(degree=m, coeffs=scale * omega_adjoint(point))
-    _, cost, blocks, grad = _state(z, *args)
+        return ConeResult(
+            q=p, point=point, objective=0.0, grad_norm=0.0, dual_min=0.0,
+            converged=True, iterations=0, evaluations=0,
+        )
+    args = (m, scale, M, target, sa, sb)
+    z, (_, cost, blocks, grad), iterations, evaluations = _newton(_start_point(sa, sb), args)
+    R0, R1 = _unpack(z, sa, sb)
+    point = ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
     gnorm = float(np.abs(grad).max())
     dual_min = min(np.linalg.eigvalsh(G)[0] for G in blocks if G.size)
     floor = DUAL_RTOL * float(target @ M @ target) + DUAL_ATOL
     return ConeResult(
-        q=q,
+        q=PolyCoeffs(degree=m, coeffs=scale * omega_adjoint(point)),
         point=point,
         objective=float(cost),
         grad_norm=gnorm,
         dual_min=float(dual_min),
         converged=gnorm <= GRAD_TOL and dual_min >= -floor,
-        iterations=int(iterations),
-        evaluations=int(evaluations),
+        iterations=iterations,
+        evaluations=evaluations,
     )
 
 

@@ -139,6 +139,17 @@ class TestErrorTable:
         assert rows[:, 0].tolist() == [11.0, 12.0]
         assert np.all(np.abs(rows[:, 2] - rows[:, 1]) <= 0.02 * rows[:, 1])
 
+    def test_scaled_nonnegative_projection_is_every_cone_cell(self, tmp_path, capsys):
+        # f1 times 1e4: the nonnegative projection returns at once with exact
+        # zeros, with no convergence test on the roundoff of a scaled target
+        out = tmp_path / "errors.csv"
+        rc = main(["--func", "1e4*(0.01+x/(x*x+1))", "--mmax", "12",
+                   "--methods", "project,cone", "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        lines = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert len(lines) == 13
+        assert all(cone_cell == project_cell for _, project_cell, cone_cell in lines)
+
 
 class TestSamples:
     def test_grid_and_feasibility(self, tmp_path):
@@ -259,11 +270,34 @@ class TestSpecErrors:
             ["--func", "f0", "--mmax", "3", "--samples-degree", "9", "--out", "x.csv"],
             ["--func", "f1", "--dim", "2", "--mmax", "2", "--out", "x.csv"],
             ["--mmax", "3", "--out", "x.csv"],
+            # every column is computed and written once
+            ["--func", "f1", "--mmax", "3", "--methods", "project,kkt,project",
+             "--elevate", "0", "--elevate", "0", "--samples-degree", "2", "--out", "x.csv"],
+            ["--func", "f1", "--mmax", "3", "--methods", "project,kkt",
+             "--elevate", "0", "--elevate", "3", "--elevate", "0", "--out", "x.csv"],
+            ["--func", "f1", "--mmax", "3", "--methods", "", "--out", "x.csv"],
         ],
     )
     def test_exit_one(self, argv, tmp_path):
         argv = [a if a != "x.csv" else str(tmp_path / "x.csv") for a in argv]
         assert main(argv) == 1
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--methods", "project,kkt,project", "--elevate", "0", "--elevate", "0"],
+             "repeated method 'project'"),
+            (["--methods", "kkt", "--elevate", "0", "--elevate", "3", "--elevate", "0"],
+             "repeated elevation offset 0"),
+            (["--methods", ","], "--methods names no method"),
+        ],
+        ids=["method", "offset", "empty"],
+    )
+    def test_columns_given_once(self, argv, named, tmp_path, capsys):
+        out = tmp_path / "errors.csv"
+        assert main(["--func", "f1", "--mmax", "3", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"bernfit: {named}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -350,8 +384,10 @@ class TestSpecErrors:
             ["--func", "f1", "--mmax", "3", "--quad-points", "3"],
             # the triangle rule is exact through degree 2 * 4 - 2 = 6, below 8
             ["--func", "g0", "--dim", "2", "--mmax", "4", "--quad-points", "4"],
+            # numpy's leggauss is tested only up to degree 100
+            ["--func", "f1", "--mmax", "3", "--quad-points", "101"],
         ],
-        ids=["zero", "negative", "one", "below-2mmax", "below-2mmax-2d"],
+        ids=["zero", "negative", "one", "below-2mmax", "below-2mmax-2d", "above-100"],
     )
     def test_quadrature_too_coarse(self, argv, tmp_path, capsys):
         out = tmp_path / "errors.csv"

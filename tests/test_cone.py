@@ -375,24 +375,34 @@ class TestSolveCone:
         assert not res.converged
 
 
+SCALED_DEGREES = [
+    (m, scale) for scale in (1.0, 1e4, 1e6, 1e8) for m in range(cone.CONE_DEGREE_LIMIT + 1)
+]
+
+
 class TestNonnegativeTarget:
-    @pytest.mark.parametrize("m", range(cone.CONE_DEGREE_LIMIT + 1))
-    def test_is_its_own_optimum(self, m, monkeypatch):
+    @pytest.mark.parametrize(
+        "m, scale",
+        SCALED_DEGREES,
+        ids=[f"{m}" if scale == 1.0 else f"{m}-scale{scale:.0e}" for m, scale in SCALED_DEGREES],
+    )
+    def test_is_its_own_optimum(self, m, scale, monkeypatch):
         # nonnegative Bernstein coefficients: q = p with a diagonal
-        # certificate, and the optimizer is never called
+        # certificate, the optimizer is never called, and at q = p the cost
+        # and both gradients are exactly 0 at any scale
         def no_optimizer(*args, **kwargs):
             raise AssertionError("optimizer called on a nonnegative target")
 
         monkeypatch.setattr(cone, "_newton", no_optimizer)
         rng = np.random.default_rng(m)
-        c = rng.uniform(0.0, 1.0, m + 1)
+        c = scale * rng.uniform(0.0, 1.0, m + 1)
         c[rng.integers(m + 1)] = 0.0
         p = bn.poly(c)
         res = cone.solve_cone(p)
         assert res.q is p
         assert (res.iterations, res.evaluations) == (0, 0)
         assert res.converged
-        assert res.objective <= 1e-30
+        assert (res.objective, res.grad_norm, res.dual_min) == (0.0, 0.0, 0.0)
         for block in (res.point.A, res.point.B):
             assert np.array_equal(block, np.diag(np.diag(block)))
             assert np.all(np.diag(block) >= 0.0)
@@ -413,6 +423,25 @@ class TestNonnegativeTarget:
         p = bn.poly([0.5, -1e-12, 0.5])
         res = cone.solve_cone(p)
         assert res.evaluations > 0 and res.q is not p
+
+
+class TestNewton:
+    @pytest.mark.parametrize("m", [1, 4, 8, 12])
+    def test_returns_the_state_of_its_last_iterate(self, m):
+        # solve_cone reads the answer from the returned state, so it must be
+        # _state at the returned z, bit for bit, not that of an earlier iterate
+        rng = np.random.default_rng(80 + m)
+        sa, sb = cone._block_sizes(m)
+        scale = 1.0 / np.array([math.comb(m, k) for k in range(m + 1)])
+        M = sx.simplex_mass_matrix(1, m)
+        target = rng.uniform(-1, 1, m + 1)
+        args = (m, scale, M, target, sa, sb)
+        z, state, steps, evaluations = cone._newton(cone._start_point(sa, sb), args)
+        assert steps > 0 and evaluations == steps + 1
+        r, cost, (GA, GB), grad = cone._state(z, *args)
+        assert np.array_equal(state[0], r) and state[1] == cost
+        assert np.array_equal(state[2][0], GA) and np.array_equal(state[2][1], GB)
+        assert np.array_equal(state[3], grad)
 
 
 class TestCompositeGradient:
