@@ -13,6 +13,7 @@ be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -158,19 +159,12 @@ def _columns(methods, elevations):
     return cols
 
 
-def _approximant(method, offset, f, m, projection):
+def _approximant(method, offset, f, m, projection, constrained):
     """Build one method's approximant; returns an object l2_error accepts."""
     if method == "project":
         return projection
     if method == "kkt" or method == "kkt-mass":
-        problem = kkt.KktProblem(
-            dim=f.dim,
-            m=m,
-            n=m + (offset or 0),
-            target=projection.coeffs,
-            delta=1 if method == "kkt-mass" else 0,
-        )
-        solution = kkt.solve(problem)
+        problem, solution = constrained(m + offset, 1 if method == "kkt-mass" else 0)
         _check_kkt(problem, solution)
         return solution.q
     if method == "cone":
@@ -181,7 +175,7 @@ def _approximant(method, offset, f, m, projection):
                 f"(grad {result.grad_norm:.2e}, dual {result.dual_min:.2e}, "
                 f"{result.evaluations} evaluations)"
             )
-        _check_cone_cost(projection, result.q)
+        _check_cone_cost(projection, result.q, constrained)
         return result.q
     if method == "bernstein":
         return approx.bernstein_operator(f, m)
@@ -209,13 +203,16 @@ def _check_kkt(problem, solution) -> None:
     )
 
 
-def _check_cone_cost(projection, q) -> None:
+def _check_cone_cost(projection, q, constrained) -> None:
     """Raise unless the cone cost is within tolerance of the n = m KKT cost."""
+    cost = cone.cone_objective(projection, q)
+    # M is positive definite, so a cost of 0 is q = p, which no bound refuses
+    if cost == 0.0:
+        return
     m = projection.degree
-    problem = kkt.KktProblem(dim=1, m=m, n=m, target=projection.coeffs)
-    bound = kkt.objective(problem, kkt.solve(problem).q.coeffs)
+    problem, solution = constrained(m, 0)
+    bound = kkt.objective(problem, solution.q.coeffs)
     scale = kkt.objective(problem, np.zeros(m + 1))
-    cost = kkt.objective(problem, q.coeffs)
     if cost > bound + CONE_RTOL * (bound + scale) + CONE_ATOL:
         raise RuntimeError(
             f"cone cost {cost:.6e} exceeds the n=m KKT cost {bound:.6e} at m={m}"
@@ -271,10 +268,18 @@ def run(args) -> int:
     failures = 0
     for m in degrees:
         projection = approx.project(f, m, quad)
+
+        # the row's one (KktProblem, KktSolution) at each (n, delta), read
+        # by the kkt cells and the cone check in any column order
+        @functools.cache
+        def constrained(n, delta):
+            problem = kkt.KktProblem(dim=f.dim, m=m, n=n, target=projection.coeffs, delta=delta)
+            return problem, kkt.solve(problem)
+
         row = []
         for name, method, offset in cols:
             try:
-                obj = _approximant(method, offset, f, m, projection)
+                obj = _approximant(method, offset, f, m, projection, constrained)
                 err = approx.l2_error(f, obj, quad)
             except Exception as e:
                 print(f"bernfit: {name} failed at m={m}: {e}", file=sys.stderr)

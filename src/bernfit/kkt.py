@@ -17,8 +17,8 @@ J the multipliers solve
 
 and v = G_J^T mu_J / 2 gives both the elevated vector E p + G v and q.
 No subset is enumerated, so the constraint count is not bounded here.  A
-target whose elevation is
-already feasible skips NNLS and the reduced solve: it is its own answer.
+target whose elevation is already feasible skips NNLS and the reduced
+solve: it is its own answer.
 The paper's exhaustive search over every J, in the form (W - c delta)
 mu_J = -(E p)_J with W = U^{m,n} (U^{m,n})^T / 2, is kept in the oracles
 module as the reference method the tests check solve against.
@@ -114,7 +114,6 @@ class KktDiagnostics:
     min_mu: float
     max_slack: float
     integral_gap: float
-    dual_feasible: bool
     passed: bool
 
 
@@ -249,11 +248,10 @@ def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnost
     min_elev = float(elevated.min())
     min_mu = float(sol.mu.min()) if sol.mu.size else 0.0
     max_slack = float(slack.max()) if slack.size else 0.0
-    dual_ok = min_mu >= -tol
     passed = (
         stationarity <= tol
         and min_elev >= -tol
-        and dual_ok
+        and min_mu >= -tol
         and max_slack <= tol
         and gap <= tol
     )
@@ -263,6 +261,5 @@ def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnost
         min_mu=min_mu,
         max_slack=max_slack,
         integral_gap=gap,
-        dual_feasible=dual_ok,
         passed=passed,
     )

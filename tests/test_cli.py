@@ -201,9 +201,12 @@ class TestFailureHandling:
         assert int(np.isnan(rows[:, 1:]).sum()) == len(notes) == 2
 
     def test_cone_cost_gate(self, tmp_path, capsys, monkeypatch):
-        argv = ["--func", "f2", "--mmin", "1", "--mmax", "3",
-                "--methods", "project,cone", "--out", str(tmp_path / "errors.csv")]
-        assert main(argv) == 0  # the solver's own answers pass the gate
+        # with and without a kkt0 column, which reads the same n = m solve
+        argvs = [["--func", "f2", "--mmin", "1", "--mmax", "3", "--methods", methods,
+                  "--out", str(tmp_path / "errors.csv")]
+                 for methods in ("project,cone", "project,kkt,cone")]
+        for argv in argvs:
+            assert main(argv) == 0  # the solver's own answers pass the gate
         solve_cone = cone.solve_cone
 
         def worse(p, **kwargs):
@@ -211,12 +214,48 @@ class TestFailureHandling:
             return dataclasses.replace(res, q=bn.PolyCoeffs(p.degree, res.q.coeffs + 0.5))
 
         monkeypatch.setattr(cone, "solve_cone", worse)
-        assert main(argv) == 2
-        _, rows = read_table(tmp_path / "errors.csv")
-        assert np.isnan(rows[:, 2]).all() and not np.isnan(rows[:, 1]).any()
-        notes = [ln for ln in capsys.readouterr().err.splitlines()
-                 if "exceeds the n=m KKT cost" in ln]
-        assert len(notes) == 3
+        capsys.readouterr()
+        for argv in argvs:
+            assert main(argv) == 2
+            _, rows = read_table(tmp_path / "errors.csv")
+            assert np.isnan(rows[:, -1]).all() and np.isfinite(rows[:, 1:-1]).all()
+            notes = [ln for ln in capsys.readouterr().err.splitlines()
+                     if "exceeds the n=m KKT cost" in ln]
+            assert len(notes) == 3
+
+    @pytest.mark.parametrize("func, methods, calls", [
+        ("f2", "project,kkt,cone", 13),
+        # f1's projection is nonnegative at every degree: cost 0, no solve
+        ("f1", "project,cone", 0),
+        ("f2", "project,cone", 11),
+    ])
+    def test_each_kkt_problem_is_solved_once(self, func, methods, calls, tmp_path,
+                                             monkeypatch):
+        solve = kkt.solve
+        problems = []
+
+        def counted(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(kkt, "solve", counted)
+        assert main(["--func", func, "--mmax", "12", "--methods", methods,
+                     "--out", str(tmp_path / "errors.csv")]) == 0
+        assert len(problems) == calls
+        assert len({(p.m, p.n, p.delta) for p in problems}) == calls
+
+    @pytest.mark.parametrize("func", ["f2", "f3"])
+    def test_cone_column_does_not_depend_on_its_neighbours(self, func, tmp_path):
+        cells = []
+        for methods in ("cone", "project,kkt,cone", "cone,kkt"):
+            out = tmp_path / f"{methods}.csv"
+            assert main(["--func", func, "--mmax", "12", "--methods", methods,
+                         "--out", str(out)]) == 0
+            lines = [ln.split(",") for ln in out.read_text().splitlines()]
+            at = lines[0].index("cone")
+            cells.append([ln[at] for ln in lines[1:]])
+        assert len(cells[0]) == 13
+        assert cells[1] == cells[0] and cells[2] == cells[0]
 
     def test_kkt_cells_are_verified(self, tmp_path, capsys, monkeypatch):
         argv = ["--func", "f2", "--mmin", "2", "--mmax", "4", "--elevate", "0",

@@ -120,7 +120,7 @@ class TestVerify:
             rank_skips=0,
         )
         d = kkt.verify_kkt(p, bad, 1e-9)
-        assert not d.dual_feasible
+        assert d.min_mu == -1e-3
         assert not d.passed
 
 
