@@ -255,12 +255,13 @@ def _node_factors(quad: Quadrature, n: int) -> tuple[np.ndarray, ...]:
     c = _multiindex_array(quad.dim, n)[:, 1:].T
     # the exponent k - c of (1 - u) on axis t: n - a_1 - ... - a_{t+1}
     e = n - c.cumsum(0)
-    # pows[0, i] = (1-u)^i and pows[1, i] = u^i, one multiply per exponent
-    pows = np.ones((2, n + 1, quad.axis.shape[0]))
+    # pows[i, 0] = (1-u)^i and pows[i, 1] = u^i, one multiply per exponent
+    pows = np.empty((n + 1, 2, quad.axis.shape[0]))
+    pows[0] = 1.0
     b = np.stack([1.0 - quad.axis, quad.axis])
     for i in range(1, n + 1):
-        pows[:, i] = pows[:, i - 1] * b
-    tables = (_binomials(n)[e + c, c][..., None] * pows[0, e]) * pows[1, c]
+        np.multiply(pows[i - 1], b, out=pows[i])
+    tables = (_binomials(n)[e + c, c][..., None] * pows[e, 0]) * pows[c, 1]
     factors = np.ascontiguousarray(tables.transpose(0, 2, 1))
     factors.setflags(write=False)
     return tuple(factors)
@@ -274,6 +275,18 @@ def _rule(f: TargetFunction, quad: Quadrature | None) -> Quadrature:
     return quad
 
 
+@lru_cache(maxsize=16)
+def _node_values(f: TargetFunction, quad: Quadrature) -> np.ndarray:
+    """Read-only values of f at the rule's nodes, in the nodes' order.
+
+    Cached, so the moments and the error of every approximant of one
+    target on one rule evaluate the target once.
+    """
+    values = np.array(f(*quad.nodes.T), dtype=float)
+    values.setflags(write=False)
+    return values
+
+
 def moments(f: TargetFunction, m: int, quad: Quadrature | None = None) -> np.ndarray:
     """Integrals of f against every degree-m basis polynomial.
 
@@ -283,7 +296,7 @@ def moments(f: TargetFunction, m: int, quad: Quadrature | None = None) -> np.nda
     polynomial at every node is formed.
     """
     quad = _rule(f, quad)
-    weighted = quad.weights * np.asarray(f(*quad.nodes.T), dtype=float)
+    weighted = quad.weights * _node_values(f, quad)
     *earlier, last = _node_factors(quad, m)
     P, N = last.shape
     H = weighted.reshape(-1, P) @ last
@@ -364,7 +377,5 @@ def _evaluate_candidate(q, quad: Quadrature) -> np.ndarray:
 def l2_error(f: TargetFunction, q, quad: Quadrature | None = None) -> float:
     """L2 norm of f - q over the domain, by quadrature."""
     quad = _rule(f, quad)
-    fv = f(*quad.nodes.T)
-    qv = _evaluate_candidate(q, quad)
-    diff = np.asarray(fv, dtype=float) - qv
+    diff = _node_values(f, quad) - _evaluate_candidate(q, quad)
     return math.sqrt(max(quad.integrate_values(diff * diff), 0.0))

@@ -176,7 +176,10 @@ def _hessian(z, blocks, m, scale, M, sa, sb):
 
     blocks is (GA, GB) at z, from _state.  J = dr/dz has the columns
     2 scale * (W_k R0)[i, a] for R0[i, a], W_k the Hankel matrix of row k of
-    the operator, and likewise for R1.
+    the operator, and likewise for R1.  2 G (x) I is added on its nonzero
+    pattern alone, 2 G[i, j] at (i s + a, j s + a) in its block for each
+    a < s; the kron form adds exact zeros everywhere else, so H has the
+    same bits.
     """
     R0, R1 = _unpack(z, sa, sb)
     GA, GB = blocks
@@ -187,7 +190,8 @@ def _hessian(z, blocks, m, scale, M, sa, sb):
     J *= (2.0 * scale)[:, None]
     H = 2.0 * (J.T @ M @ J)
     for G, k, s in ((GA, 0, sa), (GB, sa * sa, sb)):
-        H[k : k + s * s, k : k + s * s] += np.kron(2.0 * G, np.eye(s))
+        idx = k + np.arange(s * s).reshape(s, s)
+        H[idx[:, None], idx[None, :]] += 2.0 * G[:, :, None]
     return H
 
 

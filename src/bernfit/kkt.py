@@ -157,7 +157,10 @@ def solve(problem: KktProblem) -> KktSolution:
     alone, with no reduced solve.
     Otherwise NNLS names the active set J, and the reduced system on J
     gives the solution, refused unless it passes the rank guard, the dual
-    check and the primal check.  The counters report the one or two
+    check and the primal check.  The rank guard counts the eigenvalues of
+    the symmetric reduced matrix above RANK_TOL times its largest entry in
+    magnitude, the count matrix_rank(..., hermitian=True) makes from the
+    same eigvalsh call.  The counters report the one or two
     subsets this examines: the empty set, which the feasibility test
     stands for, then J.
     """
@@ -190,7 +193,7 @@ def solve(problem: KktProblem) -> KktSolution:
     GJ = G[active]
     A = 0.5 * (GJ @ GJ.T)
     tol = RANK_TOL * np.abs(A).max(initial=0.0)
-    if np.linalg.matrix_rank(A, tol=tol, hermitian=True) < len(J):
+    if np.count_nonzero(np.abs(np.linalg.eigvalsh(A)) > tol) < len(J):
         raise refuse("rank guard")
     mu_J = np.linalg.solve(A, -ep[active])
     if not np.all(mu_J >= -DUAL_TOL):

@@ -82,7 +82,8 @@ def _multiindex_array(d: int, n: int) -> np.ndarray:
     bars[:, -1] = n + d
     positions = chain.from_iterable(combinations(range(n + d), d))
     bars[::-1, 1:-1] = np.fromiter(positions, np.intp, count * d).reshape(count, d)
-    idx = np.diff(bars, axis=1) - 1
+    idx = bars[:, 1:] - bars[:, :-1]
+    idx -= 1
     idx.setflags(write=False)
     return idx
 

@@ -377,6 +377,57 @@ class TestL2Error:
             approx.l2_error(f, lambda *xy: xy[0], approx.simplex_rule())
 
 
+def counted_target(dim):
+    """A target that records each call, and its list of calls."""
+    calls = []
+
+    def fn(*coords):
+        calls.append(len(coords[0]))
+        return np.cos(sum(coords))
+
+    return approx.TargetFunction("counted", dim, fn), calls
+
+
+class TestNodeValues:
+    """A row evaluates its target once, for the moments and every error."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_evaluation_per_row(self, dim):
+        f, calls = counted_target(dim)
+        quad = approx.default_rule(dim)
+        approx.moments(f, 4, quad)
+        for m in range(5):
+            approx.l2_error(f, sx.PolyCoeffs(m, np.ones(math.comb(m + dim, dim)), dim), quad)
+        assert calls == [quad.weights.size]
+        approx._node_values.cache_clear()
+        approx.l2_error(f, sx.PolyCoeffs(0, np.ones(1), dim), quad)
+        assert len(calls) == 2
+
+    def test_table_is_read_only(self):
+        f, _ = counted_target(1)
+        values = approx._node_values(f, approx.interval_rule())
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_rule_of_another_dimension_is_refused_first(self):
+        f, calls = counted_target(1)
+        with pytest.raises(ValueError, match="rule is 2-dimensional"):
+            approx.moments(f, 2, approx.simplex_rule())
+        with pytest.raises(ValueError, match="rule is 2-dimensional"):
+            approx.l2_error(f, bn.poly([1.0]), approx.simplex_rule())
+        assert calls == []
+
+    def test_is_a_package_cache(self):
+        # a bounded functools cache in the module's namespace, so a caller
+        # that clears every package cache clears this one too
+        caches = [
+            obj for obj in vars(approx).values() if callable(getattr(obj, "cache_clear", None))
+        ]
+        assert any(obj is approx._node_values for obj in caches)
+        assert approx._node_values.cache_info().maxsize is not None
+
+
 class TestExpressions:
     def test_matches_builtin(self):
         ef = approx.function_from_expression("0.5*(sin(2*pi*x)+1)")

@@ -497,6 +497,28 @@ class TestHessian:
         assert np.max(np.abs(H - H.T)) <= 1e-14 * max(1.0, np.max(np.abs(H)))
         assert np.max(np.abs(H - fd)) <= 1e-8 * max(1.0, np.max(np.abs(H)))
 
+    @pytest.mark.parametrize("m", range(13))
+    def test_equals_the_kron_form(self, m):
+        # the pattern add leaves out only the kron form's exact zeros
+        rng = np.random.default_rng(90 + m)
+        sa, sb = cone._block_sizes(m)
+        scale = 1.0 / sx._binomials(m)[m]
+        M = sx.simplex_mass_matrix(1, m)
+        W = cone.omega_operator(m)
+        WA = W[:, : sa * sa].reshape(m + 1, sa, sa)
+        WB = W[:, sa * sa :].reshape(m + 1, sb, sb)
+        for _ in range(3):
+            target = rng.uniform(-1, 1, m + 1)
+            z = rng.standard_normal(sa * sa + sb * sb)
+            blocks = cone._state(z, m, scale, M, target, sa, sb)[2]
+            R0, R1 = cone._unpack(z, sa, sb)
+            J = np.hstack([(WA @ R0).reshape(m + 1, -1), (WB @ R1).reshape(m + 1, -1)])
+            J *= (2.0 * scale)[:, None]
+            ref = 2.0 * (J.T @ M @ J)
+            for G, k, s in ((blocks[0], 0, sa), (blocks[1], sa * sa, sb)):
+                ref[k : k + s * s, k : k + s * s] += np.kron(2.0 * G, np.eye(s))
+            assert np.array_equal(cone._hessian(z, blocks, m, scale, M, sa, sb), ref)
+
 
 def test_imports_nothing_from_kkt():
     # the cone solver stands on the basis layer alone

@@ -55,6 +55,7 @@ class TestClosedFormFixture:
             raise AssertionError("a feasible target needs no reduced solve")
 
         monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.linalg, "solve", refuse)
         for delta in (0, 1):
             p = kkt.KktProblem(dim=1, m=2, n=5, target=t, delta=delta)
@@ -307,6 +308,47 @@ class TestRefusals:
         # half the true set leaves the other end's elevated value negative
         prob = kkt.KktProblem(dim=1, m=2, n=2, target=np.array([-1.0, 2.0, -1.0]), delta=delta)
         assert "primal check" in self.refusal(monkeypatch, prob, (0,))
+
+
+class TestRankGuard:
+    """The guard counts the reduced matrix's rank as matrix_rank does."""
+
+    @staticmethod
+    def cases():
+        """(problem, J) pairs: rows of the spectral factors, distinct and
+        repeated, and the zero matrix of m = n = 0 with the integral pinned."""
+        rng = np.random.default_rng(22)
+        yield kkt.KktProblem(dim=1, m=0, n=0, target=np.array([-1.0]), delta=1), (0,)
+        for dim, m, n in [(1, 2, 5), (1, 6, 16), (1, 12, 22), (2, 2, 4), (2, 4, 6)]:
+            for delta in (0, 1):
+                target = rng.uniform(-1.0, 1.0, math.comb(dim + m, dim))
+                target[0] = -1.0  # a vertex value, so E p < 0 there
+                prob = kkt.KktProblem(dim=dim, m=m, n=n, target=target, delta=delta)
+                rows, cols = prob.num_constraints, prob.target.size - delta
+                for size in (1, 2, cols - 1, cols, cols + 1, cols + 3):
+                    if 0 < size <= rows:
+                        yield prob, tuple(sorted(rng.choice(rows, size, replace=False)))
+                    yield prob, tuple(rng.choice(rows, max(size, 2), replace=True))
+
+    def test_count_is_matrix_rank(self, monkeypatch):
+        deficient = 0
+        for prob, J in self.cases():
+            G = sx.simplex_spectral_factors(prob.dim, prob.m, prob.n)[:, prob.delta :]
+            GJ = G[list(J)]
+            A = 0.5 * (GJ @ GJ.T)
+            tol = kkt.RANK_TOL * np.abs(A).max(initial=0.0)
+            rank = np.linalg.matrix_rank(A, tol=tol, hermitian=True)
+            assert np.count_nonzero(np.abs(np.linalg.eigvalsh(A)) > tol) == rank
+            # and solve refuses at the guard exactly when J's rows are dependent
+            monkeypatch.setattr(kkt, "_nnls_active_set", lambda *args: J)
+            try:
+                kkt.solve(prob)
+                refused = ""
+            except kkt.NoFeasibleSubsetError as e:
+                refused = str(e)
+            assert ("rank guard" in refused) == (rank < len(J)), (prob, J)
+            deficient += rank < len(J)
+        assert deficient >= 20
 
 
 def reference_solution(prob, J):
