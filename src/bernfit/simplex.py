@@ -254,51 +254,68 @@ def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
 def orthogonal_complement_basis(d: int, m: int) -> np.ndarray:
     """U^{m,m}: the M^{d,m}-orthonormal complement blocks j = 0..m at degree m.
 
-    The part of P^j orthogonal to P^{j-1} is the lam_j eigenspace of the
-    mass matrices; it has dimension C(d+j-1, d-1) and is spanned by the
-    Rodrigues polynomials R_b = d^b [x^b (1 - |x|)^j] / b! over b in N^d
-    with |b| = j, whose degree-j Bernstein coefficient at a is
-    (-1)^(j-a_0) prod_{i>=1} C(b_i, a_i), and whose Gram matrix is exactly
-    (j!)^2/(2j+d)! prod_{i>=1} C(b_i+c_i, b_i)
-    (Farouki, Goodman & Sauer, CAGD 2003).  Every multiindex of degree
-    <= m comes from one enumeration, multiindices(d+1, m) read as
-    (m - j, a) with |a| = j, and the column (j, b) of U is the degree-m
-    multiindex (m - j, b), so the blocks come in order j = 0..m.
+    In the collapsed coordinates x_t = b_t / (b_0 + ... + b_t), t = 1..d,
+    a basis polynomial factors axis by axis, B^m_a = prod_t B^{n_t}_{a_t}(x_t)
+    with n_t = a_0 + ... + a_t, and so does the Dubiner polynomial of
+    kappa = (k_1..k_d), prod_t (1 - x_t)^{K_{t-1}} P_{k_t}^{(0, b_t)}(1 - 2x_t)
+    with K_t = k_1 + ... + k_t and b_t = 2K_{t-1} + t - 1 (Dubiner,
+    J. Sci. Comput. 1991; Sherwin & Karniadakis, IJNME 1995).  Those with
+    |kappa| = j are an orthogonal basis of the part of P^j orthogonal to
+    P^{j-1}, the lam_j eigenspace of the mass matrices, each of squared
+    norm 1 / prod_t (2K_t + t).  Column kappa of U is the degree-m
+    multiindex (m - j, kappa), so the blocks come in order j = 0..m.
 
-    X = E_all R_all holds every R_b elevated to degree m: each entry is a
-    sum of integer products prod_i C(A_i, a_i) times a Rodrigues
-    coefficient, at most C(m, j) C(j, j/2) < 2^53 for every m the binomial
-    table allows, so exact, then divided once by C(m, j).  One Cholesky
-    factor C of the block-diagonal Gram matrix makes the blocks
-    orthonormal: U = X C^{-T}.  The Gram entries carry their scale, so a
-    1 x 1 block (every block at d = 1, the constant block at every d) is
-    R / sqrt(G) through the reciprocal, the bits of its eigendecomposition.
-    Cached and read-only.  At d = 1 column j is (-1)^j sqrt(2j+1) times
-    the shifted Legendre polynomial, and the constant column is sqrt(d!).
+    The coefficient at row a is prod_t N_t / C(n_t, a_t), where
+    N_t = sum_s (-1)^s C(k_t, s) C(k_t + b_t, s) C(n_t - K_t, a_t - s),
+    zero when n_t < K_t, makes N_t / C(n_t, a_t) the degree-n_t Bernstein
+    coefficient of axis t's factor.  One table per axis, the product of two
+    small integer matrices, holds N_t for every column and every
+    (n_t - K_t, a_t).  Each N_t is an exact integer below 2^53 at every m the binomial table
+    allows (checked with Python integers for d <= 5 and d = 8), and the
+    product of the N_t is divided once by m!/a! = prod_t C(n_t, a_t), so at
+    d = 1 every entry is its exact rational, correctly rounded.  The column
+    is then scaled by 1 / sqrt(g), with its squared norm written as
+    g = C(2j, j) j!^2/(2j+d)! prod_{t<d} (2j+t)/(2K_t+t): in a 1 x 1 block
+    (every block at d = 1, the constant block at every d) each factor of
+    the product is exactly 1, so g is the float Gram entry and the column
+    has the bits of its eigendecomposition.  Cached and read-only; numpy
+    only, with no linear algebra routine.  At d = 1 column j is
+    (-1)^j sqrt(2j+1) times the shifted Legendre polynomial, and the
+    constant column is sqrt(d!).
     """
     if d < 1 or m < 0:
         raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
-    # rows (m - j, a): a is a degree-j multiindex, in blocks j = 0..m
-    slack = _multiindex_array(d + 1, m)
-    lower, degree = slack[:, 1:], m - slack[:, 0]
-    # the degree-m multiindices index the rows of U and, as (m - j, b), its columns
-    idx = lower[-math.comb(d + m, d):]
-    block = m - idx[:, 0]
-    binom = _binomials(2 * m)
-    # E_all[A, a] * C(m, j) = prod_i C(A_i, a_i); R_all^T[(j, b), a] on block j
-    elevate = binom[idx[:, 0]][:, lower[:, 0]]
-    rodrigues = np.where(block[:, None] == degree, 1.0 - 2.0 * ((degree - lower[:, 0]) % 2), 0.0)
-    gram = (block[:, None] == block).astype(float)
-    for i in range(1, d + 1):
-        # C(A_i, a_i) for the elevation and C(b_i, a_i) for R, b = A[1:]
-        factor = binom[idx[:, i]][:, lower[:, i]]
-        elevate *= factor
-        rodrigues *= factor
-        gram *= binom[idx[:, i, None] + idx[:, i], idx[:, i, None]]
-    X = (elevate @ rodrigues.T) / binom[m, block]
-    scale = np.array([_factorial_ratio((j, j), (2 * j + d,)) for j in range(m + 1)])
-    C = np.linalg.cholesky(gram * scale[block])
-    U = X @ np.linalg.inv(C).T
+    # the rows a and, read as (m - j, kappa), the columns; idx[:, t] is a_t
+    # along the rows and k_t along the columns
+    idx = _multiindex_array(d, m)
+    rows = idx.shape[0]
+    n = idx.cumsum(axis=1)
+    K = n - idx[:, :1]
+    j = K[:, -1]
+    binom = _binomials(2 * m + d - 1)
+    # T[c + m, a, s] = (-1)^s C(c, a - s) for |c| <= m: zero for c < 0 or s > a
+    pad = np.zeros((2 * m + 1, 2 * m + 1))
+    pad[m:, m:] = binom[: m + 1, : m + 1]
+    s = np.arange(m + 1)
+    T = pad[:, m + s[:, None] - s]
+    T[..., 1::2] *= -1.0
+    T = T.reshape(-1, m + 1)
+    num = 1.0
+    for t in range(1, d + 1):
+        k = idx[:, t]
+        # table[(c + m) (m + 1) + a, col] is N_t at n_t - K_t = c and a_t = a;
+        # with c = n_t(row) - K_t(col) its flat index is a row part plus a column part
+        table = T @ (binom[k, : m + 1] * binom[2 * K[:, t - 1] + t - 1 + k, : m + 1]).T
+        row_part = ((n[:, t] + m) * (m + 1) + k) * rows
+        col_part = np.arange(rows) - K[:, t] * (m + 1) * rows
+        num = num * table.take(row_part[:, None] + col_part)
+    ratio = np.array([_factorial_ratio((i, i), (2 * i + d,)) for i in range(m + 1)])
+    gram = binom[2 * j, j] * ratio[j]
+    for t in range(1, d):
+        gram *= (2 * j + t) / (2 * K[:, t] + t)
+    # m!/a! = prod_t C(n_t, a_t)
+    multinomial = binom[n[:, 1:], idx[:, 1:]].prod(axis=1)
+    U = num / multinomial[:, None] * (1.0 / np.sqrt(gram))
     U.setflags(write=False)
     return U
 

@@ -6,6 +6,9 @@ numbers the package's own basis layer did not produce.  mass_eigenvalues
 gives the closed-form mass spectrum at every d in floating point, integral
 a polynomial's integral over the simplex and grid_min a univariate
 polynomial's minimum over a uniform grid, by its own de Casteljau loop.
+simplex_mass gives the Gram matrix at every d, and dubiner_columns the
+orthogonal basis at every d, expanded from its product form with Python
+integers.
 """
 
 import math
@@ -96,3 +99,93 @@ def elevate(coeffs, n):
 def to_float(values):
     """A nested list of Fractions as a float array, each entry correctly rounded."""
     return np.array(values, dtype=float)
+
+
+def multiindices(d, n):
+    """Every (a_0..a_d) with |a| = n, in descending lexicographic order."""
+    if d == 0:
+        return [(n,)]
+    return [(a0,) + rest for a0 in range(n, -1, -1) for rest in multiindices(d - 1, n - a0)]
+
+
+def simplex_mass(d, n):
+    """Entries C(n; a) C(n; b) (a+b)! / (2n+d)! of the degree-n Gram matrix on
+    the d-simplex, with the multinomials C(n; a) = n!/a! and (a+b)! = prod_i (a_i+b_i)!."""
+    f = math.factorial
+    idx = multiindices(d, n)
+    return [
+        [
+            Fraction(
+                f(n) ** 2 * math.prod(f(x + y) for x, y in zip(a, b)),
+                math.prod(map(f, a)) * math.prod(map(f, b)) * f(2 * n + d),
+            )
+            for b in idx
+        ]
+        for a in idx
+    ]
+
+
+def _power_of_sum(t, k, d):
+    """(b_0 + ... + b_t)^k as {exponents of b_0..b_d: integer coefficient}."""
+    f = math.factorial
+    return {
+        alpha + (0,) * (d - t): f(k) // math.prod(map(f, alpha)) for alpha in multiindices(t, k)
+    }
+
+
+def _times(p, q):
+    """Product of two polynomials held as {exponents: coefficient}."""
+    out = {}
+    for e, c in p.items():
+        for g, r in q.items():
+            key = tuple(x + y for x, y in zip(e, g))
+            out[key] = out.get(key, 0) + c * r
+    return out
+
+
+def dubiner_columns(d, m):
+    """Exact degree-m Bernstein coefficients of the Dubiner polynomials.
+
+    Column kappa, over kappa = (k_1..k_d) read from multiindices(d, m) as
+    (m - j, kappa), is the polynomial whose value in the collapsed
+    coordinates x_t = b_t / (b_0 + ... + b_t) is
+    prod_t (1 - x_t)^{K_{t-1}} P_{k_t}^{(0, 2K_{t-1}+t-1)}(1 - 2x_t), with
+    K_t = k_1 + ... + k_t.  From P_k^{(0, b)}(1 - 2x) =
+    sum_s (-1)^s C(k, s) C(k + b, s) x^s (1 - x)^(k - s), cleared of its
+    denominators b_0 + ... + b_t, it is the homogeneous polynomial
+    sum_s prod_t (-1)^{s_t} C(k_t, s_t) C(k_t + 2K_{t-1} + t - 1, s_t)
+    b_t^{s_t} (b_0 + ... + b_{t-1})^(k_t - s_t), here multiplied by
+    (b_0 + ... + b_d)^(m - j) and read off the degree-m basis.  Returns
+    (rows of Fractions in multiindices(d, m) order, the integers
+    prod_t (2K_t + t)): column kappa times the square root of its integer
+    is M-normalized.
+    """
+    rows = multiindices(d, m)
+    columns, norms = [], []
+    for kappa in (a[1:] for a in rows):
+        K = [sum(kappa[:t]) for t in range(d + 1)]
+        poly = _power_of_sum(d, m - K[d], d)
+        for t in range(1, d + 1):
+            k, top = kappa[t - 1], kappa[t - 1] + 2 * K[t - 1] + t - 1
+            factor = {}
+            for s in range(k + 1):
+                c = (-1) ** s * math.comb(k, s) * math.comb(top, s)
+                for e, r in _power_of_sum(t - 1, k - s, d).items():
+                    e = e[:t] + (s,) + e[t + 1 :]
+                    factor[e] = factor.get(e, 0) + c * r
+            poly = _times(poly, factor)
+        f = math.factorial
+        columns.append([Fraction(poly.get(a, 0) * math.prod(map(f, a)), f(m)) for a in rows])
+        norms.append(math.prod(2 * K[t] + t for t in range(1, d + 1)))
+    return [list(r) for r in zip(*columns)], norms
+
+
+def scaled_to_float(q, n):
+    """q sqrt(n) for a Fraction q and a positive integer n, correctly rounded.
+
+    The square root of q^2 n is taken to 256 fractional bits by isqrt, far
+    below half an ulp of any value of the size met here.
+    """
+    r = q * q * n
+    root = math.isqrt(r.numerator * 4**256 // r.denominator)
+    return math.copysign(float(Fraction(root, 2**256)), q)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import exact
 from bernfit import approx, kkt
 from bernfit import bernstein as bn
 from bernfit import simplex as sx
@@ -167,6 +168,21 @@ class TestProject:
         mom = approx.moments(g0, 2)
         resid = mom - sx.simplex_mass_matrix(2, 2) @ pr.coeffs
         assert np.max(np.abs(resid)) < 1e-12
+
+    def test_triangle_projection_against_high_precision(self):
+        # g1 at m = 10 against a 50-digit solve of M c = moments on the same
+        # float moments, with M from exact integers
+        import mpmath
+
+        m = 10
+        g1 = approx.get_function("g1")
+        mom = approx.moments(g1, m)
+        with mpmath.workdps(50):
+            rows = exact.simplex_mass(2, m)
+            M = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in r] for r in rows])
+            ref = np.array(mpmath.lu_solve(M, mpmath.matrix(mom.tolist())).tolist(), dtype=float)
+        c = approx.project(g1, m).coeffs
+        assert np.max(np.abs(c - ref[:, 0])) <= 1e-10 * np.max(np.abs(ref))
 
 
 def polynomial_target(q):

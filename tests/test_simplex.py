@@ -2,6 +2,7 @@ import ast
 import functools
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -588,12 +589,53 @@ class TestOneShotBasis:
             ref = (-1) ** j * math.sqrt(2 * j + 1) * exact.to_float(exact.elevate(exact.legendre(j), m))
             assert np.max(np.abs(U[:, j] - ref)) <= 4e-16 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("d,m,bound", [(1, 20, 1e-11), (2, 14, 2e-10)])
+    @pytest.mark.parametrize("d,m,bound", [(1, 20, 1e-11), (2, 14, 5e-13)])
     def test_exactly_orthonormal_past_the_caps(self, d, m, bound):
         # in exact arithmetic U^T M U - I stays small where the float check
         # U.T @ M @ U reads 1e-5 (1, 20) and 3e-9 (2, 14) from cancellation alone;
-        # at (1, 20) the bound is that of the correctly rounded exact basis
+        # both bounds are those of the correctly rounded exact basis
         assert exact_orthonormality_gap(d, m) <= bound
+
+    @pytest.mark.parametrize("d,m", ONE_SHOT_CASES)
+    def test_columns_are_the_rounded_dubiner_basis(self, d, m):
+        # every column is within a few ulps of its largest entry of the
+        # correctly rounded M-normalized Dubiner polynomial
+        columns, norms = exact.dubiner_columns(d, m)
+        ref = np.array([[exact.scaled_to_float(q, k) for q, k in zip(r, norms)] for r in columns])
+        U = sx.orthogonal_complement_basis(d, m)
+        assert np.all(np.abs(U - ref) <= 4 * np.spacing(np.max(np.abs(ref), axis=0)))
+
+    @pytest.mark.parametrize("d,m", [(1, 6), (2, 4), (3, 3)])
+    def test_exact_dubiner_columns_are_orthogonal(self, d, m):
+        # the reference itself: c^T M c' = 0 and c^T M c = 1 / norm, exactly
+        columns, norms = exact.dubiner_columns(d, m)
+        cols = list(zip(*columns))
+        M = exact.simplex_mass(d, m)
+        Mc = [[sum(x * y for x, y in zip(row, col)) for row in M] for col in cols]
+        for c, norm in enumerate(norms):
+            for c2, col in enumerate(cols):
+                inner = sum(x * y for x, y in zip(col, Mc[c]))
+                assert inner == (Fraction(1, norm) if c == c2 else 0)
+
+    def test_builds_without_linear_algebra(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the basis build calls np.linalg")
+
+        for name in ("cholesky", "inv", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        sx.orthogonal_complement_basis.cache_clear()
+        for d in (1, 2, 3):
+            assert sx.orthogonal_complement_basis(d, 5).shape == (math.comb(d + 5, d),) * 2
+
+    @pytest.mark.parametrize("d,m", [(1, 29), (2, 29), (3, 28)])
+    def test_refused_past_the_binomial_table(self, d, m):
+        with pytest.raises(ValueError, match="exact in float64 through row 57"):
+            sx.orthogonal_complement_basis(d, m)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_top_of_the_binomial_table(self, d):
+        U = sx.orthogonal_complement_basis(d, 28)
+        assert U.shape == (math.comb(d + 28, d),) * 2 and np.all(np.isfinite(U))
 
     def test_project_never_forms_w(self):
         from bernfit import approx
