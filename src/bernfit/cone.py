@@ -8,11 +8,15 @@ x and 1-x only shift indices, so both maps sum Hankel antidiagonals into
 one 0/1 matrix per degree, built once, and the Bernstein coefficients are
 the u^m coefficients divided by C(m, k).  Damped Newton steps on the
 exact Hessian minimize the projection cost over the cone on square factors
-A = R0 R0^T, B = R1 R1^T.
+A = R0 R0^T, B = R1 R1^T, starting from the target's own diagonal
+certificate, on the target divided by a power of 256 near its size: the
+division is exact, so the solve is equivariant under such scalings and its
+tolerances act relative to the target.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,10 +26,12 @@ from . import simplex
 from .simplex import PolyCoeffs
 
 CONE_DEGREE_LIMIT = 12
-# damped Newton steps from a seeded random start until max|g| <= GRAD_TOL:
-# a step is kept when the cost falls by more than ACCEPT times the decrease
-# its quadratic model predicts, and the damping starts at DAMPING
-SEED = 1234
+# damped Newton steps from the target's own diagonal certificate, its u^m
+# coefficients clipped below at START_FLOOR times the largest, until
+# max|g| <= GRAD_TOL: a step is kept when the cost falls by more than ACCEPT
+# times the decrease its quadratic model predicts, and the damping starts
+# at DAMPING
+START_FLOOR = 1e-3
 MAX_ITERATIONS = 200
 GRAD_TOL = 1e-10
 ACCEPT = 1e-4
@@ -34,7 +40,6 @@ DAMPING = 1e-8
 # cost gradient Z in the blocks is PSD; lambda_min(Z) is tested against the
 # size p^T M p of the problem
 DUAL_RTOL = 1e-6
-DUAL_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -195,50 +200,73 @@ def _hessian(z, blocks, m, scale, M, sa, sb):
     return H
 
 
-def _start_point(sa, sb):
-    """The seeded random factors every Newton run starts from."""
-    rng = np.random.default_rng(SEED)
-    return _pack(rng.standard_normal((sa, sa)) * 0.5, rng.standard_normal((sb, sb)) * 0.5)
+def _diagonal_blocks(u, m):
+    """Diagonal blocks whose image is u in the basis u^m: A[i, i] lands on
+    u^m_{2i+s} and B[i, i] on u^m_{2i+1-s}, s = m mod 2."""
+    s = m % 2
+    return np.diag(u[s::2]), np.diag(u[1 - s :: 2])
+
+
+def _start_point(u, m):
+    """Square factors of the diagonal certificate of the target's u^m
+    coefficients u, clipped below at START_FLOOR * max|u|."""
+    return _pack(*_diagonal_blocks(np.sqrt(np.maximum(u, START_FLOOR * np.abs(u).max())), m))
 
 
 def _newton(z, args):
     """Damped Newton descent on the factored cost from z.
 
-    Each step is -Q diag(1 / (lam + max(0, -lam_min) + mu)) Q^T g, with
-    Q diag(lam) Q^T the exact Hessian: the shift makes the system positive
-    definite at a saddle, and the damping mu gives a trust-region step
-    (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).  The cost change
-    is taken from the change in the residual, so the acceptance test stays
-    accurate while the decrease is far below the rounding of the cost.  Stops
-    when max|g| <= GRAD_TOL or after MAX_ITERATIONS steps.  mu is divided by
-    4 after a step that gains at least 3/4 of the predicted decrease and
-    multiplied by 4 after a rejected one.  Returns the last accepted z, its
-    _state tuple (residual, cost, block gradients, factor gradient), the
-    steps and the cost evaluations: one per step and one at the start.
+    Each step d solves (H + (max(0, -lam_min(H)) + mu) I) d = -g, with H
+    the exact Hessian: the shift makes the system positive definite at a
+    saddle, and the damping mu gives a trust-region step (More & Sorensen,
+    SIAM J. Sci. Stat. Comput. 4, 1983).  A rejected step keeps H and its
+    shift.  The cost change is taken from the change in the residual, so the
+    acceptance test stays accurate while the decrease is far below the
+    rounding of the cost.  Stops when max|g| <= GRAD_TOL or after
+    MAX_ITERATIONS steps.  mu is divided by 4 after a step that gains at
+    least 3/4 of the predicted decrease and multiplied by 4 after a rejected
+    one.  Returns the last accepted z, its _state tuple (residual, cost,
+    block gradients, factor gradient), the steps and the cost evaluations:
+    one per step and one at the start.
     """
     m, scale, M, _, sa, sb = args
     r, _, blocks, grad = state = _state(z, *args)
-    mu, steps, lam = DAMPING, 0, None
+    mu, steps, H, eye = DAMPING, 0, None, np.eye(z.size)
     while np.abs(grad).max() > GRAD_TOL and steps < MAX_ITERATIONS:
-        if lam is None:  # a rejected step keeps the factorization
-            lam, Q = np.linalg.eigh(_hessian(z, blocks, m, scale, M, sa, sb))
-            qg = Q.T @ grad
-            shifted = lam + max(0.0, -lam[0])
-        c = -qg / (shifted + mu)
-        predicted = -(qg @ c + 0.5 * (lam * c) @ c)
-        d = Q @ c
+        if H is None:
+            H = _hessian(z, blocks, m, scale, M, sa, sb)
+            shift = max(0.0, -np.linalg.eigvalsh(H)[0])
+        d = np.linalg.solve(H + (shift + mu) * eye, -grad)
+        predicted = -(grad @ d + 0.5 * d @ (H @ d))
         dr = _residual_change(z, d, m, scale, sa, sb)
         decrease = -(dr @ M @ (2.0 * r + dr))
         steps += 1
         if decrease > ACCEPT * predicted:
             z = z + d
             r, _, blocks, grad = state = _state(z, *args)
-            lam = None
+            H = None
             if decrease >= 0.75 * predicted:
                 mu /= 4.0
         else:
             mu *= 4.0
     return z, state, steps, steps + 1
+
+
+def _scale_exponent(target, M) -> int:
+    """j nearest log_256 sqrt(t^T M t), so that t / 256^j has size near 1.
+
+    The cost is read on t / 2^e, 2^(e-1) <= max|t| < 2^e, where it neither
+    underflows nor overflows, and with e = 8a + b, j = a + round(b / 8 +
+    log_256 sqrt of that cost): t and 256 t give the same b and the same
+    scaled bits, so j(256 t) = j(t) + 1 exactly.  0 for a non-finite t.
+    """
+    top = float(np.abs(target).max())
+    if not math.isfinite(top):
+        return 0
+    e = math.frexp(top)[1]
+    a, b = divmod(e, 8)
+    t = np.ldexp(target, -e)
+    return a + round(b / 8 + math.log2(float(t @ M @ t)) / 16)
 
 
 def solve_cone(p: PolyCoeffs) -> ConeResult:
@@ -248,14 +276,20 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
     optimum: each u^m_k is a square, or x, 1-x or x(1-x) times one, so its
     coefficient C(m, k) p_k goes on one diagonal entry of A or B.  p is
     returned at once with that certificate, where the residual, the cost and
-    both gradients are exactly 0.  Otherwise damped Newton steps on square
-    factors from a seeded random start run until the factor gradient is at
-    most GRAD_TOL, and the answer is read from the last accepted step's
+    both gradients are exactly 0.  Otherwise the problem is solved on
+    t = p / k, k = 256^j with j from _scale_exponent, and q, A and B are
+    multiplied by k and the objective by k^2 afterwards: scaling by a power
+    of 2 is exact, so 256^i p is solved on p's own bits, and every tolerance
+    acts relative to the size of p.  Damped Newton steps on square factors
+    start from the square roots of t's diagonal certificate, clipped below
+    at START_FLOOR times its largest entry, and run until the factor gradient
+    is at most GRAD_TOL; the answer is read from the last accepted step's
     state.  Every local minimum of the factored cost is a global one (Burer
     & Monteiro, Math. Program. 103, 2005), but a stationary point may be a
     saddle, so converged also requires the blocks' cost gradient to be PSD:
     with <Z, X> = 0 at a stationary point, that is the convex problem's KKT
-    condition.
+    condition.  converged is decided on t; grad_norm and dual_min are
+    reported in p's units, times k^(3/2) and k.
     """
     m = p.degree
     if p.dim != 1:
@@ -269,28 +303,26 @@ def solve_cone(p: PolyCoeffs) -> ConeResult:
     M = simplex.simplex_mass_matrix(1, m)
     target = np.asarray(p.coeffs, dtype=float)
     if target.min() >= 0.0:
-        # A[i, i] lands on u^m_{2i+s} and B[i, i] on u^m_{2i+1-s}, s = m mod 2
-        u = target * comb
-        s = m % 2
-        point = ConePoint(m=m, A=np.diag(u[s::2]), B=np.diag(u[1 - s :: 2]))
+        point = ConePoint(m, *_diagonal_blocks(target * comb, m))
         return ConeResult(
             q=p, point=point, objective=0.0, grad_norm=0.0, dual_min=0.0,
             converged=True, iterations=0, evaluations=0,
         )
-    args = (m, scale, M, target, sa, sb)
-    z, (_, cost, blocks, grad), iterations, evaluations = _newton(_start_point(sa, sb), args)
+    j = _scale_exponent(target, M)
+    t = np.ldexp(target, -8 * j)
+    args = (m, scale, M, t, sa, sb)
+    z, (_, cost, blocks, grad), iterations, evaluations = _newton(_start_point(t * comb, m), args)
     R0, R1 = _unpack(z, sa, sb)
-    point = ConePoint(m=m, A=R0 @ R0.T, B=R1 @ R1.T)
+    point = ConePoint(m=m, A=np.ldexp(R0 @ R0.T, 8 * j), B=np.ldexp(R1 @ R1.T, 8 * j))
     gnorm = float(np.abs(grad).max())
-    dual_min = min(np.linalg.eigvalsh(G)[0] for G in blocks if G.size)
-    floor = DUAL_RTOL * float(target @ M @ target) + DUAL_ATOL
+    dual_min = float(min(np.linalg.eigvalsh(G)[0] for G in blocks if G.size))
     return ConeResult(
         q=PolyCoeffs(degree=m, coeffs=scale * omega_adjoint(point)),
         point=point,
-        objective=float(cost),
-        grad_norm=gnorm,
-        dual_min=float(dual_min),
-        converged=gnorm <= GRAD_TOL and dual_min >= -floor,
+        objective=float(np.ldexp(cost, 16 * j)),
+        grad_norm=float(np.ldexp(gnorm, 12 * j)),
+        dual_min=float(np.ldexp(dual_min, 8 * j)),
+        converged=gnorm <= GRAD_TOL and dual_min >= -DUAL_RTOL * float(t @ M @ t),
         iterations=iterations,
         evaluations=evaluations,
     )

@@ -150,6 +150,19 @@ class TestErrorTable:
         assert len(lines) == 13
         assert all(cone_cell == project_cell for _, project_cell, cone_cell in lines)
 
+    @pytest.mark.parametrize("expr", [
+        "0.001*(0.5*(sin(2*pi*x)+1))",  # f0 times 1e-3
+        "1e-6*(0.01+x/(x*x+1)-0.3)",  # f2 times 1e-6
+    ])
+    def test_small_targets_converge_and_pass_the_cost_check(self, expr, tmp_path, capsys):
+        # the cone solves on the target divided by a power of 256, so its
+        # stopping gradient and its cost act relative to the target's size
+        out = tmp_path / "errors.csv"
+        rc = main(["--func", expr, "--mmax", "12", "--methods", "cone", "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        _, rows = read_table(out)
+        assert rows.shape == (13, 2) and np.all(np.isfinite(rows))
+
 
 class TestSamples:
     def test_grid_and_feasibility(self, tmp_path):

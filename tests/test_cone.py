@@ -368,7 +368,7 @@ class TestSolveCone:
         from bernfit import approx
 
         start_point = cone._start_point
-        monkeypatch.setattr(cone, "_start_point", lambda sa, sb: 0.0 * start_point(sa, sb))
+        monkeypatch.setattr(cone, "_start_point", lambda u, m: 0.0 * start_point(u, m))
         res = cone.solve_cone(approx.project(approx.get_function("f2"), 2))
         assert res.grad_norm == 0.0
         assert res.dual_min < -0.1
@@ -425,18 +425,107 @@ class TestNonnegativeTarget:
         assert res.evaluations > 0 and res.q is not p
 
 
+CORPUS = ["f0", "f1", "f2", "f3", "f2alt"]
+
+
+class TestScaling:
+    @pytest.mark.parametrize("ident", CORPUS)
+    @pytest.mark.parametrize("i", [-2, -1, 1, 2])
+    def test_powers_of_256_scale_every_output_exactly(self, ident, i):
+        # 256^i p is solved on p's own bits: q, A and B come back times
+        # 256^i and the objective times 256^(2i), with the same steps
+        from bernfit import approx
+
+        f = approx.get_function(ident)
+        k = 256.0**i
+        for m in range(1, cone.CONE_DEGREE_LIMIT + 1):
+            p = approx.project(f, m, approx.default_rule(1))
+            base = cone.solve_cone(p)
+            res = cone.solve_cone(bn.poly(k * p.coeffs))
+            assert np.array_equal(res.q.coeffs, k * base.q.coeffs), m
+            assert np.array_equal(res.point.A, k * base.point.A), m
+            assert np.array_equal(res.point.B, k * base.point.B), m
+            assert res.objective == k * k * base.objective, m
+            assert res.grad_norm == k**1.5 * base.grad_norm, m
+            assert res.dual_min == k * base.dual_min, m
+            assert (res.iterations, res.converged) == (base.iterations, base.converged), m
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 8.0, 1e4, 1e6])
+    def test_random_targets_converge_at_any_scale(self, scale):
+        rng = np.random.default_rng(0)
+        failed = []
+        for m in range(1, cone.CONE_DEGREE_LIMIT + 1):
+            for draw in range(20):
+                res = cone.solve_cone(bn.poly(scale * rng.uniform(-1, 1, m + 1)))
+                if not res.converged:
+                    failed.append((m, draw, res.grad_norm, res.dual_min))
+        assert not failed
+
+    def test_unit_scale_stall_converges(self):
+        # draw 41 of 80 at m = 12, times 8, inside the corpus's size range
+        # (sqrt(p^T M p) = 2.98): from a random start Newton can run out of
+        # steps here, at grad 2.4e-5
+        rng = np.random.default_rng(0)
+        draws = {m: [rng.uniform(-1, 1, m + 1) for _ in range(80)] for m in range(1, 13)}
+        res = cone.solve_cone(bn.poly(8.0 * draws[12][41]))
+        assert res.converged and res.iterations < cone.MAX_ITERATIONS
+        assert res.grad_norm <= 8.0**1.5 * cone.GRAD_TOL
+
+    @pytest.mark.parametrize("top", [1e-300, 1e-30, 1.0, 1e30, 1e300])
+    def test_exponent_follows_the_size_of_the_target(self, top):
+        # j(256 t) = j(t) + 1, with no under- or overflow in t^T M t
+        M = sx.simplex_mass_matrix(1, 4)
+        u = np.array([1.0, -0.5, 0.25, 0.0, -1.0])
+        j = cone._scale_exponent(top * u, M)
+        assert cone._scale_exponent(256.0 * top * u, M) == j + 1
+        assert cone._scale_exponent(top * u / 256.0, M) == j - 1
+        # log_256 sqrt(t^T M t), taken apart so that nothing overflows
+        assert abs(j - (np.log2(top) + 0.5 * np.log2(u @ M @ u)) / 8) <= 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_is_not_converged(self, bad):
+        with np.errstate(all="ignore"):
+            res = cone.solve_cone(bn.poly([bad, -1.0, 1.0]))
+        assert not res.converged and res.iterations == 0
+
+    @pytest.mark.parametrize("ident", CORPUS)
+    def test_corpus_targets_are_solved_unscaled(self, ident):
+        from bernfit import approx
+
+        f = approx.get_function(ident)
+        for m in range(cone.CONE_DEGREE_LIMIT + 1):
+            p = approx.project(f, m, approx.default_rule(1))
+            assert cone._scale_exponent(p.coeffs, sx.simplex_mass_matrix(1, m)) == 0
+
+
 class TestNewton:
+    @pytest.mark.parametrize("m", [0, 1, 4, 7, 12])
+    def test_starts_from_the_clipped_diagonal_certificate(self, m):
+        # the squares of the start's diagonal factors are the target's u^m
+        # coefficients, each raised to START_FLOOR times the largest
+        rng = np.random.default_rng(110 + m)
+        u = rng.uniform(-1, 1, m + 1)
+        R0, R1 = cone._unpack(cone._start_point(u, m), *cone._block_sizes(m))
+        for R in (R0, R1):
+            assert np.array_equal(R, np.diag(np.diag(R)))
+        point = cone.ConePoint(m, R0 @ R0.T, R1 @ R1.T)
+        floor = cone.START_FLOOR * np.abs(u).max()
+        assert np.allclose(cone.omega_adjoint(point), np.maximum(u, floor), rtol=1e-15, atol=0)
+        # a power-of-4 scaling of u scales the factors exactly
+        assert np.array_equal(cone._start_point(16.0 * u, m), 4.0 * cone._start_point(u, m))
+
     @pytest.mark.parametrize("m", [1, 4, 8, 12])
     def test_returns_the_state_of_its_last_iterate(self, m):
         # solve_cone reads the answer from the returned state, so it must be
         # _state at the returned z, bit for bit, not that of an earlier iterate
         rng = np.random.default_rng(80 + m)
         sa, sb = cone._block_sizes(m)
-        scale = 1.0 / np.array([math.comb(m, k) for k in range(m + 1)])
+        comb = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
+        scale = 1.0 / comb
         M = sx.simplex_mass_matrix(1, m)
         target = rng.uniform(-1, 1, m + 1)
         args = (m, scale, M, target, sa, sb)
-        z, state, steps, evaluations = cone._newton(cone._start_point(sa, sb), args)
+        z, state, steps, evaluations = cone._newton(cone._start_point(target * comb, m), args)
         assert steps > 0 and evaluations == steps + 1
         r, cost, (GA, GB), grad = cone._state(z, *args)
         assert np.array_equal(state[0], r) and state[1] == cost
