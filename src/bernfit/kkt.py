@@ -83,7 +83,7 @@ class KktProblem:
         want = math.comb(self.dim + self.m, self.dim)
         if t.shape != (want,):
             raise ValueError(f"target must have shape ({want},), got {t.shape}")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValueError("target coefficients must be finite")
         t = t.copy()
         t.setflags(write=False)
@@ -129,24 +129,28 @@ def _nnls_active_set(problem: KktProblem, G, ep) -> tuple[int, ...]:
     has residual r_last = -1 / (1 + ||v||^2) <= -1/2 and an infeasible one
     has r_last = 0.
     """
-    h = -ep / np.abs(ep).max()
-    A = np.vstack([G.T, h])
-    b = np.zeros(A.shape[0])
-    b[-1] = 1.0
+    k, c = G.shape
+    A = np.empty((c + 1, k))
+    A[:c] = G.T
+    h = A[c]
+    np.divide(ep, -np.abs(ep).max(), out=h)
+    b = np.zeros(c + 1)
+    b[c] = 1.0
     try:
-        u, _ = optimize.nnls(A, b, maxiter=NNLS_ITERATIONS * A.shape[1])
+        u, _ = optimize.nnls(A, b, maxiter=NNLS_ITERATIONS * k)
     except RuntimeError as e:
         raise NoFeasibleSubsetError(
             f"NNLS stopped on the {problem.num_constraints} constraints: {e} "
             f"(m={problem.m}, n={problem.n}, dim={problem.dim}, delta={problem.delta})"
         ) from None
-    if (A @ u - b)[-1] > -INFEASIBLE_RESIDUAL:
+    # r_last = h^T u - 1
+    if h @ u - 1.0 > -INFEASIBLE_RESIDUAL:
         raise NoFeasibleSubsetError(
             f"NNLS finds the {problem.num_constraints} constraints infeasible "
             f"(m={problem.m}, n={problem.n}, dim={problem.dim}, "
             f"delta={problem.delta})"
         )
-    return tuple(int(j) for j in np.flatnonzero(u))
+    return tuple(u.nonzero()[0].tolist())
 
 
 def solve(problem: KktProblem) -> KktSolution:
@@ -189,14 +193,15 @@ def solve(problem: KktProblem) -> KktSolution:
             f"delta={problem.delta})"
         )
 
-    active = list(J)
-    GJ = G[active]
-    A = 0.5 * (GJ @ GJ.T)
+    GJ = G.take(J, axis=0)
+    A = GJ @ GJ.T
+    A *= 0.5
     tol = RANK_TOL * np.abs(A).max(initial=0.0)
     if np.count_nonzero(np.abs(np.linalg.eigvalsh(A)) > tol) < len(J):
         raise refuse("rank guard")
-    mu_J = np.linalg.solve(A, -ep[active])
-    if not np.all(mu_J >= -DUAL_TOL):
+    mu_J = np.linalg.solve(A, -ep.take(J))
+    # written so that a NaN multiplier fails it
+    if not mu_J.min(initial=np.inf) >= -DUAL_TOL:
         raise refuse("dual check")
     # q - p = U v: the cost is ||v||^2, and E p + G v is the elevated q
     v = 0.5 * (GJ.T @ mu_J)
@@ -204,7 +209,7 @@ def solve(problem: KktProblem) -> KktSolution:
     if not y.min() >= -PRIMAL_TOL:
         raise refuse("primal check")
     mu = np.zeros(problem.num_constraints)
-    mu[active] = mu_J
+    mu.put(J, mu_J)
     U = simplex.orthogonal_complement_basis(problem.dim, problem.m)
     return KktSolution(
         q=PolyCoeffs(problem.m, problem.target + U[:, problem.delta :] @ v, problem.dim),
@@ -230,23 +235,18 @@ def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnost
     """Recompute every KKT residual from scratch and compare against tol."""
     E = simplex.simplex_elevation(problem.dim, problem.m, problem.n)
     M = simplex.simplex_mass_matrix(problem.dim, problem.m)
-    # m!/(m+d)!: the integral of one degree-m basis function
-    c_eq = _factorial_ratio((problem.m,), (problem.m + problem.dim,))
     qvec = np.asarray(sol.q.coeffs, dtype=float)
     # gradient of the Lagrangian at (q, mu, nu); zero at the optimum
-    stat = (
-        2.0 * M @ (qvec - problem.target)
-        - E.T @ sol.mu
-        - problem.delta * sol.nu * c_eq
-    )
+    stat = 2.0 * M @ (qvec - problem.target) - E.T @ sol.mu
     elevated = E @ qvec
     slack = np.abs(sol.mu * elevated)
-    # c_eq times the coefficient sum is the integral of a degree-m polynomial
-    gap = (
-        abs(c_eq * float(np.sum(qvec)) - c_eq * float(np.sum(problem.target)))
-        if problem.delta
-        else 0.0
-    )
+    gap = 0.0
+    if problem.delta:
+        # m!/(m+d)!: the integral of one degree-m basis function, so c_eq
+        # times the coefficient sum is the integral of a degree-m polynomial
+        c_eq = _factorial_ratio((problem.m,), (problem.m + problem.dim,))
+        stat -= sol.nu * c_eq
+        gap = abs(c_eq * float(qvec.sum()) - c_eq * float(problem.target.sum()))
     stationarity = float(np.abs(stat).max())
     min_elev = float(elevated.min())
     min_mu = float(sol.mu.min()) if sol.mu.size else 0.0

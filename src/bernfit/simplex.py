@@ -213,13 +213,20 @@ def simplex_elevation(d: int, m: int, n: int) -> np.ndarray:
     C(n; a) = n!/a!, which equals prod_i C(a_i, b_i) / C(n, m).  The
     binomial table is exact through row 57 (and refuses larger n), and for
     the degrees used here the products stay exact integers, so each entry
-    is one correctly rounded division.  Cached and read-only.
+    is one correctly rounded division.  At n = m every off-diagonal entry
+    has a factor C(a_i, b_i) = 0 with a_i < b_i, so E is the identity,
+    bit for bit.  Cached and read-only.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+    # read first, so that n past the exact table is refused at n = m too
+    binom = _binomials(n)
+    if m == n:
+        E = np.eye(math.comb(d + n, d))
+        E.setflags(write=False)
+        return E
     upper = _multiindex_array(d, n)
     lower = _multiindex_array(d, m)
-    binom = _binomials(n)
     prod = binom[upper[:, 0]][:, lower[:, 0]]
     for i in range(1, d + 1):
         prod = prod * binom[upper[:, i]][:, lower[:, i]]

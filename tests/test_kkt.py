@@ -182,6 +182,22 @@ class TestNnlsIterationLimit:
         assert sol.active_set == oracles.enumerate_solve(prob).active_set
         assert kkt.verify_kkt(prob, sol, 1e-9).passed
 
+    def test_active_set_is_sorted_python_ints(self):
+        # the support of NNLS's u, in increasing order, as plain ints
+        problems = [slow_nnls_instance()]
+        for dim, m, n in [(1, 8, 8), (1, 8, 18), (2, 4, 4), (2, 4, 6)]:
+            f = approx.get_function("f2" if dim == 1 else "g2")
+            target = approx.project(f, m).coeffs - 0.1
+            problems += [kkt.KktProblem(dim=dim, m=m, n=n, target=target, delta=d) for d in (0, 1)]
+        for prob in problems:
+            G = sx.simplex_spectral_factors(prob.dim, prob.m, prob.n)[:, prob.delta :]
+            ep = sx.simplex_elevation(prob.dim, prob.m, prob.n) @ prob.target
+            J = kkt._nnls_active_set(prob, G, ep)
+            assert type(J) is tuple and J
+            assert all(type(j) is int for j in J)
+            assert list(J) == sorted(set(J))
+            assert J == kkt.solve(prob).active_set
+
     def test_limit_reached_is_typed(self, monkeypatch):
         monkeypatch.setattr(kkt, "NNLS_ITERATIONS", 3)
         with pytest.raises(kkt.NoFeasibleSubsetError, match="NNLS stopped"):
@@ -308,6 +324,29 @@ class TestRefusals:
         # half the true set leaves the other end's elevated value negative
         prob = kkt.KktProblem(dim=1, m=2, n=2, target=np.array([-1.0, 2.0, -1.0]), delta=delta)
         assert "primal check" in self.refusal(monkeypatch, prob, (0,))
+
+    @staticmethod
+    def one_nan(linalg_call):
+        """linalg_call with the first entry of its result replaced by NaN."""
+
+        def call(*args):
+            out = linalg_call(*args).copy()
+            out[0] = np.nan
+            return out
+
+        return call
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    @pytest.mark.parametrize(
+        "name,check", [("solve", "dual check"), ("eigvalsh", "rank guard")]
+    )
+    def test_nan_is_refused(self, monkeypatch, delta, name, check):
+        # NaN multipliers fail the dual check and NaN eigenvalues the rank
+        # guard, though NaN compares false both ways
+        prob = kkt.KktProblem(dim=1, m=2, n=2, target=np.array([-1.0, 2.0, -1.0]), delta=delta)
+        monkeypatch.setattr(np.linalg, name, self.one_nan(getattr(np.linalg, name)))
+        with pytest.raises(kkt.NoFeasibleSubsetError, match=check):
+            kkt.solve(prob)
 
 
 class TestRankGuard:

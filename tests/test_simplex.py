@@ -220,7 +220,7 @@ class TestElevation:
         with pytest.raises(ValueError):
             sx.simplex_elevation(2, 3, 2)
 
-    @pytest.mark.parametrize("d,m,n", [(1, 3, 13), (2, 2, 4), (2, 0, 6), (3, 2, 5)])
+    @pytest.mark.parametrize("d,m,n", [(1, 3, 13), (2, 2, 4), (2, 0, 6), (3, 2, 5), (2, 3, 3)])
     def test_one_gather_per_coordinate(self, d, m, n):
         # the three-index gather of every prod_i C(a_i, b_i) at once is the
         # reference: the entries are the same integers, divided once
@@ -232,6 +232,20 @@ class TestElevation:
         # the layout fixes BLAS's summation order in E @ x, so the bits of
         # every elevated vector
         assert E.flags.c_contiguous
+
+    def test_identity_at_equal_degrees(self):
+        # n = m: bitwise the identity, laid out and cached like every E
+        for d in (1, 2, 3):
+            for m in range(13):
+                E = sx.simplex_elevation(d, m, m)
+                eye = np.eye(math.comb(d + m, d))
+                assert E.dtype == eye.dtype and E.shape == eye.shape
+                assert E.tobytes() == eye.tobytes()
+                assert E.flags.c_contiguous and not E.flags.writeable
+                assert sx.simplex_elevation(d, m, m) is E
+        # past the exact binomial table it is refused like every other E
+        with pytest.raises(ValueError):
+            sx.simplex_elevation(1, 58, 58)
 
     def test_binomials_exact_through_row_57(self):
         C = sx._binomials(57)
