@@ -8,8 +8,12 @@ cone solve (plus sample overlays at degree 5), the two linear baselines, and
 the triangle targets with projection and the constrained solve at n = m.
 
 Usage: python3 scripts/error_study.py [outdir] [--quick]
+
+Any other argument is refused with exit 1 and one line on stderr, before
+the output directory is made.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -56,9 +60,21 @@ def run(outdir: Path, quick: bool) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        print(f"error_study: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
+def main(argv=None) -> int:
+    ap = _Parser(prog="error_study", description=__doc__.splitlines()[0])
+    ap.add_argument("outdir", nargs="?", type=Path, default=Path("study_out"),
+                    help="directory for the error tables (default: study_out)")
+    ap.add_argument("--quick", action="store_true",
+                    help="degrees up to 6 in 1-D and 2 in 2-D, not 8 and 4")
+    args = ap.parse_args(argv)
+    return run(args.outdir, args.quick)
+
+
 if __name__ == "__main__":
-    argv = sys.argv[1:]
-    quick = "--quick" in argv
-    argv = [a for a in argv if a != "--quick"]
-    out = Path(argv[0]) if argv else Path("study_out")
-    sys.exit(run(out, quick))
+    sys.exit(main())

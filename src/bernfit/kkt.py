@@ -8,17 +8,19 @@ pinned to the integral of p (the delta switch).  Works on the interval
 In the orthonormal coordinates q = p + U^{m,m} v the cost is ||v||^2 and
 the constraints read G v >= -E p, with G = U^{m,n} = E U^{m,m}; delta = 1
 drops G's constant column 0 (and v's entry), so the integral stays fixed.
-solve finds the active set J with one nonnegative least-squares (NNLS)
-call: Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23) turn
-this least distance program into an NNLS problem whose support is J.  On
-J the multipliers solve
+solve answers this least distance program with one nonnegative
+least-squares (NNLS) call: Lawson & Hanson (Solving Least Squares Problems,
+1974, ch. 23) turn it into min ||A u - e_last|| over u >= 0 with
+A = [G^T; h^T], h = -E p / s and s = max |E p|.  The answer is read off the
+NNLS solution u and its residual r = 1 - h^T u:
 
-    (1/2) G_J G_J^T mu_J = -(E p)_J,
+    mu = (2 s / r) u,    v = G^T mu / 2 = (s / r) G^T u,
 
-and v = G_J^T mu_J / 2 gives both the elevated vector E p + G v and q.
-No subset is enumerated, so the constraint count is not bounded here.  A
-target whose elevation is already feasible skips NNLS and the reduced
-solve: it is its own answer.
+so 2 v = G^T mu, the stationarity of the cost, holds exactly, and the
+active set J is the support of u.  E p + G v is the elevated vector and q
+follows from v.  No subset is enumerated, so the constraint count is not
+bounded here.  A target whose elevation is already feasible skips NNLS: it
+is its own answer.
 The paper's exhaustive search over every J, in the form (W - c delta)
 mu_J = -(E p)_J with W = U^{m,n} (U^{m,n})^T / 2, is kept in the oracles
 module as the reference method the tests check solve against.
@@ -37,9 +39,8 @@ from .simplex import PolyCoeffs, _factorial_ratio
 
 PRIMAL_TOL = 1e-9
 DUAL_TOL = 1e-12
-RANK_TOL = 1e-11
-# -r_last of the NNLS residual is >= 1/2 for a feasible problem scaled as in
-# _nnls_active_set and 0 for an infeasible one
+# the NNLS residual r is >= 1/2 for a feasible problem scaled as in
+# _least_distance and 0 for an infeasible one
 INFEASIBLE_RESIDUAL = 0.25
 # Lawson & Hanson iterations allowed per constraint; scipy's default of 3
 # stops short on some problems inside the caps (d = 1, m = n = 10)
@@ -47,8 +48,8 @@ NNLS_ITERATIONS = 10
 
 
 class NoFeasibleSubsetError(Exception):
-    """Raised when NNLS finds no active set, or its set fails the rank
-    guard, the dual check or the primal check.
+    """Raised when NNLS finds the constraints infeasible, or its answer
+    fails the dual check or the primal check.
 
     Should be impossible for a well-posed feasible problem; seeing it means
     either the constraints are infeasible (e.g. a mass constraint with
@@ -117,23 +118,27 @@ class KktDiagnostics:
     passed: bool
 
 
-def _nnls_active_set(problem: KktProblem, G, ep) -> tuple[int, ...]:
-    """The active set, as the support of one NNLS solution.
+def _least_distance(
+    problem: KktProblem, G, ep
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Solve min ||v|| subject to G v >= -E p by one NNLS call.
 
-    In the coordinates v of the module docstring the problem is
-    min ||v|| subject to G v >= h, where G is Umn, without its constant
-    column 0 when delta = 1, and h = -E p.  Lawson & Hanson solve it as
-    min ||A u - e_last|| over u >= 0 with A = [G^T; h^T].  h is scaled to
-    max |h| = 1, which leaves the support unchanged and bounds the distance
-    to the feasible set by ||p||_L2 / max |E p| <= 1, so a feasible problem
-    has residual r_last = -1 / (1 + ||v||^2) <= -1/2 and an infeasible one
-    has r_last = 0.
+    G is Umn, without its constant column 0 when delta = 1, in the
+    coordinates v of the module docstring.  Lawson & Hanson solve the
+    program as min ||A u - e_last|| over u >= 0 with A = [G^T; h^T] and
+    h = -E p / s, s = max |E p|.  The scaling leaves the support unchanged
+    and bounds the distance to the feasible set by ||p||_L2 / s <= 1, so a
+    feasible problem has residual r = 1 - h^T u = 1 / (1 + ||v / s||^2)
+    >= 1/2 and an infeasible one has r = 0.  Returns the active set J, the
+    support of u as a sorted tuple, v = G^T mu / 2 and the multipliers
+    mu = (2 s / r) u, one per constraint.
     """
     k, c = G.shape
     A = np.empty((c + 1, k))
     A[:c] = G.T
     h = A[c]
-    np.divide(ep, -np.abs(ep).max(), out=h)
+    s = np.abs(ep).max()
+    np.divide(ep, -s, out=h)
     b = np.zeros(c + 1)
     b[c] = 1.0
     try:
@@ -143,14 +148,17 @@ def _nnls_active_set(problem: KktProblem, G, ep) -> tuple[int, ...]:
             f"NNLS stopped on the {problem.num_constraints} constraints: {e} "
             f"(m={problem.m}, n={problem.n}, dim={problem.dim}, delta={problem.delta})"
         ) from None
-    # r_last = h^T u - 1
-    if h @ u - 1.0 > -INFEASIBLE_RESIDUAL:
+    r = 1.0 - h @ u
+    # written so that a NaN in u passes on to the dual check
+    if r < INFEASIBLE_RESIDUAL:
         raise NoFeasibleSubsetError(
             f"NNLS finds the {problem.num_constraints} constraints infeasible "
             f"(m={problem.m}, n={problem.n}, dim={problem.dim}, "
             f"delta={problem.delta})"
         )
-    return tuple(u.nonzero()[0].tolist())
+    J = tuple(u.nonzero()[0].tolist())
+    mu = (2.0 * s / r) * u
+    return J, 0.5 * (G.T @ mu), mu
 
 
 def solve(problem: KktProblem) -> KktSolution:
@@ -158,15 +166,12 @@ def solve(problem: KktProblem) -> KktSolution:
 
     A target whose elevation is feasible is its own answer (J = ()), its
     coefficients returned unchanged; the test reads the signs of E p
-    alone, with no reduced solve.
-    Otherwise NNLS names the active set J, and the reduced system on J
-    gives the solution, refused unless it passes the rank guard, the dual
-    check and the primal check.  The rank guard counts the eigenvalues of
-    the symmetric reduced matrix above RANK_TOL times its largest entry in
-    magnitude, the count matrix_rank(..., hermitian=True) makes from the
-    same eigvalsh call.  The counters report the one or two
-    subsets this examines: the empty set, which the feasibility test
-    stands for, then J.
+    alone, with no NNLS call.
+    Otherwise one NNLS call gives the active set J, v and the multipliers
+    mu at once (the residual identity of the module docstring), refused
+    unless mu passes the dual check and E p + G v the primal check.  The
+    counters report the one or two subsets this examines: the empty set,
+    which the feasibility test stands for, then J.
     """
     ep = simplex.simplex_elevation(problem.dim, problem.m, problem.n) @ problem.target
     if ep.min() >= -PRIMAL_TOL:
@@ -184,7 +189,7 @@ def solve(problem: KktProblem) -> KktSolution:
             rank_skips=0,
         )
     G = simplex.simplex_spectral_factors(problem.dim, problem.m, problem.n)[:, problem.delta :]
-    J = _nnls_active_set(problem, G, ep)
+    J, v, mu = _least_distance(problem, G, ep)
 
     def refuse(check):
         return NoFeasibleSubsetError(
@@ -193,23 +198,13 @@ def solve(problem: KktProblem) -> KktSolution:
             f"delta={problem.delta})"
         )
 
-    GJ = G.take(J, axis=0)
-    A = GJ @ GJ.T
-    A *= 0.5
-    tol = RANK_TOL * np.abs(A).max(initial=0.0)
-    if np.count_nonzero(np.abs(np.linalg.eigvalsh(A)) > tol) < len(J):
-        raise refuse("rank guard")
-    mu_J = np.linalg.solve(A, -ep.take(J))
     # written so that a NaN multiplier fails it
-    if not mu_J.min(initial=np.inf) >= -DUAL_TOL:
+    if not mu.min() >= -DUAL_TOL:
         raise refuse("dual check")
     # q - p = U v: the cost is ||v||^2, and E p + G v is the elevated q
-    v = 0.5 * (GJ.T @ mu_J)
     y = ep + G @ v
     if not y.min() >= -PRIMAL_TOL:
         raise refuse("primal check")
-    mu = np.zeros(problem.num_constraints)
-    mu.put(J, mu_J)
     U = simplex.orthogonal_complement_basis(problem.dim, problem.m)
     return KktSolution(
         q=PolyCoeffs(problem.m, problem.target + U[:, problem.delta :] @ v, problem.dim),

@@ -30,12 +30,15 @@ import numpy as np
 from scipy import optimize
 
 from . import kkt, simplex
-from .kkt import DUAL_TOL, PRIMAL_TOL, RANK_TOL, KktProblem, KktSolution
+from .kkt import DUAL_TOL, PRIMAL_TOL, KktProblem, KktSolution
 from .simplex import PolyCoeffs, _factorial_ratio
 
 # subsets of one size stacked into one batch of reduced solves
 _CHUNK = 32768
 MAX_SUBSET_BITS = 22
+# a reduced matrix A is rank deficient when it has fewer eigenvalues above
+# RANK_TOL * max|A| in magnitude than rows
+RANK_TOL = 1e-11
 
 
 class IntractableProblemError(Exception):

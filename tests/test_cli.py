@@ -13,6 +13,15 @@ from bernfit import bernstein as bn
 from bernfit.cli import main, samples_path
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subprocess_env():
+    """The environment with the package's src directory on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def read_table(path):
     lines = Path(path).read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -379,12 +388,10 @@ class TestSpecErrors:
 
     def test_huge_integer_power_overflows_at_once(self, tmp_path):
         # as Python integers, 9**9**9 has 370 million digits and never finishes
-        src = Path(__file__).resolve().parent.parent / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "bernfit", "--func", "x+9**9**9", "--mmax", "2",
              "--out", str(tmp_path / "errors.csv")],
-            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=60, env=subprocess_env(),
         )
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
@@ -461,3 +468,21 @@ class TestSpecErrors:
         assert main(argv + ["--methods", "project", "--out", str(out)]) == 0
         _, rows = read_table(out)
         assert np.isfinite(rows).all()
+
+
+class TestErrorStudy:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--quik"], ["out", "--quik"], ["out", "more"]],
+        ids=["flag-alone", "flag-after-outdir", "second-outdir"],
+    )
+    def test_unknown_argument_is_refused_before_any_work(self, argv, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "error_study.py"), *argv],
+            capture_output=True, text=True, timeout=60, env=subprocess_env(), cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error_study: "), proc.stderr
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []

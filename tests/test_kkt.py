@@ -52,11 +52,9 @@ class TestClosedFormFixture:
         E = sx.simplex_elevation(1, 2, 5)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a feasible target needs no reduced solve")
+            raise AssertionError("a feasible target needs no NNLS call")
 
-        monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(kkt.optimize, "nnls", refuse)
         for delta in (0, 1):
             p = kkt.KktProblem(dim=1, m=2, n=5, target=t, delta=delta)
             s = kkt.solve(p)
@@ -183,7 +181,9 @@ class TestNnlsIterationLimit:
         assert kkt.verify_kkt(prob, sol, 1e-9).passed
 
     def test_active_set_is_sorted_python_ints(self):
-        # the support of NNLS's u, in increasing order, as plain ints
+        # the support of NNLS's u, in increasing order, as plain ints, and
+        # the support of mu; v and mu satisfy the stationarity 2 v = G^T mu
+        # bit for bit
         problems = [slow_nnls_instance()]
         for dim, m, n in [(1, 8, 8), (1, 8, 18), (2, 4, 4), (2, 4, 6)]:
             f = approx.get_function("f2" if dim == 1 else "g2")
@@ -192,11 +192,13 @@ class TestNnlsIterationLimit:
         for prob in problems:
             G = sx.simplex_spectral_factors(prob.dim, prob.m, prob.n)[:, prob.delta :]
             ep = sx.simplex_elevation(prob.dim, prob.m, prob.n) @ prob.target
-            J = kkt._nnls_active_set(prob, G, ep)
+            J, v, mu = kkt._least_distance(prob, G, ep)
             assert type(J) is tuple and J
             assert all(type(j) is int for j in J)
             assert list(J) == sorted(set(J))
-            assert J == kkt.solve(prob).active_set
+            assert J == tuple(mu.nonzero()[0]) == kkt.solve(prob).active_set
+            assert mu.shape == (prob.num_constraints,) and mu.min() >= 0.0
+            assert np.array_equal(2.0 * v, G.T @ mu)
 
     def test_limit_reached_is_typed(self, monkeypatch):
         monkeypatch.setattr(kkt, "NNLS_ITERATIONS", 3)
@@ -298,96 +300,58 @@ class TestOptimalityProperties:
 
 
 class TestRefusals:
-    """The reduced solve refuses a wrong active set, naming the check it fails."""
+    """solve refuses a wrong NNLS solution u, naming the check it fails."""
 
-    def refusal(self, monkeypatch, prob, J):
-        monkeypatch.setattr(kkt, "_nnls_active_set", lambda *args: J)
+    # the true set is (0, 2); NNLS's u is positive at both ends alone
+    TARGET = np.array([-1.0, 2.0, -1.0])
+
+    def refusal(self, monkeypatch, prob, wrong):
+        """solve's refusal when NNLS returns wrong(u) in place of its u."""
+        nnls = kkt.optimize.nnls
+
+        def call(*args, **kwargs):
+            u, rnorm = nnls(*args, **kwargs)
+            assert u.nonzero()[0].tolist() == [0, 2]
+            return wrong(u.copy()), rnorm
+
+        monkeypatch.setattr(kkt.optimize, "nnls", call)
         with pytest.raises(kkt.NoFeasibleSubsetError) as err:
             kkt.solve(prob)
         return str(err.value)
 
-    def test_rank_guard(self, monkeypatch):
-        # with the integral pinned, G at m = n = 0 has no column, so the
-        # reduced matrix on J = (0,) is zero
-        prob = kkt.KktProblem(dim=1, m=0, n=0, target=np.array([-1.0]), delta=1)
-        assert "rank guard" in self.refusal(monkeypatch, prob, (0,))
+    @staticmethod
+    def entry(i, value):
+        """u with entry i replaced by value."""
+
+        def wrong(u):
+            u[i] = value
+            return u
+
+        return wrong
 
     @pytest.mark.parametrize("delta", [0, 1])
     def test_dual_check(self, monkeypatch, delta):
-        # the true set is (0, 2); the middle constraint alone needs mu_1 < 0
-        prob = kkt.KktProblem(dim=1, m=2, n=2, target=np.array([-1.0, 2.0, -1.0]), delta=delta)
+        # a negative weight on the middle constraint, which NNLS never gives:
+        # mu_1 < 0
+        prob = kkt.KktProblem(dim=1, m=2, n=2, target=self.TARGET, delta=delta)
         assert kkt.solve(prob).active_set == (0, 2)
-        assert "dual check" in self.refusal(monkeypatch, prob, (1,))
+        refused = self.refusal(monkeypatch, prob, self.entry(1, -0.01))
+        assert "dual check" in refused and "(0, 1, 2)" in refused
 
     @pytest.mark.parametrize("delta", [0, 1])
     def test_primal_check(self, monkeypatch, delta):
         # half the true set leaves the other end's elevated value negative
-        prob = kkt.KktProblem(dim=1, m=2, n=2, target=np.array([-1.0, 2.0, -1.0]), delta=delta)
-        assert "primal check" in self.refusal(monkeypatch, prob, (0,))
-
-    @staticmethod
-    def one_nan(linalg_call):
-        """linalg_call with the first entry of its result replaced by NaN."""
-
-        def call(*args):
-            out = linalg_call(*args).copy()
-            out[0] = np.nan
-            return out
-
-        return call
+        prob = kkt.KktProblem(dim=1, m=2, n=2, target=self.TARGET, delta=delta)
+        refused = self.refusal(monkeypatch, prob, self.entry(2, 0.0))
+        assert "primal check" in refused and "(0,)" in refused
 
     @pytest.mark.parametrize("delta", [0, 1])
-    @pytest.mark.parametrize(
-        "name,check", [("solve", "dual check"), ("eigvalsh", "rank guard")]
-    )
-    def test_nan_is_refused(self, monkeypatch, delta, name, check):
-        # NaN multipliers fail the dual check and NaN eigenvalues the rank
-        # guard, though NaN compares false both ways
-        prob = kkt.KktProblem(dim=1, m=2, n=2, target=np.array([-1.0, 2.0, -1.0]), delta=delta)
-        monkeypatch.setattr(np.linalg, name, self.one_nan(getattr(np.linalg, name)))
-        with pytest.raises(kkt.NoFeasibleSubsetError, match=check):
-            kkt.solve(prob)
-
-
-class TestRankGuard:
-    """The guard counts the reduced matrix's rank as matrix_rank does."""
-
-    @staticmethod
-    def cases():
-        """(problem, J) pairs: rows of the spectral factors, distinct and
-        repeated, and the zero matrix of m = n = 0 with the integral pinned."""
-        rng = np.random.default_rng(22)
-        yield kkt.KktProblem(dim=1, m=0, n=0, target=np.array([-1.0]), delta=1), (0,)
-        for dim, m, n in [(1, 2, 5), (1, 6, 16), (1, 12, 22), (2, 2, 4), (2, 4, 6)]:
-            for delta in (0, 1):
-                target = rng.uniform(-1.0, 1.0, math.comb(dim + m, dim))
-                target[0] = -1.0  # a vertex value, so E p < 0 there
-                prob = kkt.KktProblem(dim=dim, m=m, n=n, target=target, delta=delta)
-                rows, cols = prob.num_constraints, prob.target.size - delta
-                for size in (1, 2, cols - 1, cols, cols + 1, cols + 3):
-                    if 0 < size <= rows:
-                        yield prob, tuple(sorted(rng.choice(rows, size, replace=False)))
-                    yield prob, tuple(rng.choice(rows, max(size, 2), replace=True))
-
-    def test_count_is_matrix_rank(self, monkeypatch):
-        deficient = 0
-        for prob, J in self.cases():
-            G = sx.simplex_spectral_factors(prob.dim, prob.m, prob.n)[:, prob.delta :]
-            GJ = G[list(J)]
-            A = 0.5 * (GJ @ GJ.T)
-            tol = kkt.RANK_TOL * np.abs(A).max(initial=0.0)
-            rank = np.linalg.matrix_rank(A, tol=tol, hermitian=True)
-            assert np.count_nonzero(np.abs(np.linalg.eigvalsh(A)) > tol) == rank
-            # and solve refuses at the guard exactly when J's rows are dependent
-            monkeypatch.setattr(kkt, "_nnls_active_set", lambda *args: J)
-            try:
-                kkt.solve(prob)
-                refused = ""
-            except kkt.NoFeasibleSubsetError as e:
-                refused = str(e)
-            assert ("rank guard" in refused) == (rank < len(J)), (prob, J)
-            deficient += rank < len(J)
-        assert deficient >= 20
+    @pytest.mark.parametrize("stage,check", [("solve", "dual check")])
+    def test_nan_is_refused(self, monkeypatch, delta, stage, check):
+        # a NaN in the NNLS solve's u passes the infeasibility test and fails
+        # the dual check, though NaN compares false both ways
+        prob = kkt.KktProblem(dim=1, m=2, n=2, target=self.TARGET, delta=delta)
+        assert check in self.refusal(monkeypatch, prob, self.entry(0, np.nan))
 
 
 def reference_solution(prob, J):
@@ -425,16 +389,18 @@ def reference_solution(prob, J):
 class TestAccuracy:
     @pytest.mark.parametrize("ident", ["f0", "f1", "f2", "f2alt", "f3"])
     def test_against_60_digits_on_the_same_set(self, ident):
-        # the reduced solve on G_J stays within 4.1e-11 of the exact KKT
-        # solution of its own active set at the top of the 1-D range
+        # the answer read off NNLS stays within 4.1e-11 of the exact KKT
+        # solution of its own active set at the top of the 1-D range, at
+        # n = m and on the elevated path n = m + 10
         f = approx.get_function(ident)
         for m in (11, 12):
             p = approx.project(f, m).coeffs
-            for delta in (0, 1):
-                prob = kkt.KktProblem(dim=1, m=m, n=m, target=p, delta=delta)
-                sol = kkt.solve(prob)
-                ref = reference_solution(prob, sol.active_set)
-                assert np.max(np.abs(sol.q.coeffs - ref)) <= 4.1e-11, (m, delta)
+            for n in (m, m + 10):
+                for delta in (0, 1):
+                    prob = kkt.KktProblem(dim=1, m=m, n=n, target=p, delta=delta)
+                    sol = kkt.solve(prob)
+                    ref = reference_solution(prob, sol.active_set)
+                    assert np.max(np.abs(sol.q.coeffs - ref)) <= 4.1e-11, (m, n, delta)
 
 
 # every property below runs on the same instances, drawn from fixed seeds so
