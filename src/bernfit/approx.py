@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -375,7 +376,21 @@ def _evaluate_candidate(q, quad: Quadrature) -> np.ndarray:
 
 
 def l2_error(f: TargetFunction, q, quad: Quadrature | None = None) -> float:
-    """L2 norm of f - q over the domain, by quadrature."""
+    """L2 norm of f - q over the domain, by quadrature.
+
+    When the integral of the squared difference leaves the normal range,
+    under- or overflowing where the norm need not, it is taken again on the
+    difference divided by 2^e, 2^(e-1) <= max|f - q| < 2^e, and the norm is
+    multiplied by 2^e.  Both scalings are exact, so an error read on either
+    path is 2^k times the error of the target divided by 2^k.  An overflow
+    in the first pass still emits numpy's RuntimeWarning: an errstate
+    around it would cost every call more than the pass itself.
+    """
     quad = _rule(f, quad)
     diff = _node_values(f, quad) - _evaluate_candidate(q, quad)
-    return math.sqrt(max(quad.integrate_values(diff * diff), 0.0))
+    square = quad.integrate_values(diff * diff)
+    if square < sys.float_info.min or square == math.inf:
+        e = math.frexp(float(np.abs(diff).max()))[1]
+        diff = np.ldexp(diff, -e)
+        return math.ldexp(math.sqrt(quad.integrate_values(diff * diff)), e)
+    return math.sqrt(square)

@@ -11,7 +11,9 @@ exact Hessian minimize the projection cost over the cone on square factors
 A = R0 R0^T, B = R1 R1^T, starting from the target's own diagonal
 certificate, on the target divided by a power of 256 near its size: the
 division is exact, so the solve is equivariant under such scalings and its
-tolerances act relative to the target.
+tolerances act relative to the target.  A Hessian is shifted only when a
+Cholesky test finds it indefinite by more than the damping; only then is
+its smallest eigenvalue computed.
 """
 
 from __future__ import annotations
@@ -153,14 +155,48 @@ def _unpack(z, sa, sb):
     return R0, R1
 
 
+@lru_cache(maxsize=32)
+def _hessian_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index tables (jac, add, grad) of _hessian at degree m.
+
+    With z of size N and s = m mod 2, the Jacobian's row k, before its
+    factor 2 scale_k, is [z; 0][jac[k]]: W_k R0 holds R0[k - s - i, a] at
+    (i, a) and W_k R1 holds R1[k - 1 + s - i, a], and an index outside the
+    block is N, the appended 0.  2 G (x) I puts 2 G[i, j] at (i n + a,
+    j n + a) of an n x n block's square for each a < n: entry e of the
+    pattern lands at flat index add[e] of the N x N Hessian and takes entry
+    grad[e] of [vec GA; vec GB].
+    """
+    sa, sb = _block_sizes(m)
+    n0 = sa * sa
+    N = n0 + sb * sb
+    k = np.arange(m + 1)[:, None]
+    jac, add, grad = [], [], []
+    for off, size, lag in ((0, sa, m % 2), (n0, sb, 1 - m % 2)):
+        i, a = np.divmod(np.arange(size * size), size)
+        row = k - lag - i
+        jac.append(np.where((row >= 0) & (row < size), off + row * size + a, N))
+        i, j, a = np.indices((size,) * 3).reshape(3, -1)
+        add.append((off + i * size + a) * N + off + j * size + a)
+        grad.append(off + i * size + j)
+    tables = np.hstack(jac), np.concatenate(add), np.concatenate(grad)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _residual_change(z, d, m, scale, sa, sb):
     """r(z + d) - r(z), formed from d: (R + D)(R + D)^T - R R^T = D R^T + R D^T
     + D D^T keeps its digits when the step is small against R."""
-    R0, R1 = _unpack(z, sa, sb)
-    D0, D1 = _unpack(d, sa, sb)
+    n0 = sa * sa
+    R0, D0 = z[:n0].reshape(sa, sa), d[:n0].reshape(sa, sa)
+    R1, D1 = z[n0:].reshape(sb, sb), d[n0:].reshape(sb, sb)
     S0 = D0 @ R0.T
     S1 = D1 @ R1.T
-    return scale * (omega_operator(m) @ _pack(S0 + S0.T + D0 @ D0.T, S1 + S1.T + D1 @ D1.T))
+    v = np.empty_like(z)
+    np.add(S0 + S0.T, D0 @ D0.T, out=v[:n0].reshape(sa, sa))
+    np.add(S1 + S1.T, D1 @ D1.T, out=v[n0:].reshape(sb, sb))
+    return scale * (omega_operator(m) @ v)
 
 
 def _state(z, m, scale, M, target, sa, sb):
@@ -168,12 +204,20 @@ def _state(z, m, scale, M, target, sa, sb):
     A = R0 R0^T, B = R1 R1^T, formed once, with the cost r^T M r, its
     gradient (GA, GB) in the blocks and its gradient in the factors,
     2 GA R0 and 2 GB R1."""
-    R0, R1 = _unpack(z, sa, sb)
+    n0 = sa * sa
+    R0, R1 = z[:n0].reshape(sa, sa), z[n0:].reshape(sb, sb)
     W = omega_operator(m)
-    r = scale * (W @ _pack(R0 @ R0.T, R1 @ R1.T)) - target
+    AB = np.empty_like(z)
+    np.matmul(R0, R0.T, out=AB[:n0].reshape(sa, sa))
+    np.matmul(R1, R1.T, out=AB[n0:].reshape(sb, sb))
+    r = scale * (W @ AB) - target
     Mr = M @ r
-    GA, GB = _unpack(W.T @ (scale * (2.0 * Mr)), sa, sb)
-    return r, float(r @ Mr), (GA, GB), _pack(2.0 * GA @ R0, 2.0 * GB @ R1)
+    g = W.T @ (scale * (2.0 * Mr))
+    GA, GB = g[:n0].reshape(sa, sa), g[n0:].reshape(sb, sb)
+    grad = np.empty_like(z)
+    np.matmul(2.0 * GA, R0, out=grad[:n0].reshape(sa, sa))
+    np.matmul(2.0 * GB, R1, out=grad[n0:].reshape(sb, sb))
+    return r, float(r @ Mr), (GA, GB), grad
 
 
 def _hessian(z, blocks, m, scale, M, sa, sb):
@@ -181,22 +225,16 @@ def _hessian(z, blocks, m, scale, M, sa, sb):
 
     blocks is (GA, GB) at z, from _state.  J = dr/dz has the columns
     2 scale * (W_k R0)[i, a] for R0[i, a], W_k the Hankel matrix of row k of
-    the operator, and likewise for R1.  2 G (x) I is added on its nonzero
-    pattern alone, 2 G[i, j] at (i s + a, j s + a) in its block for each
-    a < s; the kron form adds exact zeros everywhere else, so H has the
-    same bits.
+    the operator, and likewise for R1; each is one entry of z, or 0, so J
+    is gathered from z through _hessian_tables.  2 G (x) I is added on its
+    nonzero pattern alone, also by table; the kron form adds exact zeros
+    everywhere else, so H has the same bits.
     """
-    R0, R1 = _unpack(z, sa, sb)
-    GA, GB = blocks
-    W = omega_operator(m)
-    WA = W[:, : sa * sa].reshape(m + 1, sa, sa)
-    WB = W[:, sa * sa :].reshape(m + 1, sb, sb)
-    J = np.hstack([(WA @ R0).reshape(m + 1, -1), (WB @ R1).reshape(m + 1, -1)])
+    jac, add, grad = _hessian_tables(m)
+    J = np.append(z, 0.0)[jac]
     J *= (2.0 * scale)[:, None]
     H = 2.0 * (J.T @ M @ J)
-    for G, k, s in ((GA, 0, sa), (GB, sa * sa, sb)):
-        idx = k + np.arange(s * s).reshape(s, s)
-        H[idx[:, None], idx[None, :]] += 2.0 * G[:, :, None]
+    H.reshape(-1)[add] += 2.0 * np.concatenate(blocks, axis=None)[grad]
     return H
 
 
@@ -216,13 +254,15 @@ def _start_point(u, m):
 def _newton(z, args):
     """Damped Newton descent on the factored cost from z.
 
-    Each step d solves (H + (max(0, -lam_min(H)) + mu) I) d = -g, with H
-    the exact Hessian: the shift makes the system positive definite at a
-    saddle, and the damping mu gives a trust-region step (More & Sorensen,
-    SIAM J. Sci. Stat. Comput. 4, 1983).  A rejected step keeps H and its
-    shift.  The cost change is taken from the change in the residual, so the
-    acceptance test stays accurate while the decrease is far below the
-    rounding of the cost.  Stops when max|g| <= GRAD_TOL or after
+    Each step d solves (H + (shift + mu) I) d = -g, with H the exact
+    Hessian: the shift makes the system positive definite at a saddle, and
+    the damping mu gives a trust-region step (More & Sorensen, SIAM J. Sci.
+    Stat. Comput. 4, 1983).  The shift is 0 when H + mu I has a Cholesky
+    factor, as it has on nearly every Hessian; only when the factorization
+    fails is eigvalsh run, and the shift is max(0, -lam_min(H)).  A rejected
+    step keeps H and its shift.  The cost change is taken from the change in
+    the residual, so the acceptance test stays accurate while the decrease
+    is far below the rounding of the cost.  Stops when max|g| <= GRAD_TOL or after
     MAX_ITERATIONS steps.  mu is divided by 4 after a step that gains at
     least 3/4 of the predicted decrease and multiplied by 4 after a rejected
     one.  Returns the last accepted z, its _state tuple (residual, cost,
@@ -235,8 +275,16 @@ def _newton(z, args):
     while np.abs(grad).max() > GRAD_TOL and steps < MAX_ITERATIONS:
         if H is None:
             H = _hessian(z, blocks, m, scale, M, sa, sb)
-            shift = max(0.0, -np.linalg.eigvalsh(H)[0])
-        d = np.linalg.solve(H + (shift + mu) * eye, -grad)
+            K = H + mu * eye
+            try:
+                np.linalg.cholesky(K)
+                shift = 0.0
+            except np.linalg.LinAlgError:
+                shift = max(0.0, -np.linalg.eigvalsh(H)[0])
+                K = H + (shift + mu) * eye
+        else:
+            K = H + (shift + mu) * eye
+        d = np.linalg.solve(K, -grad)
         predicted = -(grad @ d + 0.5 * d @ (H @ d))
         dr = _residual_change(z, d, m, scale, sa, sb)
         decrease = -(dr @ M @ (2.0 * r + dr))

@@ -378,6 +378,22 @@ class TestL2Error:
             assert e_proj <= e_kkt + 1e-12
             assert e_kkt <= e_bop + 1e-12
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    @pytest.mark.parametrize("m", [0, 4, 8, 12])
+    def test_powers_of_two_scale_the_error_exactly(self, m, k):
+        # 2^k f2 is projected on f2's own bits, and its squared error, near
+        # 2^(2k) times 1e-3, under- or overflows; the error is read on the
+        # rescaled difference and comes back exactly 2^k times f2's.  The
+        # first pass's overflow at k = 600 emits numpy's warning
+        f = approx.get_function("f2")
+        g = approx.TargetFunction(f"f2 times 2^{k}", 1, lambda x: math.ldexp(1.0, k) * f(x))
+        p, pg = approx.project(f, m), approx.project(g, m)
+        assert np.array_equal(pg.coeffs, np.ldexp(p.coeffs, k))
+        base = approx.l2_error(f, p)
+        assert base > 0.0
+        with np.errstate(over="ignore"):
+            assert approx.l2_error(g, pg) == math.ldexp(base, k)
+
     def test_dimension_mismatch(self):
         # a dim-2 polynomial of degree 1 has as many coefficients as a
         # dim-1 polynomial of degree 2, so only the check catches it

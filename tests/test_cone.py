@@ -533,6 +533,62 @@ class TestNewton:
         assert np.array_equal(state[3], grad)
 
 
+def f2_newton_args(m):
+    """_newton's arguments and start for f2's projection at degree m, which
+    is solved unscaled."""
+    from bernfit import approx
+
+    t = approx.project(approx.get_function("f2"), m, approx.default_rule(1)).coeffs
+    comb = sx._binomials(m)[m]
+    args = (m, 1.0 / comb, sx.simplex_mass_matrix(1, m), t, *cone._block_sizes(m))
+    return cone._start_point(t * comb, m), args
+
+
+def count_eigvalsh(monkeypatch):
+    """Patch np.linalg.eigvalsh to record the size of each matrix it gets."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    return calls
+
+
+class TestShift:
+    def test_no_eigensolve_on_f2(self, monkeypatch):
+        # every Hessian of f2's run at m = 8 has a Cholesky factor once the
+        # damping is added, so each step is taken with shift 0 and no
+        # eigenvalue is computed
+        start, args = f2_newton_args(8)
+        calls = count_eigvalsh(monkeypatch)
+        z, state, steps, _ = cone._newton(start, args)
+        assert steps > 0 and np.abs(state[3]).max() <= cone.GRAD_TOL
+        assert calls == []
+
+    def test_an_indefinite_hessian_is_shifted(self, monkeypatch):
+        # near the saddle R = 0 the Hessian is about 2 G (x) I, G the cost
+        # gradient in the blocks, which is indefinite there: the Cholesky
+        # test fails and the shift is read from eigvalsh
+        start, args = f2_newton_args(2)
+        z = 1e-3 * start
+        assert np.abs(cone._state(z, *args)[3]).max() > cone.GRAD_TOL
+        calls = count_eigvalsh(monkeypatch)
+        cone._newton(z, args)
+        assert calls and set(calls) == {z.size}
+
+    def test_corpus_step_count(self):
+        # a rule that makes steps cheaper must not take more of them: the
+        # corpus takes 589 steps with the eigvalsh shift on every Hessian
+        # and 590 with the Cholesky test
+        from bernfit import approx
+
+        quad = approx.default_rule(1)
+        steps = sum(
+            cone.solve_cone(approx.project(approx.get_function(ident), m, quad)).iterations
+            for ident in CORPUS
+            for m in range(1, cone.CONE_DEGREE_LIMIT + 1)
+        )
+        assert steps <= 600
+
+
 class TestCompositeGradient:
     def test_against_finite_differences(self):
         from bernfit.oracles import finite_diff_gradient
