@@ -17,7 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .simplex import PolyCoeffs, _binomials, _multiindex_array, orthogonal_complement_basis
+from .simplex import (
+    _BINOMIAL_EXACT_ROWS,
+    PolyCoeffs,
+    _binomials,
+    _multiindex_array,
+    orthogonal_complement_basis,
+)
 
 
 @dataclass(frozen=True)
@@ -175,8 +181,10 @@ class Quadrature:
     degrees, so the rule is exact through design_degree =
     axis_degree - (d - 1).  At d = 1 the nodes and weights are the axis
     rule itself.  Moments and node values are contracted axis by axis
-    from univariate tables (_node_factors).  Rules compare and hash by
-    identity, so a rule can key a cache.
+    from univariate tables (_node_factors), built from powers[i] =
+    ((1 - u)^i, u^i) at the axis nodes: one multiply per exponent, through
+    i = 57, the last exact row of the binomial table, formed once with the
+    nodes.  Rules compare and hash by identity, so a rule can key a cache.
     """
 
     dim: int
@@ -186,6 +194,7 @@ class Quadrature:
     nodes: np.ndarray = field(init=False)  # (P ** dim, dim)
     weights: np.ndarray = field(init=False)  # (P ** dim,)
     design_degree: int = field(init=False)
+    powers: np.ndarray = field(init=False)  # (58, 2, P)
 
     def __post_init__(self):
         # row t of idx is i_t over the grid, u-major
@@ -198,7 +207,13 @@ class Quadrature:
         object.__setattr__(self, "nodes", (u * rest).T)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "design_degree", self.axis_degree - (self.dim - 1))
-        for a in (self.axis, self.axis_weights, self.nodes, self.weights):
+        powers = np.empty((_BINOMIAL_EXACT_ROWS + 1, 2, self.axis.shape[0]))
+        powers[0] = 1.0
+        b = np.stack([1.0 - self.axis, self.axis])
+        for i in range(1, _BINOMIAL_EXACT_ROWS + 1):
+            np.multiply(powers[i - 1], b, out=powers[i])
+        object.__setattr__(self, "powers", powers)
+        for a in (self.axis, self.axis_weights, self.nodes, self.weights, self.powers):
             a.setflags(write=False)
 
     def integrate_values(self, values) -> float:
@@ -248,21 +263,17 @@ def _node_factors(quad: Quadrature, n: int) -> tuple[np.ndarray, ...]:
     nodes.  Column a of the table of axis t holds B^k_c at the P axis
     nodes, c = a_{t+1} and k = n - a_1 - ... - a_t, with a running over
     multiindices(d, n), so no contraction gathers columns.  Each entry is
-    C(k, c) (1-u)^(k-c) u^c from repeated powers, multiplied in the order
-    of simplex_basis_values, so at d = 1 the table has its bits.  Cached
-    and read-only, so the moments and the error of every approximant of
-    one degree share the tables.
+    C(k, c) (1-u)^(k-c) u^c, with the powers gathered from the rule's
+    quad.powers, multiplied in the order of simplex_basis_values, so at
+    d = 1 the table has its bits.  n past the binomial table (57) is
+    refused.  Cached and read-only, so the moments and the error of every
+    approximant of one degree share the tables.
     """
+    binom = _binomials(n)
     c = _multiindex_array(quad.dim, n)[:, 1:].T
     # the exponent k - c of (1 - u) on axis t: n - a_1 - ... - a_{t+1}
     e = n - c.cumsum(0)
-    # pows[i, 0] = (1-u)^i and pows[i, 1] = u^i, one multiply per exponent
-    pows = np.empty((n + 1, 2, quad.axis.shape[0]))
-    pows[0] = 1.0
-    b = np.stack([1.0 - quad.axis, quad.axis])
-    for i in range(1, n + 1):
-        np.multiply(pows[i - 1], b, out=pows[i])
-    tables = (_binomials(n)[e + c, c][..., None] * pows[e, 0]) * pows[c, 1]
+    tables = (binom[e + c, c][..., None] * quad.powers[e, 0]) * quad.powers[c, 1]
     factors = np.ascontiguousarray(tables.transpose(0, 2, 1))
     factors.setflags(write=False)
     return tuple(factors)

@@ -13,9 +13,10 @@ set; this module is the package's one basis layer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
 import numpy as np
 
@@ -96,8 +97,23 @@ def multiindices(d: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _multinomials(d: int, n: int) -> np.ndarray:
-    """Read-only n!/a! over multiindices(d, n), each from Python integers by
-    one correctly rounded division."""
+    """Read-only n!/a! over multiindices(d, n), each correctly rounded.
+
+    n!/a! = prod_t C(n_t, a_t) with n_t = a_0 + ... + a_t, taken from t = d
+    (n_d = n) down.  Through Pascal row 57 the binomials are exact, and a
+    product of them whose float value is below 2^53 never rounded, so it is
+    the exact integer.  Past either bound each entry is one correctly
+    rounded division of Python integers.
+    """
+    idx = _multiindex_array(d, n)
+    if n <= _BINOMIAL_EXACT_ROWS:
+        c, rest = _PASCAL[n, idx[:, d]], n
+        for t in range(d - 1, 0, -1):
+            rest = rest - idx[:, t + 1]
+            c = c * _PASCAL[rest, idx[:, t]]
+        if c.max() < 2.0**53:
+            c.setflags(write=False)
+            return c
     nfac = math.factorial(n)
     c = np.array([nfac / math.prod(map(math.factorial, a)) for a in multiindices(d, n)])
     c.setflags(write=False)
@@ -188,8 +204,60 @@ def _pascal(rows: int) -> np.ndarray:
     return C
 
 
+def _shifted(C: np.ndarray) -> np.ndarray:
+    """Read-only view S[c + r, a, s] = C(c, a - s) for |c|, a, s <= r, with
+    r + 1 the rows of C: zero for c < 0, s > a or a - s > c.
+
+    A strided view of C padded with r zero rows above and r zero columns
+    to the left, so the three-index table costs no more than the padding.
+    """
+    r = C.shape[0] - 1
+    pad = np.zeros((2 * r + 1, 2 * r + 1))
+    pad[r:, r:] = C
+    row, col = pad.strides
+    return np.lib.stride_tricks.as_strided(
+        pad[:, r:], shape=(2 * r + 1, r + 1, r + 1), strides=(row, col, -col), writeable=False
+    )
+
+
+def _block_gram(C: np.ndarray) -> np.ndarray:
+    """Read-only table G[d, j] = C(2j, j) (j!)^2/(2j+d)! for 2j + d - 1 below
+    the rows of C, zero elsewhere.
+
+    The ratio is 1 / (C(2j, j) (2j+1) ... (2j+d)) from Python integers, the
+    same rational as the factorial quotient and so one correctly rounded
+    division, and it is multiplied by the exact float C(2j, j).
+    """
+    rows = C.shape[0]
+    G = [[0.0] * ((rows + 1) // 2) for _ in range(rows + 1)]
+    for j in range((rows + 1) // 2):
+        den = math.comb(2 * j, j)
+        for d in range(1, rows - 2 * j + 1):
+            den *= 2 * j + d
+            G[d][j] = float(C[2 * j, j]) * (1 / den)
+    G = np.array(G)
+    G.setflags(write=False)
+    return G
+
+
+def _factorials(top: int) -> np.ndarray:
+    """Read-only float64 table of k!, k = 0..top, each correctly rounded."""
+    F = np.array([float(f) for f in accumulate(range(1, top + 1), operator.mul, initial=1)])
+    F.setflags(write=False)
+    return F
+
+
 # every binomial coefficient the package computes with, built once at import
 _PASCAL = _pascal(_BINOMIAL_EXACT_ROWS + 1)
+# _SIGNED_PASCAL[a, s] = (-1)^s C(a, s), with +0.0 where C(a, s) = 0
+_SIGNED_PASCAL = np.where(np.arange(_BINOMIAL_EXACT_ROWS + 1) % 2, -1.0, 1.0) * _PASCAL + 0.0
+_SIGNED_PASCAL.setflags(write=False)
+_SHIFTED_PASCAL = _shifted(_PASCAL)
+# _BLOCK_GRAM[d, j] = C(2j, j) (j!)^2/(2j+d)!, the float Gram entry of a 1 x 1
+# block of orthogonal_complement_basis, at every (d, j) with 2j + d - 1 <= 57
+_BLOCK_GRAM = _block_gram(_PASCAL)
+# k! through 170!, the largest factorial below the float64 overflow
+_FACTORIALS = _factorials(170)
 
 
 def _binomials(n: int) -> np.ndarray:
@@ -244,14 +312,20 @@ def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
     Entry (a, b) = C(n, a) C(n, b) / C(2n, a+b) * (2n)!/(2n+d)!, with the
     multinomials C(n, a) = n!/a!: the product of two basis functions is
     C(n, a) C(n, b) / C(2n, a+b) times B^{2n}_{a+b}, and every degree-2n
-    basis function integrates to (2n)!/(2n+d)!.
+    basis function integrates to (2n)!/(2n+d)!.  The factorials are read
+    from the correctly rounded _FACTORIALS, so n > 85 is refused.
     """
     if d < 1 or n < 0:
         raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
-    fact = np.array([math.factorial(k) for k in range(2 * n + 1)], dtype=float)
+    if 2 * n >= _FACTORIALS.shape[0]:
+        raise ValueError(f"(2n)! overflows float64 past n = 85, asked for n = {n}")
     idx = _multiindex_array(d, n)
     c_n = _multinomials(d, n)
-    c_2n = fact[2 * n] / fact[idx[:, None, :] + idx[None, :, :]].prod(axis=2)
+    # (a+b)! = prod_i (a_i+b_i)!, multiplied coordinate by coordinate
+    fact = _FACTORIALS[idx[:, None, 0] + idx[:, 0]]
+    for i in range(1, d + 1):
+        fact = fact * _FACTORIALS[idx[:, None, i] + idx[:, i]]
+    c_2n = _FACTORIALS[2 * n] / fact
     M = np.outer(c_n, c_n) / c_2n * _factorial_ratio((2 * n,), (2 * n + d,))
     M.setflags(write=False)
     return M
@@ -275,56 +349,72 @@ def orthogonal_complement_basis(d: int, m: int) -> np.ndarray:
     The coefficient at row a is prod_t N_t / C(n_t, a_t), where
     N_t = sum_s (-1)^s C(k_t, s) C(k_t + b_t, s) C(n_t - K_t, a_t - s),
     zero when n_t < K_t, makes N_t / C(n_t, a_t) the degree-n_t Bernstein
-    coefficient of axis t's factor.  One table per axis, the product of two
-    small integer matrices, holds N_t for every column and every
-    (n_t - K_t, a_t).  Each N_t is an exact integer below 2^53 at every m the binomial table
-    allows (checked with Python integers for d <= 5 and d = 8), and the
-    product of the N_t is divided once by m!/a! = prod_t C(n_t, a_t), so at
-    d = 1 every entry is its exact rational, correctly rounded.  The column
-    is then scaled by 1 / sqrt(g), with its squared norm written as
-    g = C(2j, j) j!^2/(2j+d)! prod_{t<d} (2j+t)/(2K_t+t): in a 1 x 1 block
-    (every block at d = 1, the constant block at every d) each factor of
-    the product is exactly 1, so g is the float Gram entry and the column
-    has the bits of its eigendecomposition.  Cached and read-only; numpy
-    only, with no linear algebra routine.  At d = 1 column j is
-    (-1)^j sqrt(2j+1) times the shifted Legendre polynomial, and the
-    constant column is sqrt(d!).
+    coefficient of axis t's factor.  Axis t reads N_t off one integer
+    product T @ x^T, a table over (c, a_t) and the keys of x:
+    T[(c, a), s] = C(c, a - s) is a slice of _SHIFTED_PASCAL, and row key
+    of x is (-1)^s C(k_t, s) C(k_t + b_t, s), s = 0..m, for each key the
+    axis depends on.  Axis 1 has b_1 = 0, so its keys are k_1 = 0..m; later
+    axes key by column.  On the last axis n_d = m, so c = m - j >= 0 and
+    its T covers c = 0..m; the others cover |c| <= m.  Each N_t is an exact
+    integer below 2^53 at every m the binomial table allows (checked with
+    Python integers for d <= 5 and d = 8).  At d <= 3 so is the sum of its
+    terms' magnitudes (at most 3.2e15, at d = 2 and m = 28), so every
+    partial sum is exact and any summation order gives the same bits.  The product of the N_t is divided
+    once by m!/a! = prod_t C(n_t, a_t), so at d = 1 every entry is its
+    exact rational, correctly rounded.  The column is then scaled by
+    1 / sqrt(g), with its squared norm written as
+    g = C(2j, j) j!^2/(2j+d)! prod_{t<d} (2j+t)/(2K_t+t), the first two
+    factors read from _BLOCK_GRAM: in a 1 x 1 block (every block at d = 1,
+    the constant block at every d) each factor of the product is exactly 1,
+    so g is the float Gram entry and the column has the bits of its
+    eigendecomposition.  Cached and read-only; numpy only, with no linear
+    algebra routine.  At d = 1 column j is (-1)^j sqrt(2j+1) times the
+    shifted Legendre polynomial, and the constant column is sqrt(d!).
     """
     if d < 1 or m < 0:
         raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
     # the rows a and, read as (m - j, kappa), the columns; idx[:, t] is a_t
     # along the rows and k_t along the columns
     idx = _multiindex_array(d, m)
-    rows = idx.shape[0]
     n = idx.cumsum(axis=1)
     K = n - idx[:, :1]
     j = K[:, -1]
     binom = _binomials(2 * m + d - 1)
-    # T[c + m, a, s] = (-1)^s C(c, a - s) for |c| <= m: zero for c < 0 or s > a
-    pad = np.zeros((2 * m + 1, 2 * m + 1))
-    pad[m:, m:] = binom[: m + 1, : m + 1]
-    s = np.arange(m + 1)
-    T = pad[:, m + s[:, None] - s]
-    T[..., 1::2] *= -1.0
-    T = T.reshape(-1, m + 1)
-    num = 1.0
+    r = _BINOMIAL_EXACT_ROWS
     for t in range(1, d + 1):
         k = idx[:, t]
-        # table[(c + m) (m + 1) + a, col] is N_t at n_t - K_t = c and a_t = a;
+        if t == 1:
+            # x[k_1, s] = (-1)^s C(k_1, s)^2 depends on k_1 alone: column
+            # col reads row key[col] = k_1 of x
+            key, x = k, _SIGNED_PASCAL[: m + 1, : m + 1] * binom[: m + 1, : m + 1]
+        else:
+            key = np.arange(k.shape[0])
+            x = _SIGNED_PASCAL[k, : m + 1] * binom[2 * K[:, t - 1] + t - 1 + k, : m + 1]
+        # c = n_t - K_t >= -m, and on the last axis c = m - j >= 0
+        lo = 0 if t == d else -m
+        # table[(c - lo) (m + 1) + a, key] is N_t at n_t - K_t = c and a_t = a;
         # with c = n_t(row) - K_t(col) its flat index is a row part plus a column part
-        table = T @ (binom[k, : m + 1] * binom[2 * K[:, t - 1] + t - 1 + k, : m + 1]).T
-        row_part = ((n[:, t] + m) * (m + 1) + k) * rows
-        col_part = np.arange(rows) - K[:, t] * (m + 1) * rows
-        num = num * table.take(row_part[:, None] + col_part)
-    ratio = np.array([_factorial_ratio((i, i), (2 * i + d,)) for i in range(m + 1)])
-    gram = binom[2 * j, j] * ratio[j]
+        T = _SHIFTED_PASCAL[r + lo : r + m + 1, : m + 1, : m + 1].reshape(-1, m + 1)
+        table = T @ x.T
+        width = x.shape[0]
+        row_part = (n[:, t] * (m + 1) + k) * width
+        col_part = key - (K[:, t] + lo) * ((m + 1) * width)
+        # num = N_1 * ... * N_t, the product taken in place (it commutes bit
+        # for bit), so no earlier factor outlives its step
+        N = table.take(row_part[:, None] + col_part)
+        if t > 1:
+            N *= num
+        num = N
+    gram = _BLOCK_GRAM[d, j]
     for t in range(1, d):
         gram *= (2 * j + t) / (2 * K[:, t] + t)
     # m!/a! = prod_t C(n_t, a_t)
     multinomial = binom[n[:, 1:], idx[:, 1:]].prod(axis=1)
-    U = num / multinomial[:, None] * (1.0 / np.sqrt(gram))
-    U.setflags(write=False)
-    return U
+    # U = num / multinomial * (1 / sqrt(gram)), in place
+    num /= multinomial[:, None]
+    num *= 1.0 / np.sqrt(gram)
+    num.setflags(write=False)
+    return num
 
 
 @lru_cache(maxsize=128)

@@ -189,3 +189,116 @@ def scaled_to_float(q, n):
     r = q * q * n
     root = math.isqrt(r.numerator * 4**256 // r.denominator)
     return math.copysign(float(Fraction(root, 2**256)), q)
+
+
+# Float constructions of the basis layer in their earlier form, each a
+# direct transcription of its closed form.  The package builds every one
+# of these tables another way, at less cost, and must return their bits.
+
+_PASCAL_ROWS = 58
+
+
+def _float_pascal():
+    """C(a, b) for 0 <= a, b < 58 in float64 by Pascal's rule, exact integers."""
+    C = np.zeros((_PASCAL_ROWS, _PASCAL_ROWS))
+    C[:, 0] = 1.0
+    for a in range(1, _PASCAL_ROWS):
+        C[a, 1:] = C[a - 1, 1:] + C[a - 1, :-1]
+    return C
+
+
+def _float_binomials(n):
+    if n >= _PASCAL_ROWS:
+        raise ValueError(f"binomials are exact in float64 through row 57, asked for {n}")
+    return _float_pascal()[: n + 1, : n + 1]
+
+
+def _factorial_ratio(num, den):
+    return math.prod(map(math.factorial, num)) / math.prod(map(math.factorial, den))
+
+
+def float_multiindices(d, n):
+    """multiindices(d, n) as an integer array, by stars and bars."""
+    from itertools import chain, combinations
+
+    count = math.comb(n + d, d)
+    bars = np.empty((count, d + 2), dtype=np.intp)
+    bars[:, 0] = -1
+    bars[:, -1] = n + d
+    positions = chain.from_iterable(combinations(range(n + d), d))
+    bars[::-1, 1:-1] = np.fromiter(positions, np.intp, count * d).reshape(count, d)
+    idx = bars[:, 1:] - bars[:, :-1]
+    idx -= 1
+    return idx
+
+
+def float_multinomials(d, n):
+    """n!/a! over multiindices(d, n), each one correctly rounded division."""
+    nfac = math.factorial(n)
+    return np.array([nfac / math.prod(map(math.factorial, a)) for a in multiindices(d, n)])
+
+
+def float_mass(d, n):
+    """C(n; a) C(n; b) / C(2n; a+b) * (2n)!/(2n+d)! from the float factorials."""
+    fact = np.array([math.factorial(k) for k in range(2 * n + 1)], dtype=float)
+    idx = float_multiindices(d, n)
+    c_n = float_multinomials(d, n)
+    c_2n = fact[2 * n] / fact[idx[:, None, :] + idx[None, :, :]].prod(axis=2)
+    return np.outer(c_n, c_n) / c_2n * _factorial_ratio((2 * n,), (2 * n + d,))
+
+
+def float_elevation(d, m, n):
+    """prod_i C(a_i, b_i) / C(n, m), one row and one column gather per coordinate."""
+    binom = _float_binomials(n)
+    if m == n:
+        return np.eye(math.comb(d + n, d))
+    upper = float_multiindices(d, n)
+    lower = float_multiindices(d, m)
+    prod = binom[upper[:, 0]][:, lower[:, 0]]
+    for i in range(1, d + 1):
+        prod = prod * binom[upper[:, i]][:, lower[:, i]]
+    return np.ascontiguousarray(prod) / binom[n, m]
+
+
+def float_complement_basis(d, m):
+    """U^{m,m} with each axis's N_t read from the product of two integer
+    matrices over every (n_t - K_t, a_t) and every column."""
+    idx = float_multiindices(d, m)
+    rows = idx.shape[0]
+    n = idx.cumsum(axis=1)
+    K = n - idx[:, :1]
+    j = K[:, -1]
+    binom = _float_binomials(2 * m + d - 1)
+    pad = np.zeros((2 * m + 1, 2 * m + 1))
+    pad[m:, m:] = binom[: m + 1, : m + 1]
+    s = np.arange(m + 1)
+    T = pad[:, m + s[:, None] - s]
+    T[..., 1::2] *= -1.0
+    T = T.reshape(-1, m + 1)
+    num = 1.0
+    for t in range(1, d + 1):
+        k = idx[:, t]
+        table = T @ (binom[k, : m + 1] * binom[2 * K[:, t - 1] + t - 1 + k, : m + 1]).T
+        row_part = ((n[:, t] + m) * (m + 1) + k) * rows
+        col_part = np.arange(rows) - K[:, t] * (m + 1) * rows
+        num = num * table.take(row_part[:, None] + col_part)
+    ratio = np.array([_factorial_ratio((i, i), (2 * i + d,)) for i in range(m + 1)])
+    gram = binom[2 * j, j] * ratio[j]
+    for t in range(1, d):
+        gram *= (2 * j + t) / (2 * K[:, t] + t)
+    multinomial = binom[n[:, 1:], idx[:, 1:]].prod(axis=1)
+    return num / multinomial[:, None] * (1.0 / np.sqrt(gram))
+
+
+def float_node_factors(quad, n):
+    """The rule's degree-n axis tables C(k, c) (1-u)^(k-c) u^c, with the
+    powers formed by one multiply per exponent."""
+    c = float_multiindices(quad.dim, n)[:, 1:].T
+    e = n - c.cumsum(0)
+    pows = np.empty((n + 1, 2, quad.axis.shape[0]))
+    pows[0] = 1.0
+    b = np.stack([1.0 - quad.axis, quad.axis])
+    for i in range(1, n + 1):
+        np.multiply(pows[i - 1], b, out=pows[i])
+    tables = (_float_pascal()[e + c, c][..., None] * pows[e, 0]) * pows[c, 1]
+    return tuple(np.ascontiguousarray(tables.transpose(0, 2, 1)))
