@@ -18,12 +18,6 @@ microseconds of a call at every degree, and their sum over the degrees.
 
 from __future__ import annotations
 
-import os
-
-# BLAS threads are pinned before numpy loads, as in the benchmark
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
 import json
 import statistics

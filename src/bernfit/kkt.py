@@ -167,13 +167,18 @@ def solve(problem: KktProblem) -> KktSolution:
     A target whose elevation is feasible is its own answer (J = ()), its
     coefficients returned unchanged; the test reads the signs of E p
     alone, with no NNLS call.
+    At n = m, E is the identity, and E p is the target itself: no
+    elevation matrix is built or multiplied.
     Otherwise one NNLS call gives the active set J, v and the multipliers
     mu at once (the residual identity of the module docstring), refused
     unless mu passes the dual check and E p + G v the primal check.  The
     counters report the one or two subsets this examines: the empty set,
     which the feasibility test stands for, then J.
     """
-    ep = simplex.simplex_elevation(problem.dim, problem.m, problem.n) @ problem.target
+    if problem.n == problem.m:
+        ep = problem.target
+    else:
+        ep = simplex.simplex_elevation(problem.dim, problem.m, problem.n) @ problem.target
     if ep.min() >= -PRIMAL_TOL:
         # the empty set examined, solved (0 x 0) and reconstructed; its nu,
         # -d! * 0.0, keeps its sign bit
@@ -227,13 +232,26 @@ def objective(problem: KktProblem, qvec) -> float:
 
 
 def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnostics:
-    """Recompute every KKT residual from scratch and compare against tol."""
-    E = simplex.simplex_elevation(problem.dim, problem.m, problem.n)
+    """Recompute every KKT residual from scratch and compare against tol.
+
+    The stationarity residual is 2 M (q - p) - E^T mu, minus nu c_eq when
+    the integral is pinned.  M (q - p) is doubled in place, which has the
+    bits of (2 M)(q - p) since x2 is exact away from the subnormal range.
+    At n = m, E is the identity and is never built: E^T mu is mu and the
+    elevated q is q.
+    """
     M = simplex.simplex_mass_matrix(problem.dim, problem.m)
     qvec = np.asarray(sol.q.coeffs, dtype=float)
     # gradient of the Lagrangian at (q, mu, nu); zero at the optimum
-    stat = 2.0 * M @ (qvec - problem.target) - E.T @ sol.mu
-    elevated = E @ qvec
+    stat = M @ (qvec - problem.target)
+    stat *= 2.0
+    if problem.n == problem.m:
+        stat -= sol.mu
+        elevated = qvec
+    else:
+        E = simplex.simplex_elevation(problem.dim, problem.m, problem.n)
+        stat -= E.T @ sol.mu
+        elevated = E @ qvec
     slack = np.abs(sol.mu * elevated)
     gap = 0.0
     if problem.delta:

@@ -260,6 +260,33 @@ _BLOCK_GRAM = _block_gram(_PASCAL)
 _FACTORIALS = _factorials(170)
 
 
+def _axis1_table(top: int) -> np.ndarray:
+    """Read-only table A[(c + top) (top + 1) + a, k] =
+    sum_s (-1)^s C(k, s)^2 C(c, a - s) for |c|, a, k <= top.
+
+    The first axis's N_1 of orthogonal_complement_basis at n_1 - k_1 = c,
+    a_1 = a and k_1 = k, for every degree up to top: one product of a slice
+    of _SHIFTED_PASCAL, C(c, a - s), with (-1)^s C(k, s)^2.  Where
+    c + k <= 28 the sum of the terms' magnitudes is below 2^53, so every
+    partial sum is exact and the entry is the exact integer, in any
+    summation order.  Larger c + k can pass 2^53; no degree reads them.
+    """
+    r = _BINOMIAL_EXACT_ROWS
+    T = _SHIFTED_PASCAL[r - top : r + top + 1, : top + 1, : top + 1].reshape(-1, top + 1)
+    x = _SIGNED_PASCAL[: top + 1, : top + 1] * _PASCAL[: top + 1, : top + 1]
+    A = T @ x.T
+    A.setflags(write=False)
+    return A
+
+
+# the highest degree of orthogonal_complement_basis, which reads Pascal row
+# 2m + d - 1 <= 57
+_TOP_DEGREE = _BINOMIAL_EXACT_ROWS // 2
+_AXIS1 = _axis1_table(_TOP_DEGREE)
+# gathers of orthogonal_complement_basis take this many entries at a time
+_GATHER_BLOCK = 1 << 16
+
+
 def _binomials(n: int) -> np.ndarray:
     """Read-only table of C(a, b), 0 <= a, b <= n, zero for b > a.
 
@@ -353,13 +380,19 @@ def orthogonal_complement_basis(d: int, m: int) -> np.ndarray:
     product T @ x^T, a table over (c, a_t) and the keys of x:
     T[(c, a), s] = C(c, a - s) is a slice of _SHIFTED_PASCAL, and row key
     of x is (-1)^s C(k_t, s) C(k_t + b_t, s), s = 0..m, for each key the
-    axis depends on.  Axis 1 has b_1 = 0, so its keys are k_1 = 0..m; later
-    axes key by column.  On the last axis n_d = m, so c = m - j >= 0 and
-    its T covers c = 0..m; the others cover |c| <= m.  Each N_t is an exact
-    integer below 2^53 at every m the binomial table allows (checked with
-    Python integers for d <= 5 and d = 8).  At d <= 3 so is the sum of its
-    terms' magnitudes (at most 3.2e15, at d = 2 and m = 28), so every
-    partial sum is exact and any summation order gives the same bits.  The product of the N_t is divided
+    axis depends on.  Axis 1 has b_1 = 0, so its keys are k_1 alone, and
+    its table is _AXIS1, built once at import for every degree through 28;
+    it is read only at c + k_1 = n_1 <= m, where every entry is exact.
+    Later axes key by column.  On the last axis n_d = m, so c = m - j >= 0
+    and its T covers c = 0..m; a middle axis covers c = -1..m, and reads
+    N_t = 0 at every c < 0 from its zero block at c = -1.  Each N_t is an
+    exact integer below 2^53 at every m the binomial table allows (checked
+    with Python integers for d <= 5 and d = 8).  At d <= 3 so is the sum of
+    its terms' magnitudes (at most 3.2e15, at d = 2 and m = 28), so every
+    partial sum is exact and any summation order gives the same bits.  Each
+    factor is gathered a block of rows at a time and multiplied into the
+    running product in place, so the build holds one full-size array, the
+    result, and a table per axis.  The product of the N_t is divided
     once by m!/a! = prod_t C(n_t, a_t), so at d = 1 every entry is its
     exact rational, correctly rounded.  The column is then scaled by
     1 / sqrt(g), with its squared norm written as
@@ -381,30 +414,39 @@ def orthogonal_complement_basis(d: int, m: int) -> np.ndarray:
     j = K[:, -1]
     binom = _binomials(2 * m + d - 1)
     r = _BINOMIAL_EXACT_ROWS
+    rows = idx.shape[0]
+    step = max(1, _GATHER_BLOCK // rows)
+    num = np.empty((rows, rows))
     for t in range(1, d + 1):
         k = idx[:, t]
         if t == 1:
-            # x[k_1, s] = (-1)^s C(k_1, s)^2 depends on k_1 alone: column
-            # col reads row key[col] = k_1 of x
-            key, x = k, _SIGNED_PASCAL[: m + 1, : m + 1] * binom[: m + 1, : m + 1]
+            # N_1 depends on k_1 alone, and is read off the import-time table
+            # over |c|, a, k_1 <= 28: column col reads key[col] = k_1
+            lo, height, key, table = -_TOP_DEGREE, _TOP_DEGREE + 1, k, _AXIS1
         else:
-            key = np.arange(k.shape[0])
+            # c = n_t - K_t; on the last axis c = m - j >= 0, and on a middle
+            # axis N_t = 0 at every c < 0, read from the zero block at c = -1
+            lo, height, key = (0 if t == d else -1), m + 1, np.arange(rows)
             x = _SIGNED_PASCAL[k, : m + 1] * binom[2 * K[:, t - 1] + t - 1 + k, : m + 1]
-        # c = n_t - K_t >= -m, and on the last axis c = m - j >= 0
-        lo = 0 if t == d else -m
-        # table[(c - lo) (m + 1) + a, key] is N_t at n_t - K_t = c and a_t = a;
-        # with c = n_t(row) - K_t(col) its flat index is a row part plus a column part
-        T = _SHIFTED_PASCAL[r + lo : r + m + 1, : m + 1, : m + 1].reshape(-1, m + 1)
-        table = T @ x.T
-        width = x.shape[0]
-        row_part = (n[:, t] * (m + 1) + k) * width
-        col_part = key - (K[:, t] + lo) * ((m + 1) * width)
-        # num = N_1 * ... * N_t, the product taken in place (it commutes bit
-        # for bit), so no earlier factor outlives its step
-        N = table.take(row_part[:, None] + col_part)
-        if t > 1:
-            N *= num
-        num = N
+            T = _SHIFTED_PASCAL[r + lo : r + m + 1, : m + 1, : m + 1].reshape(-1, m + 1)
+            table = T @ x.T
+        # table[(c - lo) height + a, key] is N_t at n_t - K_t = c and a_t = a;
+        # with c = n_t(row) - K_t(col) its flat index is a row part plus a
+        # column part, negative only where c < lo on a middle axis, which
+        # mode="clip" reads at 0, an entry of the zero block
+        width = table.shape[1]
+        row_part = (n[:, t] * height + k) * width
+        col_part = key - (K[:, t] + lo) * (height * width)
+        # num = N_1 * ... * N_t, each factor gathered a block of rows at a
+        # time and multiplied in place (it commutes bit for bit)
+        for b in range(0, rows, step):
+            flat = row_part[b : b + step, None] + col_part
+            if t == 1:
+                table.take(flat, out=num[b : b + step], mode="clip")
+            else:
+                num[b : b + step] *= table.take(flat, mode="clip")
+        # so that no two axes' tables are held at once
+        del table
     gram = _BLOCK_GRAM[d, j]
     for t in range(1, d):
         gram *= (2 * j + t) / (2 * K[:, t] + t)

@@ -10,6 +10,7 @@ nothing of one row's degrees behind.
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,36 @@ class TestBits:
         quad = approx.interval_rule()
         assert quad.powers.shape == (sx._BINOMIAL_EXACT_ROWS + 1, 2, quad.axis.shape[0])
         assert not quad.powers.flags.writeable
+
+
+class TestComplementBuild:
+    def test_axis1_table(self):
+        # every entry a degree reads, c + k <= 28, is its exact integer sum,
+        # and every entry at c < 0 is zero
+        A, top = sx._AXIS1, sx._TOP_DEGREE
+        assert not A.flags.writeable and A.shape == ((2 * top + 1) * (top + 1), top + 1)
+        assert not A[: top * (top + 1)].any()
+        for c in range(top + 1):
+            for a in range(top + 1):
+                row = A[(c + top) * (top + 1) + a]
+                for k in range(top + 1 - c):
+                    want = sum((-1) ** s * math.comb(k, s) ** 2 * math.comb(c, a - s) for s in range(min(a, k) + 1))
+                    assert row[k] == want, (c, a, k)
+
+    def test_peak_memory(self):
+        # each axis's factor is gathered a block of rows at a time into the
+        # running product, so the build holds little beyond its result
+        sx.orthogonal_complement_basis.cache_clear()
+        sx._multiindex_array.cache_clear()
+        tracemalloc.start()
+        try:
+            U = sx.orthogonal_complement_basis(3, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sx.orthogonal_complement_basis.cache_clear()
+        assert U.nbytes == 1771**2 * 8
+        assert peak <= 1.5 * U.nbytes
 
 
 # every builder whose result depends on a degree, and so must be dropped

@@ -486,3 +486,27 @@ class TestErrorStudy:
         assert len(err) == 1 and err[0].startswith("error_study: "), proc.stderr
         assert proc.stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+
+class TestBlasThreads:
+    """Importing bernfit pins BLAS to one thread unless numpy is loaded first."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def threads(self, imports, **env):
+        base = {k: v for k, v in subprocess_env().items() if k not in self.VARS}
+        code = f"import os; {imports}; print([os.environ.get(v) for v in {self.VARS!r}])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=base | env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_clean_environment_is_pinned(self):
+        assert self.threads("import bernfit") == "['1', '1', '1']"
+
+    def test_explicit_setting_is_kept(self):
+        assert self.threads("import bernfit", OPENBLAS_NUM_THREADS="2") == "['2', '1', '1']"
+
+    def test_numpy_loaded_first_is_left_alone(self):
+        assert self.threads("import numpy; import bernfit") == "[None, None, None]"

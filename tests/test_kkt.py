@@ -354,6 +354,53 @@ class TestRefusals:
         assert check in self.refusal(monkeypatch, prob, self.entry(0, np.nan))
 
 
+class TestIdentityElevation:
+    """At n = m, E is the identity: solve and verify_kkt never build it."""
+
+    @pytest.fixture
+    def elevations(self, monkeypatch):
+        """The arguments of every simplex_elevation call."""
+        calls = []
+        build = sx.simplex_elevation
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(sx, "simplex_elevation", counted)
+        return calls
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [0, 1])
+    @pytest.mark.parametrize("low", [0.1, -0.5], ids=["feasible", "nnls"])
+    def test_no_elevation_is_built(self, elevations, dim, delta, low):
+        m = 3
+        prob = kkt.KktProblem(dim=dim, m=m, n=m, target=np.linspace(low, 1.0, math.comb(dim + m, dim)), delta=delta)
+        sol = kkt.solve(prob)
+        diag = kkt.verify_kkt(prob, sol, 1e-9)
+        assert elevations == []
+        assert (sol.active_set == ()) == (low > 0)
+        assert diag.passed
+        # the residuals of the explicit identity, bit for bit
+        E = np.eye(prob.num_constraints)
+        M = sx.simplex_mass_matrix(dim, m)
+        stat = 2.0 * M @ (sol.q.coeffs - prob.target) - E.T @ sol.mu
+        if delta:
+            stat -= sol.nu * math.factorial(m) / math.factorial(m + dim)
+        assert diag.stationarity_inf == np.abs(stat).max()
+        assert diag.min_elevated == (E @ sol.q.coeffs).min()
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_refusals_name_their_check(self, elevations, monkeypatch, delta):
+        refusals = TestRefusals()
+        prob = kkt.KktProblem(dim=1, m=2, n=2, target=refusals.TARGET, delta=delta)
+        with monkeypatch.context() as patch:
+            assert "dual check" in refusals.refusal(patch, prob, refusals.entry(1, -0.01))
+        with monkeypatch.context() as patch:
+            assert "primal check" in refusals.refusal(patch, prob, refusals.entry(2, 0.0))
+        assert elevations == []
+
+
 def reference_solution(prob, J):
     """q solving the KKT system of the active set J in 60-digit arithmetic:
     2 M (q - p) = E_J^T mu_J + nu 1, (E q)_J = 0 and, with delta = 1,
