@@ -23,7 +23,7 @@ import numpy as np
 from . import approx, cone, kkt
 from .approx import TargetFunction
 from .serialize import format_float
-from .simplex import simplex_evaluate
+from .simplex import PolyCoeffs, _scale_exponent, simplex_evaluate, simplex_mass_matrix
 
 MAX_DEGREE_1D = 12
 MAX_ELEVATE_1D = 10
@@ -39,7 +39,8 @@ SAMPLE_POINTS = 512
 # which is relative to the size of the problem p^T M p.
 CONE_RTOL = 1e-6
 CONE_ATOL = 1e-14
-# every KKT residual of a written kkt cell is at most this (absolute)
+# every KKT residual of a written kkt cell is at most this, on the target
+# divided by 256^j as in _scale_exponent
 KKT_TOL = 1e-9
 
 
@@ -159,14 +160,17 @@ def _columns(methods, elevations):
     return cols
 
 
-def _approximant(method, offset, f, m, projection, constrained):
-    """Build one method's approximant; returns an object l2_error accepts."""
+def _approximant(method, offset, f, m, projection, constrained, j):
+    """Build one method's approximant; returns an object l2_error accepts.
+
+    constrained(n, delta) is the row's checked KKT problem and answer on
+    the projection divided by 256^j.
+    """
     if method == "project":
         return projection
     if method == "kkt" or method == "kkt-mass":
-        problem, solution = constrained(m + offset, 1 if method == "kkt-mass" else 0)
-        _check_kkt(problem, solution)
-        return solution.q
+        _, solution = constrained(m + offset, 1 if method == "kkt-mass" else 0)
+        return PolyCoeffs(m, np.ldexp(solution.q.coeffs, 8 * j), f.dim)
     if method == "cone":
         result = cone.solve_cone(projection)
         if not result.converged:
@@ -175,7 +179,7 @@ def _approximant(method, offset, f, m, projection, constrained):
                 f"(grad {result.grad_norm:.2e}, dual {result.dual_min:.2e}, "
                 f"{result.evaluations} evaluations)"
             )
-        _check_cone_cost(projection, result.q, constrained)
+        _check_cone_cost(projection, result.q, constrained, j)
         return result.q
     if method == "bernstein":
         return approx.bernstein_operator(f, m)
@@ -203,16 +207,20 @@ def _check_kkt(problem, solution) -> None:
     )
 
 
-def _check_cone_cost(projection, q, constrained) -> None:
-    """Raise unless the cone cost is within tolerance of the n = m KKT cost."""
+def _check_cone_cost(projection, q, constrained, j) -> None:
+    """Raise unless the cone cost is within tolerance of the n = m KKT cost.
+
+    The KKT problem is solved on the projection divided by 256^j, so its
+    costs are multiplied by 256^(2j), which is exact.
+    """
     cost = cone.cone_objective(projection, q)
     # M is positive definite, so a cost of 0 is q = p, which no bound refuses
     if cost == 0.0:
         return
     m = projection.degree
     problem, solution = constrained(m, 0)
-    bound = kkt.objective(problem, solution.q.coeffs)
-    scale = kkt.objective(problem, np.zeros(m + 1))
+    bound = float(np.ldexp(kkt.objective(problem, solution.q.coeffs), 16 * j))
+    scale = float(np.ldexp(kkt.objective(problem, np.zeros(m + 1)), 16 * j))
     if cost > bound + CONE_RTOL * (bound + scale) + CONE_ATOL:
         raise RuntimeError(
             f"cone cost {cost:.6e} exceeds the n=m KKT cost {bound:.6e} at m={m}"
@@ -268,18 +276,25 @@ def run(args) -> int:
     failures = 0
     for m in degrees:
         projection = approx.project(f, m, quad)
+        # every KKT problem of the row is solved and checked on p / 256^j,
+        # so that 256^i p is solved on p's own bits, and KKT_TOL acts
+        # relative to the size of p
+        j = _scale_exponent(projection.coeffs, simplex_mass_matrix(f.dim, m))
 
-        # the row's one (KktProblem, KktSolution) at each (n, delta), read
-        # by the kkt cells and the cone check in any column order
+        # the row's one checked (KktProblem, KktSolution) at each (n, delta),
+        # read by the kkt cells and the cone check in any column order
         @functools.cache
         def constrained(n, delta):
-            problem = kkt.KktProblem(dim=f.dim, m=m, n=n, target=projection.coeffs, delta=delta)
-            return problem, kkt.solve(problem)
+            target = np.ldexp(projection.coeffs, -8 * j)
+            problem = kkt.KktProblem(dim=f.dim, m=m, n=n, target=target, delta=delta)
+            solution = kkt.solve(problem)
+            _check_kkt(problem, solution)
+            return problem, solution
 
         row = []
         for name, method, offset in cols:
             try:
-                obj = _approximant(method, offset, f, m, projection, constrained)
+                obj = _approximant(method, offset, f, m, projection, constrained, j)
                 err = approx.l2_error(f, obj, quad)
             except Exception as e:
                 print(f"bernfit: {name} failed at m={m}: {e}", file=sys.stderr)

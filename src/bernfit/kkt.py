@@ -22,8 +22,9 @@ follows from v.  No subset is enumerated, so the constraint count is not
 bounded here.  A target whose elevation is already feasible skips NNLS: it
 is its own answer.
 The paper's exhaustive search over every J, in the form (W - c delta)
-mu_J = -(E p)_J with W = U^{m,n} (U^{m,n})^T / 2, is kept in the oracles
-module as the reference method the tests check solve against.
+mu_J = -(E p)_J with W = U^{m,n} (U^{m,n})^T / 2, is not part of the
+package: it lives with the tests, in tests/oracles.py, as the reference
+method they check solve against.
 """
 
 from __future__ import annotations
@@ -168,7 +169,8 @@ def solve(problem: KktProblem) -> KktSolution:
     coefficients returned unchanged; the test reads the signs of E p
     alone, with no NNLS call.
     At n = m, E is the identity, and E p is the target itself: no
-    elevation matrix is built or multiplied.
+    elevation matrix is built or multiplied, and the elevated vector
+    E p + G v that the primal check reads is q = p + U v itself.
     Otherwise one NNLS call gives the active set J, v and the multipliers
     mu at once (the residual identity of the module docstring), refused
     unless mu passes the dual check and E p + G v the primal check.  The
@@ -210,9 +212,14 @@ def solve(problem: KktProblem) -> KktSolution:
     y = ep + G @ v
     if not y.min() >= -PRIMAL_TOL:
         raise refuse("primal check")
-    U = simplex.orthogonal_complement_basis(problem.dim, problem.m)
+    if problem.n == problem.m:
+        # G = U and E p = p, so y is p + U v itself
+        q = y
+    else:
+        U = simplex.orthogonal_complement_basis(problem.dim, problem.m)
+        q = problem.target + U[:, problem.delta :] @ v
     return KktSolution(
-        q=PolyCoeffs(problem.m, problem.target + U[:, problem.delta :] @ v, problem.dim),
+        q=PolyCoeffs(problem.m, q, problem.dim),
         mu=mu,
         nu=-math.factorial(problem.dim) * float(mu.sum()) if problem.delta else 0.0,
         active_set=J,

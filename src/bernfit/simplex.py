@@ -314,12 +314,7 @@ def simplex_elevation(d: int, m: int, n: int) -> np.ndarray:
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    # read first, so that n past the exact table is refused at n = m too
     binom = _binomials(n)
-    if m == n:
-        E = np.eye(math.comb(d + n, d))
-        E.setflags(write=False)
-        return E
     upper = _multiindex_array(d, n)
     lower = _multiindex_array(d, m)
     prod = binom[upper[:, 0]][:, lower[:, 0]]
@@ -356,6 +351,26 @@ def simplex_mass_matrix(d: int, n: int) -> np.ndarray:
     M = np.outer(c_n, c_n) / c_2n * _factorial_ratio((2 * n,), (2 * n + d,))
     M.setflags(write=False)
     return M
+
+
+def _scale_exponent(target, M) -> int:
+    """j nearest log_256 sqrt(t^T M t), so that t / 256^j has size near 1.
+
+    The package's one power-of-256 rule: the cone and the CLI's KKT cells
+    solve on t / 256^j, which is exact, so 256^i t is solved on t's own
+    bits.  The cost is read on t / 2^e, 2^(e-1) <= max|t| < 2^e, where it
+    neither underflows nor overflows, and with e = 8a + b, j = a + round(b
+    / 8 + log_256 sqrt of that cost): t and 256 t give the same b and the
+    same scaled bits, so j(256 t) = j(t) + 1 exactly.  0 for a non-finite
+    or zero t.
+    """
+    top = float(np.abs(target).max())
+    if not math.isfinite(top) or top == 0.0:
+        return 0
+    e = math.frexp(top)[1]
+    a, b = divmod(e, 8)
+    t = np.ldexp(target, -e)
+    return a + round(b / 8 + math.log2(float(t @ M @ t)) / 16)
 
 
 @lru_cache(maxsize=128)

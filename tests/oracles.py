@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from . import kkt, simplex
-from .kkt import DUAL_TOL, PRIMAL_TOL, KktProblem, KktSolution
-from .simplex import PolyCoeffs, _factorial_ratio
+from bernfit import kkt, simplex
+from bernfit.kkt import DUAL_TOL, PRIMAL_TOL, KktProblem, KktSolution
+from bernfit.simplex import PolyCoeffs, _factorial_ratio
 
 # subsets of one size stacked into one batch of reduced solves
 _CHUNK = 32768

@@ -10,7 +10,8 @@ import time
 import numpy as np
 
 import exact
-from bernfit import approx, cone, kkt, oracles
+import oracles
+from bernfit import approx, cone, kkt
 from bernfit import simplex as sx
 from bernfit.cli import main as cli_main
 

@@ -67,6 +67,13 @@ class TestBits:
                 assert same_bytes(sx.simplex_elevation(d, m, n), exact.float_elevation(d, m, n))
         sx.simplex_elevation.cache_clear()
 
+    @pytest.mark.parametrize("d,top", [(1, 57), (2, 57), (3, 20)])
+    def test_elevation_at_equal_degrees(self, d, top):
+        # n = m has no branch of its own: the gathers build the identity
+        for n in range(top + 1):
+            assert same_bytes(sx.simplex_elevation(d, n, n), exact.float_elevation(d, n, n)), (d, n)
+            sx.simplex_elevation.cache_clear()
+
     @pytest.mark.parametrize(
         "rule",
         [approx.interval_rule, approx.simplex_rule, lambda: approx.interval_rule(5), lambda: approx.simplex_rule(5)],

@@ -314,6 +314,68 @@ class TestFailureHandling:
         assert np.isfinite(rows).all()
 
 
+class TestScaling:
+    """A target times 256^i is solved on the target's own bits."""
+
+    EXPRESSIONS_1D = {
+        "f0": "0.5*(sin(2*pi*x)+1)",
+        "f1": "0.01+x/(x*x+1)",
+        "f2": "(26/25)*(1/(1+25*(2*x-1)**2))-1/26",
+        "f2alt": "(26/25)*(1/(1+25*(2*x-1)**2)-1/26)",
+        "f3": "pi/2+atan(30*(x-0.5))",
+    }
+    EXPRESSIONS_2D = {
+        "g0": "0.5*(1-sin(pi*(x-y)))",
+        "g1": "0.01+2*(x-y+1)/((x-y+1)*(x-y+1)+4)",
+        "g2": "(26/25)*(1/(1+25*(x-y)**2)-1/26)",
+    }
+
+    def scaled_cells(self, expr, argv, tmp_path):
+        """The cells of the unscaled run, and of the runs at 256^i for
+        i = -1, 1, 2, each of which must exit 0."""
+        cells = {}
+        for i in (0, -1, 1, 2):
+            out = tmp_path / f"scaled{i}.csv"
+            func = f"{256.0**i!r}*({expr})" if i else expr
+            assert main(["--func", func, *argv, "--out", str(out)]) == 0, func
+            cells[i] = read_table(out)[1][:, 1:]
+        return cells
+
+    @pytest.mark.parametrize("ident", sorted(EXPRESSIONS_1D))
+    def test_every_1d_cell_scales_exactly(self, ident, tmp_path):
+        argv = ["--mmax", "12", "--elevate", "0", "--elevate", "10",
+                "--methods", "project,kkt,kkt-mass,cone"]
+        cells = self.scaled_cells(self.EXPRESSIONS_1D[ident], argv, tmp_path)
+        assert cells[0].shape == (13, 6)
+        for i in (-1, 1, 2):
+            assert np.array_equal(cells[i], 256.0**i * cells[0]), i
+
+    @pytest.mark.parametrize("ident", sorted(EXPRESSIONS_2D))
+    def test_every_2d_cell_scales_exactly(self, ident, tmp_path):
+        argv = ["--dim", "2", "--mmax", "4", "--methods", "project,kkt,kkt-mass"]
+        cells = self.scaled_cells(self.EXPRESSIONS_2D[ident], argv, tmp_path)
+        assert cells[0].shape == (5, 3)
+        for i in (-1, 1, 2):
+            assert np.array_equal(cells[i], 256.0**i * cells[0]), i
+
+    def test_large_target_passes_every_kkt_check(self, tmp_path, capsys):
+        # f0 times 1000: solved on f0 * 1000 / 256, where the absolute
+        # primal check and KKT_TOL act at f0's size
+        out = tmp_path / "errors.csv"
+        rc = main(["--func", "1000*(0.5*(sin(2*pi*x)+1))", "--mmax", "12", "--elevate", "0",
+                   "--elevate", "10", "--methods", "project,kkt,kkt-mass", "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert np.isfinite(read_table(out)[1]).all()
+
+    def test_zero_target(self, tmp_path, capsys):
+        # no power of 256 brings 0 near size 1: it is solved as it is
+        out = tmp_path / "errors.csv"
+        rc = main(["--func", "0*x", "--mmax", "3", "--methods", "project,kkt,kkt-mass,cone",
+                   "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert not read_table(out)[1][:, 1:].any()
+
+
 class TestSpecErrors:
     @pytest.mark.parametrize(
         "argv",

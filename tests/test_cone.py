@@ -591,7 +591,7 @@ class TestShift:
 
 class TestCompositeGradient:
     def test_against_finite_differences(self):
-        from bernfit.oracles import finite_diff_gradient
+        from oracles import finite_diff_gradient
 
         rng = np.random.default_rng(6)
         m = 4
@@ -608,7 +608,7 @@ class TestCompositeGradient:
 
     @pytest.mark.parametrize("m", [0, 1, 7])
     def test_against_finite_differences_at_degree(self, m):
-        from bernfit.oracles import finite_diff_gradient
+        from oracles import finite_diff_gradient
 
         rng = np.random.default_rng(60 + m)
         sa, sb = cone._block_sizes(m)

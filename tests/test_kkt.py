@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import exact
+import oracles
 from bernfit import bernstein as bn
-from bernfit import approx, kkt, oracles
+from bernfit import approx, kkt
 from bernfit import simplex as sx
-from bernfit.oracles import penalty_solve
+from oracles import penalty_solve
 
 
 def random_instance(rng, delta=None):

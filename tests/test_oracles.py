@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bernfit import kkt, oracles
+import oracles
+from bernfit import kkt
 from bernfit import simplex as sx
 
 

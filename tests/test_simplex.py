@@ -673,13 +673,34 @@ class TestIntegral:
         assert exact.integral(p) == pytest.approx(oracle, abs=1e-13)
 
 
+class TestScaleExponent:
+    def test_one_rule(self):
+        # the cone and the CLI's KKT cells read the same power-of-256 rule
+        from bernfit import cone
+
+        assert cone._scale_exponent is sx._scale_exponent
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_target(self, d):
+        M = sx.simplex_mass_matrix(d, 3)
+        assert sx._scale_exponent(np.zeros(M.shape[0]), M) == 0
+
+    @pytest.mark.parametrize("ident", ["g0", "g1", "g2"])
+    def test_triangle_corpus_is_solved_unscaled(self, ident):
+        from bernfit import approx
+
+        f = approx.get_function(ident)
+        for m in range(5):
+            p = approx.project(f, m, approx.default_rule(2))
+            assert sx._scale_exponent(p.coeffs, sx.simplex_mass_matrix(2, m)) == 0
+
+
 def test_imports_nothing_from_scipy():
-    # the package is numpy only but for kkt's one NNLS call and the test
-    # oracles
+    # the package is numpy only but for kkt's one NNLS call
     paths = sorted(Path(sx.__file__).parent.rglob("*.py"))
     assert Path(sx.__file__) in paths
     for path in paths:
-        if path.name in ("kkt.py", "oracles.py"):
+        if path.name == "kkt.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
