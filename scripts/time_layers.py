@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the basis builders and the stages of each KKT cell from cleared caches.
+"""Time the basis builders, the stages of each KKT cell and the cone solve
+from cleared caches.
 
 Usage, from the root of a checkout:
 
@@ -22,10 +23,13 @@ verify_kkt on the answer at the CLI's tolerance, and objective at the
 answer.  The targets, the projections of the default rule, are computed
 once beforehand.
 
-Prints one JSON object: for each builder and dimension, and for each
-stage and corpus, the median microseconds of a call at every degree
-(summed over the cells of a degree) and their sum over the degrees; then
-the three stages' sum for each corpus.
+cone: solve_cone on the projections of the 1-D corpus (f0-f3 and f2alt)
+at every degree it solves, m = 1..12.
+
+Prints one JSON object: for each builder and dimension, for each stage
+and corpus, and for the cone, the median microseconds of a call at every
+degree (summed over the cells of a degree) and their sum over the
+degrees; then the three stages' sum for each corpus.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ BUILDERS = {
     ),
     "_node_factors": (lambda d, m, rule: approx._node_factors(rule, m), (1, 2)),
     "omega_operator": (lambda d, m, rule: cone.omega_operator(m), (1,)),
-    "_hessian_tables": (lambda d, m, rule: cone._hessian_tables(m), (1,)),
 }
 
 # corpus -> (functions, degrees, elevations n - m, deltas)
@@ -68,6 +71,7 @@ CORPORA = {
     "d1": (("f0", "f1", "f2", "f3", "f2alt"), range(13), (0, OFFSET), (0, 1)),
     "d2": (("g0", "g1", "g2"), range(5), (0,), (0, 1)),
 }
+CONE_FUNCTIONS = CORPORA["d1"][0]
 
 STAGES = {
     "solve": lambda problem, sol: kkt.solve(
@@ -137,6 +141,17 @@ def time_stages(repeats: int) -> dict:
     return {stage: {corpus: table(t) for corpus, t in corpora.items()} for stage, corpora in per_m.items()}
 
 
+def time_cone(repeats: int) -> dict:
+    quad = approx.default_rule(1)
+    per_m = dict.fromkeys(range(1, cone.CONE_DEGREE_LIMIT + 1), 0.0)
+    for ident in CONE_FUNCTIONS:
+        f = approx.get_function(ident)
+        for m in per_m:
+            target = approx.project(f, m, quad)
+            per_m[m] += cold_us(lambda: cone.solve_cone(target), repeats)
+    return table(per_m)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=15, help="calls per builder or stage and cell")
@@ -145,11 +160,13 @@ def main() -> None:
         parser.error("--repeats must be at least 1")
     builders = time_builders(args.repeats)
     stages = time_stages(args.repeats)
+    cone_table = time_cone(args.repeats)
     out = {
         "repeats": args.repeats,
         "offset": OFFSET,
         "builders": builders,
         "stages": stages,
+        "cone": cone_table,
         "all_stages_total_us": {
             corpus: round(sum(stages[stage][corpus]["total_us"] for stage in STAGES), 1)
             for corpus in CORPORA

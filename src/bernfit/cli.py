@@ -38,7 +38,6 @@ SAMPLE_POINTS = 512
 # n = m KKT cost is a solver miss once it exceeds the solver's accuracy,
 # which is relative to the size of the problem p^T M p.
 CONE_RTOL = 1e-6
-CONE_ATOL = 1e-14
 # every KKT residual of a written kkt cell is at most this, on the target
 # divided by 256^j as in _scale_exponent
 KKT_TOL = 1e-9
@@ -221,7 +220,7 @@ def _check_cone_cost(projection, q, constrained, j) -> None:
     problem, solution = constrained(m, 0)
     bound = float(np.ldexp(kkt.objective(problem, solution.q.coeffs), 16 * j))
     scale = float(np.ldexp(kkt.objective(problem, np.zeros(m + 1)), 16 * j))
-    if cost > bound + CONE_RTOL * (bound + scale) + CONE_ATOL:
+    if cost > bound + CONE_RTOL * (bound + scale):
         raise RuntimeError(
             f"cone cost {cost:.6e} exceeds the n=m KKT cost {bound:.6e} at m={m}"
         )

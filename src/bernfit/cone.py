@@ -154,50 +154,6 @@ def _unpack(z, sa, sb):
     return R0, R1
 
 
-@lru_cache(maxsize=32)
-def _hessian_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index tables (jac, add, grad) of _hessian at degree m.
-
-    With z of size N and s = m mod 2, the Jacobian's row k, before its
-    factor 2 scale_k, is [z; 0][jac[k]]: W_k R0 holds R0[k - s - i, a] at
-    (i, a) and W_k R1 holds R1[k - 1 + s - i, a], and an index outside the
-    block is N, the appended 0.  2 G (x) I puts 2 G[i, j] at (i n + a,
-    j n + a) of an n x n block's square for each a < n: entry e of the
-    pattern lands at flat index add[e] of the N x N Hessian and takes entry
-    grad[e] of [vec GA; vec GB].
-    """
-    sa, sb = _block_sizes(m)
-    n0 = sa * sa
-    N = n0 + sb * sb
-    k = np.arange(m + 1)[:, None]
-    jac, add, grad = [], [], []
-    for off, size, lag in ((0, sa, m % 2), (n0, sb, 1 - m % 2)):
-        i, a = np.divmod(np.arange(size * size), size)
-        row = k - lag - i
-        jac.append(np.where((row >= 0) & (row < size), off + row * size + a, N))
-        i, j, a = np.indices((size,) * 3).reshape(3, -1)
-        add.append((off + i * size + a) * N + off + j * size + a)
-        grad.append(off + i * size + j)
-    tables = np.hstack(jac), np.concatenate(add), np.concatenate(grad)
-    for t in tables:
-        t.setflags(write=False)
-    return tables
-
-
-def _residual_change(z, d, m, scale, sa, sb):
-    """r(z + d) - r(z), formed from d: (R + D)(R + D)^T - R R^T = D R^T + R D^T
-    + D D^T keeps its digits when the step is small against R."""
-    n0 = sa * sa
-    R0, D0 = z[:n0].reshape(sa, sa), d[:n0].reshape(sa, sa)
-    R1, D1 = z[n0:].reshape(sb, sb), d[n0:].reshape(sb, sb)
-    S0 = D0 @ R0.T
-    S1 = D1 @ R1.T
-    v = np.empty_like(z)
-    np.add(S0 + S0.T, D0 @ D0.T, out=v[:n0].reshape(sa, sa))
-    np.add(S1 + S1.T, D1 @ D1.T, out=v[n0:].reshape(sb, sb))
-    return scale * (omega_operator(m) @ v)
-
-
 def _state(z, m, scale, M, target, sa, sb):
     """The residual r = scale * (Omega0*(A) + Omega1*(B)) - target at
     A = R0 R0^T, B = R1 R1^T, formed once, with the cost r^T M r, its
@@ -220,21 +176,28 @@ def _state(z, m, scale, M, target, sa, sb):
 
 
 def _hessian(z, blocks, m, scale, M, sa, sb):
-    """Hessian of the cost in the factors: 2 J^T M J + blockdiag(2 GA (x) I, 2 GB (x) I).
+    """Hessian H = 2 J^T M J + blockdiag(2 GA (x) I, 2 GB (x) I) of the cost
+    in the factors, and the residual's Jacobian J = dr/dz.
 
-    blocks is (GA, GB) at z, from _state.  J = dr/dz has the columns
-    2 scale * (W_k R0)[i, a] for R0[i, a], W_k the Hankel matrix of row k of
-    the operator, and likewise for R1; each is one entry of z, or 0, so J
-    is gathered from z through _hessian_tables.  2 G (x) I is added on its
-    nonzero pattern alone, also by table; the kron form adds exact zeros
-    everywhere else, so H has the same bits.
+    blocks is (GA, GB) at z, from _state.  Row k of J is 2 scale_k
+    (W_k R0, W_k R1), W_k the Hankel slice of row k of omega_operator, one
+    batched product per block written through a view of J; each entry is
+    one entry of z, or 0.  2 G (x) I puts 2 G[i, j] at
+    (i n + a, j n + a) of an n x n block's square for each a < n, and is
+    added there alone, through an (n, n, n, n) view of the block; the kron
+    form adds exact zeros everywhere else, so H has the same bits.
     """
-    jac, add, grad = _hessian_tables(m)
-    J = np.append(z, 0.0)[jac]
+    W = omega_operator(m)
+    J = np.empty_like(W)
+    for k, R in zip((0, sa * sa), _unpack(z, sa, sb)):
+        cols, shape = slice(k, k + R.size), (m + 1, *R.shape)
+        np.matmul(W[:, cols].reshape(shape), R, out=J[:, cols].reshape(shape))
     J *= (2.0 * scale)[:, None]
     H = 2.0 * (J.T @ M @ J)
-    H.reshape(-1)[add] += 2.0 * np.concatenate(blocks, axis=None)[grad]
-    return H
+    for k, G in zip((0, sa * sa), blocks):
+        n, a = len(G), np.arange(len(G))
+        H[k : k + G.size, k : k + G.size].reshape(n, n, n, n)[:, a, :, a] += 2.0 * G
+    return H, J
 
 
 def _diagonal_blocks(u, m):
@@ -259,9 +222,11 @@ def _newton(z, args):
     Stat. Comput. 4, 1983).  The shift is 0 when H + mu I has a Cholesky
     factor, as it has on nearly every Hessian; only when the factorization
     fails is eigvalsh run, and the shift is max(0, -lam_min(H)).  A rejected
-    step keeps H and its shift.  The cost change is taken from the change in
-    the residual, so the acceptance test stays accurate while the decrease
-    is far below the rounding of the cost.  Stops when max|g| <= GRAD_TOL or after
+    step keeps H, J and the shift.  The cost change is taken from the change
+    in the residual, r(z + d) - r(z) = J d + scale * W vec(D D^T), where
+    (R + D)(R + D)^T - R R^T = D R^T + R D^T + D D^T, so the acceptance test
+    keeps its digits while the step is small against R and the decrease is
+    far below the rounding of the cost.  Stops when max|g| <= GRAD_TOL or after
     MAX_ITERATIONS steps.  mu is divided by 4 after a step that gains at
     least 3/4 of the predicted decrease and multiplied by 4 after a rejected
     one.  Returns the last accepted z, its _state tuple (residual, cost,
@@ -269,11 +234,12 @@ def _newton(z, args):
     one per step and one at the start.
     """
     m, scale, M, _, sa, sb = args
+    W = omega_operator(m)
     r, _, blocks, grad = state = _state(z, *args)
     mu, steps, H, eye = DAMPING, 0, None, np.eye(z.size)
     while np.abs(grad).max() > GRAD_TOL and steps < MAX_ITERATIONS:
         if H is None:
-            H = _hessian(z, blocks, m, scale, M, sa, sb)
+            H, J = _hessian(z, blocks, m, scale, M, sa, sb)
             K = H + mu * eye
             try:
                 np.linalg.cholesky(K)
@@ -285,7 +251,8 @@ def _newton(z, args):
             K = H + (shift + mu) * eye
         d = np.linalg.solve(K, -grad)
         predicted = -(grad @ d + 0.5 * d @ (H @ d))
-        dr = _residual_change(z, d, m, scale, sa, sb)
+        D0, D1 = _unpack(d, sa, sb)
+        dr = J @ d + scale * (W @ _pack(D0 @ D0.T, D1 @ D1.T))
         decrease = -(dr @ M @ (2.0 * r + dr))
         steps += 1
         if decrease > ACCEPT * predicted:

@@ -135,7 +135,6 @@ PER_DEGREE = (
     sx.simplex_spectral_factors,
     approx._node_factors,
     cone.omega_operator,
-    cone._hessian_tables,
 )
 
 

@@ -245,6 +245,28 @@ class TestFailureHandling:
                      if "exceeds the n=m KKT cost" in ln]
             assert len(notes) == 3
 
+    @pytest.mark.parametrize("k", ["1", "0.5^40"])
+    def test_cone_cost_gate_acts_relative_to_the_target(self, k, tmp_path, capsys,
+                                                        monkeypatch):
+        # q = 0 costs p^T M p, 12 times the n = m KKT cost of f2 at m = 8: it
+        # is refused at every scale of the target, also at 2^-40, where that
+        # cost is 1.2e-25
+        f2 = "(26/25)*(1/(1+25*(2*x-1)**2))-1/26"
+        solve_cone = cone.solve_cone
+
+        def zero(p):
+            q = bn.PolyCoeffs(p.degree, np.zeros(p.degree + 1))
+            return dataclasses.replace(solve_cone(p), q=q)
+
+        monkeypatch.setattr(cone, "solve_cone", zero)
+        out = tmp_path / "errors.csv"
+        rc = main(["--func", f"{k}*({f2})", "--mmin", "8", "--mmax", "8",
+                   "--methods", "project,kkt,cone", "--out", str(out)])
+        assert rc == 2
+        _, rows = read_table(out)
+        assert np.isnan(rows[0, 3]) and np.isfinite(rows[0, :3]).all()
+        assert "exceeds the n=m KKT cost" in capsys.readouterr().err
+
     @pytest.mark.parametrize("func, methods, calls", [
         ("f2", "project,kkt,cone", 13),
         # f1's projection is nonnegative at every degree: cost 0, no solve

@@ -633,7 +633,7 @@ class TestHessian:
         target = rng.uniform(-1, 1, m + 1)
         z = rng.standard_normal(sa * sa + sb * sb)
         args = (m, scale, M, target, sa, sb)
-        H = cone._hessian(z, cone._state(z, *args)[2], m, scale, M, sa, sb)
+        H, _ = cone._hessian(z, cone._state(z, *args)[2], m, scale, M, sa, sb)
         h = 1e-5
         fd = np.column_stack([
             (cone._state(z + e, *args)[3] - cone._state(z - e, *args)[3]) / (2 * h)
@@ -642,9 +642,65 @@ class TestHessian:
         assert np.max(np.abs(H - H.T)) <= 1e-14 * max(1.0, np.max(np.abs(H)))
         assert np.max(np.abs(H - fd)) <= 1e-8 * max(1.0, np.max(np.abs(H)))
 
+    @pytest.mark.parametrize("m", [0, 1, 4, 7, 12])
+    def test_jacobian_against_central_differences_of_the_residual(self, m):
+        # r is quadratic in z, so the central difference is exact but for
+        # rounding
+        rng = np.random.default_rng(100 + m)
+        sa, sb = cone._block_sizes(m)
+        scale = 1.0 / sx._binomials(m)[m]
+        M = sx.simplex_mass_matrix(1, m)
+        target = rng.uniform(-1, 1, m + 1)
+        z = rng.standard_normal(sa * sa + sb * sb)
+        args = (m, scale, M, target, sa, sb)
+        _, J = cone._hessian(z, cone._state(z, *args)[2], m, scale, M, sa, sb)
+        h = 1e-5
+        fd = np.column_stack([
+            (cone._state(z + e, *args)[0] - cone._state(z - e, *args)[0]) / (2 * h)
+            for e in h * np.eye(z.size)
+        ])
+        assert J.shape == (m + 1, z.size)
+        assert np.max(np.abs(J - fd)) <= 1e-8 * max(1.0, np.max(np.abs(J)))
+
+    @pytest.mark.parametrize("size", [1.0, 1e-8])
+    @pytest.mark.parametrize("m", [0, 1, 4, 7, 12])
+    def test_step_residual_change(self, m, size):
+        # Newton's trial step d changes the residual by J d + scale W vec(D D^T):
+        # (R + D)(R + D)^T - R R^T = D R^T + R D^T + D D^T, and J d is the
+        # first two terms.  Against the change formed directly in exact
+        # arithmetic it keeps its digits when |d| = 1e-8 |z|, where the
+        # difference of the two float residuals loses about half of them
+        rng = np.random.default_rng(110 + m)
+        sa, sb = cone._block_sizes(m)
+        scale = 1.0 / sx._binomials(m)[m]
+        M = sx.simplex_mass_matrix(1, m)
+        target = rng.uniform(-1, 1, m + 1)
+        z = rng.standard_normal(sa * sa + sb * sb)
+        u = rng.standard_normal(z.size)
+        d = size * np.linalg.norm(z) / np.linalg.norm(u) * u
+        args = (m, scale, M, target, sa, sb)
+        _, J = cone._hessian(z, cone._state(z, *args)[2], m, scale, M, sa, sb)
+        D0, D1 = cone._unpack(d, sa, sb)
+        dr = J @ d + scale * (cone.omega_operator(m) @ cone._pack(D0 @ D0.T, D1 @ D1.T))
+
+        def exact_residual(z):
+            R0, R1 = cone._unpack(z, sa, sb)
+            AB = cone.omega_operator(m).astype(int).astype(object) @ cone._pack(R0 @ R0.T, R1 @ R1.T)
+            return [Fraction(k) * v - Fraction(t) for k, v, t in zip(scale, AB, target)]
+
+        zf = np.array([Fraction(v) for v in z], dtype=object)
+        df = np.array([Fraction(v) for v in d], dtype=object)
+        want = np.array([float(b - a) for a, b in zip(exact_residual(zf), exact_residual(zf + df))])
+        size_dr = np.abs(want).max()
+        assert np.abs(dr - want).max() <= 1e-14 * size_dr
+        if size < 1e-4:
+            naive = cone._state(z + d, *args)[0] - cone._state(z, *args)[0]
+            assert np.abs(naive - want).max() > 1e-10 * size_dr
+
     @pytest.mark.parametrize("m", range(13))
     def test_equals_the_kron_form(self, m):
-        # the pattern add leaves out only the kron form's exact zeros
+        # the 4-index view adds 2 G (x) I on its pattern alone, leaving out
+        # only the kron form's exact zeros, and J is the batched product
         rng = np.random.default_rng(90 + m)
         sa, sb = cone._block_sizes(m)
         scale = 1.0 / sx._binomials(m)[m]
@@ -662,7 +718,8 @@ class TestHessian:
             ref = 2.0 * (J.T @ M @ J)
             for G, k, s in ((blocks[0], 0, sa), (blocks[1], sa * sa, sb)):
                 ref[k : k + s * s, k : k + s * s] += np.kron(2.0 * G, np.eye(s))
-            assert np.array_equal(cone._hessian(z, blocks, m, scale, M, sa, sb), ref)
+            H, got = cone._hessian(z, blocks, m, scale, M, sa, sb)
+            assert np.array_equal(H, ref) and np.array_equal(got, J)
 
 
 def test_imports_nothing_from_kkt():
