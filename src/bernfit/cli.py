@@ -23,7 +23,7 @@ import numpy as np
 from . import approx, cone, kkt
 from .approx import TargetFunction
 from .serialize import format_float
-from .simplex import PolyCoeffs, _scale_exponent, simplex_evaluate, simplex_mass_matrix
+from .simplex import PolyCoeffs, simplex_evaluate
 
 MAX_DEGREE_1D = 12
 MAX_ELEVATE_1D = 10
@@ -38,8 +38,7 @@ SAMPLE_POINTS = 512
 # n = m KKT cost is a solver miss once it exceeds the solver's accuracy,
 # which is relative to the size of the problem p^T M p.
 CONE_RTOL = 1e-6
-# every KKT residual of a written kkt cell is at most this, on the target
-# divided by 256^j as in _scale_exponent
+# every KKT residual of a written kkt cell is at most this times max|p|
 KKT_TOL = 1e-9
 
 
@@ -159,17 +158,15 @@ def _columns(methods, elevations):
     return cols
 
 
-def _approximant(method, offset, f, m, projection, constrained, j):
+def _approximant(method, offset, f, m, projection, constrained):
     """Build one method's approximant; returns an object l2_error accepts.
 
-    constrained(n, delta) is the row's checked KKT problem and answer on
-    the projection divided by 256^j.
+    constrained(n, delta) is the row's checked KKT problem and answer.
     """
     if method == "project":
         return projection
     if method == "kkt" or method == "kkt-mass":
-        _, solution = constrained(m + offset, 1 if method == "kkt-mass" else 0)
-        return PolyCoeffs(m, np.ldexp(solution.q.coeffs, 8 * j), f.dim)
+        return constrained(m + offset, 1 if method == "kkt-mass" else 0)[1].q
     if method == "cone":
         result = cone.solve_cone(projection)
         if not result.converged:
@@ -178,7 +175,7 @@ def _approximant(method, offset, f, m, projection, constrained, j):
                 f"(grad {result.grad_norm:.2e}, dual {result.dual_min:.2e}, "
                 f"{result.evaluations} evaluations)"
             )
-        _check_cone_cost(projection, result.q, constrained, j)
+        _check_cone_cost(projection, result.q, constrained)
         return result.q
     if method == "bernstein":
         return approx.bernstein_operator(f, m)
@@ -202,27 +199,30 @@ def _check_kkt(problem, solution) -> None:
     name = max(residuals, key=residuals.get)
     raise RuntimeError(
         f"verify_kkt failed at m={problem.m}, n={problem.n}: largest residual is "
-        f"{name} {residuals[name]:.2e} > {KKT_TOL:g}"
+        f"{name} {residuals[name] / (problem.scale or 1.0):.2e} > {KKT_TOL:g} "
+        f"relative to max|p|"
     )
 
 
-def _check_cone_cost(projection, q, constrained, j) -> None:
-    """Raise unless the cone cost is within tolerance of the n = m KKT cost.
-
-    The KKT problem is solved on the projection divided by 256^j, so its
-    costs are multiplied by 256^(2j), which is exact.
-    """
-    cost = cone.cone_objective(projection, q)
+def _check_cone_cost(projection, q, constrained) -> None:
+    """Raise unless the cone cost is within tolerance of the n = m KKT cost."""
+    # the costs of q, the KKT answer and 0 are read on everything divided
+    # by 2^e, 2^(e-1) <= max|p| < 2^e: exact, and free of under- and
+    # overflow, so the verdict is p's own
+    m = projection.degree
+    e = math.frexp(float(np.abs(projection.coeffs).max()))[1]
+    p = PolyCoeffs(m, np.ldexp(projection.coeffs, -e))
+    cost = cone.cone_objective(p, PolyCoeffs(m, np.ldexp(q.coeffs, -e)))
     # M is positive definite, so a cost of 0 is q = p, which no bound refuses
     if cost == 0.0:
         return
-    m = projection.degree
-    problem, solution = constrained(m, 0)
-    bound = float(np.ldexp(kkt.objective(problem, solution.q.coeffs), 16 * j))
-    scale = float(np.ldexp(kkt.objective(problem, np.zeros(m + 1)), 16 * j))
+    kkt_q = constrained(m, 0)[1].q.coeffs
+    bound = cone.cone_objective(p, PolyCoeffs(m, np.ldexp(kkt_q, -e)))
+    scale = cone.cone_objective(p, PolyCoeffs(m, np.zeros(m + 1)))
     if cost > bound + CONE_RTOL * (bound + scale):
         raise RuntimeError(
-            f"cone cost {cost:.6e} exceeds the n=m KKT cost {bound:.6e} at m={m}"
+            f"cone cost {cost / scale:.6e} exceeds the n=m KKT cost "
+            f"{bound / scale:.6e}, in units of p^T M p, at m={m}"
         )
 
 
@@ -275,17 +275,12 @@ def run(args) -> int:
     failures = 0
     for m in degrees:
         projection = approx.project(f, m, quad)
-        # every KKT problem of the row is solved and checked on p / 256^j,
-        # so that 256^i p is solved on p's own bits, and KKT_TOL acts
-        # relative to the size of p
-        j = _scale_exponent(projection.coeffs, simplex_mass_matrix(f.dim, m))
 
         # the row's one checked (KktProblem, KktSolution) at each (n, delta),
         # read by the kkt cells and the cone check in any column order
         @functools.cache
         def constrained(n, delta):
-            target = np.ldexp(projection.coeffs, -8 * j)
-            problem = kkt.KktProblem(dim=f.dim, m=m, n=n, target=target, delta=delta)
+            problem = kkt.KktProblem(dim=f.dim, m=m, n=n, target=projection.coeffs, delta=delta)
             solution = kkt.solve(problem)
             _check_kkt(problem, solution)
             return problem, solution
@@ -293,7 +288,7 @@ def run(args) -> int:
         row = []
         for name, method, offset in cols:
             try:
-                obj = _approximant(method, offset, f, m, projection, constrained, j)
+                obj = _approximant(method, offset, f, m, projection, constrained)
                 err = approx.l2_error(f, obj, quad)
             except Exception as e:
                 print(f"bernfit: {name} failed at m={m}: {e}", file=sys.stderr)

@@ -18,13 +18,14 @@ its smallest eigenvalue computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import simplex
-from .simplex import PolyCoeffs, _scale_exponent
+from .simplex import PolyCoeffs
 
 CONE_DEGREE_LIMIT = 12
 # damped Newton steps from the target's own diagonal certificate, its u^m
@@ -264,6 +265,23 @@ def _newton(z, args):
         else:
             mu *= 4.0
     return z, state, steps, steps + 1
+
+
+def _scale_exponent(target, M) -> int:
+    """j nearest log_256 sqrt(t^T M t), so that t / 256^j has size near 1.
+
+    The cost is read on t / 2^e, 2^(e-1) <= max|t| < 2^e, free of under-
+    and overflow, and with e = 8a + b, j = a + round(b / 8 + log_256 sqrt
+    of that cost): t and 256 t give the same b and the same scaled bits,
+    so j(256 t) = j(t) + 1 exactly.  0 for a non-finite or zero t.
+    """
+    top = float(np.abs(target).max())
+    if not math.isfinite(top) or top == 0.0:
+        return 0
+    e = math.frexp(top)[1]
+    a, b = divmod(e, 8)
+    t = np.ldexp(target, -e)
+    return a + round(b / 8 + math.log2(float(t @ M @ t)) / 16)
 
 
 def solve_cone(p: PolyCoeffs) -> ConeResult:

@@ -30,7 +30,7 @@ method they check solve against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
@@ -38,6 +38,9 @@ from scipy import optimize
 from . import simplex
 from .simplex import PolyCoeffs, _factorial_ratio
 
+# every tolerance acts relative to the target's size, KktProblem.scale =
+# max|p|: NNLS reads E p / max|E p|, and mu, v and q scale with p, so 2^k p
+# is solved and verified on p's verdicts, its answer exactly 2^k times p's
 PRIMAL_TOL = 1e-9
 DUAL_TOL = 1e-12
 # the NNLS residual r is >= 1/2 for a feasible problem scaled as in
@@ -73,6 +76,9 @@ class KktProblem:
     n: int
     target: np.ndarray
     delta: int = 0
+    # max|target|, derived: every tolerance of solve and verify_kkt is
+    # relative to it
+    scale: float = field(init=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -85,11 +91,14 @@ class KktProblem:
         want = math.comb(self.dim + self.m, self.dim)
         if t.shape != (want,):
             raise ValueError(f"target must have shape ({want},), got {t.shape}")
-        if not np.isfinite(t).all():
+        # a NaN or an infinity makes the maximum non-finite
+        scale = float(np.abs(t).max())
+        if not math.isfinite(scale):
             raise ValueError("target coefficients must be finite")
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "target", t)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def num_constraints(self) -> int:
@@ -181,7 +190,7 @@ def solve(problem: KktProblem) -> KktSolution:
         ep = problem.target
     else:
         ep = simplex.simplex_elevation(problem.dim, problem.m, problem.n) @ problem.target
-    if ep.min() >= -PRIMAL_TOL:
+    if ep.min() >= -PRIMAL_TOL * problem.scale:
         # the empty set examined, solved (0 x 0) and reconstructed; its nu,
         # -d! * 0.0, keeps its sign bit
         return KktSolution(
@@ -206,11 +215,11 @@ def solve(problem: KktProblem) -> KktSolution:
         )
 
     # written so that a NaN multiplier fails it
-    if not mu.min() >= -DUAL_TOL:
+    if not mu.min() >= -DUAL_TOL * problem.scale:
         raise refuse("dual check")
     # q - p = U v: the cost is ||v||^2, and E p + G v is the elevated q
     y = ep + G @ v
-    if not y.min() >= -PRIMAL_TOL:
+    if not y.min() >= -PRIMAL_TOL * problem.scale:
         raise refuse("primal check")
     if problem.n == problem.m:
         # G = U and E p = p, so y is p + U v itself
@@ -239,7 +248,7 @@ def objective(problem: KktProblem, qvec) -> float:
 
 
 def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnostics:
-    """Recompute every KKT residual from scratch and compare against tol.
+    """Recompute every KKT residual from scratch; compare with tol * scale.
 
     The stationarity residual is 2 M (q - p) - E^T mu, minus nu c_eq when
     the integral is pinned.  M (q - p) is doubled in place, which has the
@@ -259,7 +268,9 @@ def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnost
         E = simplex.simplex_elevation(problem.dim, problem.m, problem.n)
         stat -= E.T @ sol.mu
         elevated = E @ qvec
-    slack = np.abs(sol.mu * elevated)
+    # in p's units, as every residual: no overflow, and no division by a
+    # zero target's scale
+    slack = np.abs(sol.mu / (problem.scale or 1.0) * elevated)
     gap = 0.0
     if problem.delta:
         # m!/(m+d)!: the integral of one degree-m basis function, so c_eq
@@ -271,6 +282,7 @@ def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnost
     min_elev = float(elevated.min())
     min_mu = float(sol.mu.min()) if sol.mu.size else 0.0
     max_slack = float(slack.max()) if slack.size else 0.0
+    tol *= problem.scale
     passed = (
         stationarity <= tol
         and min_elev >= -tol

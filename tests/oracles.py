@@ -8,7 +8,8 @@ solves the paper's reduced system
 
 with W = U^{m,n} (U^{m,n})^T / 2 formed here and c = d!/2.  J is accepted
 when the multipliers are nonnegative and the elevated vector W mu + E p +
-nu/2 is feasible, and q comes from the stationarity condition
+nu/2 is feasible, both up to kkt.solve's tolerances times max|p|, so the
+two agree at any scale of p, and q comes from the stationarity condition
 2 M (q - p) = E^T mu + nu c_eq 1.  The minimizer is unique, so the first
 accepted J is the answer.  Its cost grows as 2^N in the constraint count
 N, so subset_iterator refuses N above MAX_SUBSET_BITS.  kkt.solve shares
@@ -87,7 +88,8 @@ def _candidate_solution(system, problem, ep, J, mu_J):
 
 
 def _accepted(system, problem: KktProblem, ep, chunk, counters: dict):
-    """Yield (J, mu, nu, y) for every row of chunk passing both KKT checks.
+    """Yield (J, mu, nu, y) for every row of chunk passing both KKT checks,
+    at kkt.solve's tolerances times problem.scale.
 
     chunk stacks subsets of one size k as rows of constraint indices; the
     accepted ones come out in row order.  A reduced matrix whose rank at
@@ -104,12 +106,12 @@ def _accepted(system, problem: KktProblem, ep, chunk, counters: dict):
     counters["subsets"] += batch
     counters["solved"] += len(chunk)
     counters["rank_skips"] += batch - len(chunk)
-    dual_ok = np.all(x >= -DUAL_TOL, axis=1)
+    dual_ok = np.all(x >= -DUAL_TOL * problem.scale, axis=1)
     for J, mu_J in zip(chunk[dual_ok], x[dual_ok]):
         J = tuple(int(c) for c in J)
         mu, nu, y = _candidate_solution(system, problem, ep, J, mu_J)
         counters["reconstructed"] += 1
-        if y.min() >= -PRIMAL_TOL:
+        if y.min() >= -PRIMAL_TOL * problem.scale:
             yield J, mu, nu, y
 
 

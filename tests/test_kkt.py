@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import time
 import types
@@ -234,8 +236,14 @@ class TestOptimalityProperties:
                 assert best <= kkt.objective(prob, q) + 1e-10
 
     def test_idempotence(self):
+        # the answer is its own projection, returned unchanged.  Eight of
+        # these twenty answers are the zero polynomial up to rounding
+        # (max|q| below 1e-14); the checks act relative to max|q|, so they
+        # read that rounding at its own size and may project it again,
+        # moving it by rounding alone
         rng = np.random.default_rng(8)
-        for _ in range(5):
+        zeros = 0
+        for _ in range(20):
             prob = random_instance(rng, delta=0)
             sol = kkt.solve(prob)
             again = kkt.solve(
@@ -243,8 +251,13 @@ class TestOptimalityProperties:
                     dim=prob.dim, m=prob.m, n=prob.n, target=sol.q.coeffs, delta=0
                 )
             )
-            assert again.active_set == ()
             assert np.max(np.abs(again.q.coeffs - sol.q.coeffs)) < 1e-10
+            if np.abs(sol.q.coeffs).max() > kkt.PRIMAL_TOL * prob.scale:
+                assert again.active_set == ()
+                assert np.array_equal(again.q.coeffs, sol.q.coeffs)
+            else:
+                zeros += 1
+        assert zeros == 8
 
     def test_monotone_in_elevation(self):
         rng = np.random.default_rng(9)
@@ -496,10 +509,25 @@ class TestAgainstEnumerator:
             )
             got = kkt.solve(scaled).q.coeffs
             want = c * kkt.solve(prob).q.coeffs
-            # feasibility is tested against the absolute PRIMAL_TOL, so an
-            # elevated value inside that band at one scale and outside it at
-            # the other moves the answer by about PRIMAL_TOL
-            assert np.max(np.abs(got - want)) <= 1e-9 * c + 10 * kkt.PRIMAL_TOL
+            # every check acts relative to max|p|, so c moves no verdict
+            assert np.max(np.abs(got - want)) <= 1e-9 * c
+
+    @pytest.mark.parametrize("i", [-1, 1])
+    def test_scaled_by_256(self, i):
+        # the enumerator's checks are relative too: at 256^i p it agrees
+        # with solve, and each answer is exactly 256^i times its answer on p
+        k = 256.0**i
+        for prob in instances():
+            scaled = kkt.KktProblem(
+                dim=prob.dim, m=prob.m, n=prob.n, target=k * prob.target, delta=prob.delta
+            )
+            sol, ref = kkt.solve(scaled), oracles.enumerate_solve(scaled)
+            assert np.max(np.abs(sol.q.coeffs - ref.q.coeffs)) <= 1e-9 * k
+            assert kkt.verify_kkt(scaled, sol, 1e-9).passed
+            assert np.array_equal(sol.q.coeffs, k * kkt.solve(prob).q.coeffs)
+            unscaled = oracles.enumerate_solve(prob)
+            assert ref.active_set == unscaled.active_set
+            assert np.array_equal(ref.q.coeffs, k * unscaled.q.coeffs)
 
     def test_feasible_target_returns_itself(self):
         for prob in instances(nonnegative=True):
@@ -580,3 +608,80 @@ class TestBasisReads:
             orthogonal_complement_basis=0, simplex_spectral_factors=0, simplex_elevation=1
         )
 
+
+
+@functools.cache
+def corpus_problems():
+    """Every KKT problem of the corpus: f0..f3 and f2alt at m = 0..12 with
+    n in {m, m + 10}, and g0..g2 at m = 0..4 with n in {m, m + 2}, each at
+    delta 0 and 1."""
+    out = []
+    for idents, dim, top, offset in ((("f0", "f1", "f2", "f2alt", "f3"), 1, 12, 10),
+                                     (("g0", "g1", "g2"), 2, 4, 2)):
+        for ident in idents:
+            f = approx.get_function(ident)
+            for m in range(top + 1):
+                p = approx.project(f, m).coeffs
+                out += [kkt.KktProblem(dim=dim, m=m, n=n, target=p, delta=delta)
+                        for n in (m, m + offset) for delta in (0, 1)]
+    return out
+
+
+def rescaled(prob, k):
+    return kkt.KktProblem(dim=prob.dim, m=prob.m, n=prob.n, target=k * prob.target,
+                          delta=prob.delta)
+
+
+class TestScaleFree:
+    """Every check in solve and verify_kkt acts relative to max|p|."""
+
+    def test_scale_is_the_largest_coefficient(self):
+        prob = kkt.KktProblem(dim=1, m=2, n=2, target=np.array([0.5, -3.0, 2.0]))
+        assert prob.scale == 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.scale = 1.0
+        with pytest.raises(TypeError):
+            kkt.KktProblem(dim=1, m=0, n=0, target=np.array([1.0]), scale=1.0)
+
+    def test_small_negative_constant_projects_to_zero(self):
+        # feasibility is tested against PRIMAL_TOL * max|p|, so the target
+        # is infeasible at any size
+        target = -5.96e-8
+        sol = kkt.solve(kkt.KktProblem(dim=1, m=0, n=0, target=np.array([target])))
+        small = kkt.solve(kkt.KktProblem(dim=1, m=0, n=0, target=np.array([target / 64])))
+        assert sol.active_set == small.active_set == (0,)
+        # 0 up to rounding
+        assert abs(sol.q.coeffs[0]) <= 1e-15 * abs(target)
+        assert np.array_equal(small.q.coeffs, sol.q.coeffs / 64)
+
+    @pytest.mark.parametrize("i", [-75, -1, 1, 2])
+    def test_corpus_scales_exactly(self, i):
+        # 256^i p is solved on p's own verdicts: q, mu and the elevated
+        # vector are exactly 256^i times p's, and verify_kkt agrees
+        k = 256.0**i
+        for prob in corpus_problems():
+            sol, got = kkt.solve(prob), kkt.solve(rescaled(prob, k))
+            key = (prob.dim, prob.m, prob.n, prob.delta)
+            assert got.active_set == sol.active_set, key
+            assert np.array_equal(got.q.coeffs, k * sol.q.coeffs), key
+            assert np.array_equal(got.mu, k * sol.mu), key
+            assert np.array_equal(got.elevated, k * sol.elevated), key
+            assert kkt.verify_kkt(rescaled(prob, k), got, 1e-9).passed
+            assert kkt.verify_kkt(prob, sol, 1e-9).passed
+
+    @pytest.mark.parametrize("c", [1e3, 1e6])
+    def test_large_1d_corpus_solves_and_verifies(self, c):
+        # every check is relative to max|p|, so no size costs a verdict
+        problems = [rescaled(prob, c) for prob in corpus_problems() if prob.dim == 1]
+        assert len(problems) == 260
+        for prob in problems:
+            assert kkt.verify_kkt(prob, kkt.solve(prob), 1e-9).passed, (prob.m, prob.n, prob.delta)
+
+    def test_zero_target(self):
+        # scale 0: no division by it, and every residual is exactly 0
+        for delta in (0, 1):
+            prob = kkt.KktProblem(dim=2, m=2, n=3, target=np.zeros(6), delta=delta)
+            sol = kkt.solve(prob)
+            diag = kkt.verify_kkt(prob, sol, 1e-9)
+            assert prob.scale == 0.0 and sol.active_set == () and diag.passed
+            assert diag.max_slack == diag.stationarity_inf == 0.0

@@ -675,24 +675,36 @@ class TestIntegral:
 
 class TestScaleExponent:
     def test_one_rule(self):
-        # the cone and the CLI's KKT cells read the same power-of-256 rule
+        # the power-of-256 rule is the cone's alone: defined in cone.py and
+        # named nowhere else in the package, the basis layer and the CLI
+        # included
         from bernfit import cone
 
-        assert cone._scale_exponent is sx._scale_exponent
+        assert not hasattr(sx, "_scale_exponent")
+        assert cone._scale_exponent.__module__ == cone.__name__
+        users = set()
+        for path in sorted(Path(sx.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if "_scale_exponent" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                         getattr(node, "name", None)):
+                    users.add(path.name)
+        assert users == {"cone.py"}
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_zero_target(self, d):
+        from bernfit import cone
+
         M = sx.simplex_mass_matrix(d, 3)
-        assert sx._scale_exponent(np.zeros(M.shape[0]), M) == 0
+        assert cone._scale_exponent(np.zeros(M.shape[0]), M) == 0
 
     @pytest.mark.parametrize("ident", ["g0", "g1", "g2"])
     def test_triangle_corpus_is_solved_unscaled(self, ident):
-        from bernfit import approx
+        from bernfit import approx, cone
 
         f = approx.get_function(ident)
         for m in range(5):
             p = approx.project(f, m, approx.default_rule(2))
-            assert sx._scale_exponent(p.coeffs, sx.simplex_mass_matrix(2, m)) == 0
+            assert cone._scale_exponent(p.coeffs, sx.simplex_mass_matrix(2, m)) == 0
 
 
 def test_imports_nothing_from_scipy():
