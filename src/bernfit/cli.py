@@ -23,7 +23,7 @@ import numpy as np
 from . import approx, cone, kkt
 from .approx import TargetFunction
 from .serialize import format_float
-from .simplex import PolyCoeffs, simplex_evaluate
+from .simplex import simplex_evaluate
 
 MAX_DEGREE_1D = 12
 MAX_ELEVATE_1D = 10
@@ -206,23 +206,19 @@ def _check_kkt(problem, solution) -> None:
 
 def _check_cone_cost(projection, q, constrained) -> None:
     """Raise unless the cone cost is within tolerance of the n = m KKT cost."""
-    # the costs of q, the KKT answer and 0 are read on everything divided
-    # by 2^e, 2^(e-1) <= max|p| < 2^e: exact, and free of under- and
-    # overflow, so the verdict is p's own
-    m = projection.degree
-    e = math.frexp(float(np.abs(projection.coeffs).max()))[1]
-    p = PolyCoeffs(m, np.ldexp(projection.coeffs, -e))
-    cost = cone.cone_objective(p, PolyCoeffs(m, np.ldexp(q.coeffs, -e)))
-    # M is positive definite, so a cost of 0 is q = p, which no bound refuses
-    if cost == 0.0:
+    # q = p costs 0, which no bound refuses: no KKT problem is solved
+    if np.array_equal(q.coeffs, projection.coeffs):
         return
-    kkt_q = constrained(m, 0)[1].q.coeffs
-    bound = cone.cone_objective(p, PolyCoeffs(m, np.ldexp(kkt_q, -e)))
-    scale = cone.cone_objective(p, PolyCoeffs(m, np.zeros(m + 1)))
+    problem, solution = constrained(projection.degree, 0)
+    # the costs of q, the KKT answer and 0, each divided by the same power
+    # of 4: exact, and finite at any size, so the verdict is p's own
+    cost = kkt.scaled_objective(problem, q.coeffs)
+    bound = kkt.scaled_objective(problem, solution.q.coeffs)
+    scale = kkt.scaled_objective(problem, np.zeros_like(problem.target))
     if cost > bound + CONE_RTOL * (bound + scale):
         raise RuntimeError(
             f"cone cost {cost / scale:.6e} exceeds the n=m KKT cost "
-            f"{bound / scale:.6e}, in units of p^T M p, at m={m}"
+            f"{bound / scale:.6e}, in units of p^T M p, at m={problem.m}"
         )
 
 

@@ -128,6 +128,11 @@ class KktDiagnostics:
     passed: bool
 
 
+def _refusal(problem: KktProblem, what: str) -> NoFeasibleSubsetError:
+    where = f"m={problem.m}, n={problem.n}, dim={problem.dim}, delta={problem.delta}"
+    return NoFeasibleSubsetError(f"{what} ({where})")
+
+
 def _least_distance(
     problem: KktProblem, G, ep
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -154,18 +159,12 @@ def _least_distance(
     try:
         u, _ = optimize.nnls(A, b, maxiter=NNLS_ITERATIONS * k)
     except RuntimeError as e:
-        raise NoFeasibleSubsetError(
-            f"NNLS stopped on the {problem.num_constraints} constraints: {e} "
-            f"(m={problem.m}, n={problem.n}, dim={problem.dim}, delta={problem.delta})"
-        ) from None
+        what = f"NNLS stopped on the {problem.num_constraints} constraints: {e}"
+        raise _refusal(problem, what) from None
     r = 1.0 - h @ u
     # written so that a NaN in u passes on to the dual check
     if r < INFEASIBLE_RESIDUAL:
-        raise NoFeasibleSubsetError(
-            f"NNLS finds the {problem.num_constraints} constraints infeasible "
-            f"(m={problem.m}, n={problem.n}, dim={problem.dim}, "
-            f"delta={problem.delta})"
-        )
+        raise _refusal(problem, f"NNLS finds the {problem.num_constraints} constraints infeasible")
     J = tuple(u.nonzero()[0].tolist())
     mu = (2.0 * s / r) * u
     return J, 0.5 * (G.T @ mu), mu
@@ -207,21 +206,19 @@ def solve(problem: KktProblem) -> KktSolution:
     G = simplex.simplex_spectral_factors(problem.dim, problem.m, problem.n)[:, problem.delta :]
     J, v, mu = _least_distance(problem, G, ep)
 
-    def refuse(check):
-        return NoFeasibleSubsetError(
-            f"the active set {J} found by NNLS fails the {check} "
-            f"(m={problem.m}, n={problem.n}, dim={problem.dim}, "
-            f"delta={problem.delta})"
-        )
-
     # written so that a NaN multiplier fails it
     if not mu.min() >= -DUAL_TOL * problem.scale:
-        raise refuse("dual check")
+        raise _refusal(problem, f"the active set {J} found by NNLS fails the dual check")
     # q - p = U v: the cost is ||v||^2, and E p + G v is the elevated q
     y = ep + G @ v
     if not y.min() >= -PRIMAL_TOL * problem.scale:
-        raise refuse("primal check")
-    if problem.n == problem.m:
+        raise _refusal(problem, f"the active set {J} found by NNLS fails the primal check")
+    if not problem.delta and len(J) >= G.shape[1]:
+        # as many active constraints as coefficients pin q: E_J q = 0 has
+        # the one solution q = 0, returned exactly, not as the rounding of
+        # p + U v, so the answer is its own projection at any size
+        y, q = np.zeros_like(y), np.zeros_like(problem.target)
+    elif problem.n == problem.m:
         # G = U and E p = p, so y is p + U v itself
         q = y
     else:
@@ -240,11 +237,22 @@ def solve(problem: KktProblem) -> KktSolution:
     )
 
 
-def objective(problem: KktProblem, qvec) -> float:
-    """The cost (q - p)^T M (q - p) being minimized."""
+def scaled_objective(problem: KktProblem, qvec) -> float:
+    """(q - p)^T M (q - p) / 4^e, 2^(e-1) <= max|p| < 2^e, read exactly on
+    (q - p) / 2^e: costs near p's compare at any size, with no overflow."""
     M = simplex.simplex_mass_matrix(problem.dim, problem.m)
     r = np.asarray(qvec, dtype=float) - problem.target
+    np.ldexp(r, -math.frexp(problem.scale)[1], out=r)
     return float(r @ M @ r)
+
+
+def objective(problem: KktProblem, qvec) -> float:
+    """The cost (q - p)^T M (q - p) being minimized: scaled_objective
+    times 4^e, exact, and inf only where the cost exceeds the float range."""
+    try:
+        return math.ldexp(scaled_objective(problem, qvec), 2 * math.frexp(problem.scale)[1])
+    except OverflowError:
+        return math.inf
 
 
 def verify_kkt(problem: KktProblem, sol: KktSolution, tol: float) -> KktDiagnostics:

@@ -236,13 +236,9 @@ class TestOptimalityProperties:
                 assert best <= kkt.objective(prob, q) + 1e-10
 
     def test_idempotence(self):
-        # the answer is its own projection, returned unchanged.  Eight of
-        # these twenty answers are the zero polynomial up to rounding
-        # (max|q| below 1e-14); the checks act relative to max|q|, so they
-        # read that rounding at its own size and may project it again,
-        # moving it by rounding alone
+        # the answer is its own projection, returned unchanged; 8 of these
+        # 20 answers are the zero polynomial, pinned by the active set
         rng = np.random.default_rng(8)
-        zeros = 0
         for _ in range(20):
             prob = random_instance(rng, delta=0)
             sol = kkt.solve(prob)
@@ -251,13 +247,23 @@ class TestOptimalityProperties:
                     dim=prob.dim, m=prob.m, n=prob.n, target=sol.q.coeffs, delta=0
                 )
             )
-            assert np.max(np.abs(again.q.coeffs - sol.q.coeffs)) < 1e-10
-            if np.abs(sol.q.coeffs).max() > kkt.PRIMAL_TOL * prob.scale:
-                assert again.active_set == ()
-                assert np.array_equal(again.q.coeffs, sol.q.coeffs)
-            else:
-                zeros += 1
-        assert zeros == 8
+            assert again.active_set == ()
+            assert np.array_equal(again.q.coeffs, sol.q.coeffs)
+
+    @pytest.mark.parametrize("dim, m, n", [(1, 0, 0), (1, 1, 1), (1, 4, 5), (1, 3, 9),
+                                           (2, 0, 1), (2, 2, 2), (2, 3, 5)])
+    def test_zero_answer_is_exact(self, dim, m, n):
+        # a target whose elevation is negative everywhere projects to q = 0:
+        # every coefficient is pinned by the active set, and q and the
+        # elevated vector are exact zeros, with no rounding of p + U v
+        rng = np.random.default_rng(dim * 100 + m * 10 + n)
+        target = -rng.uniform(0.5, 1.5, math.comb(dim + m, dim))
+        prob = kkt.KktProblem(dim=dim, m=m, n=n, target=target)
+        sol = kkt.solve(prob)
+        assert len(sol.active_set) >= target.size
+        assert not sol.q.coeffs.any() and not sol.elevated.any()
+        assert sol.elevated.shape == (prob.num_constraints,)
+        assert kkt.verify_kkt(prob, sol, 1e-9).passed
 
     def test_monotone_in_elevation(self):
         rng = np.random.default_rng(9)
@@ -650,8 +656,7 @@ class TestScaleFree:
         sol = kkt.solve(kkt.KktProblem(dim=1, m=0, n=0, target=np.array([target])))
         small = kkt.solve(kkt.KktProblem(dim=1, m=0, n=0, target=np.array([target / 64])))
         assert sol.active_set == small.active_set == (0,)
-        # 0 up to rounding
-        assert abs(sol.q.coeffs[0]) <= 1e-15 * abs(target)
+        assert sol.q.coeffs[0] == 0.0
         assert np.array_equal(small.q.coeffs, sol.q.coeffs / 64)
 
     @pytest.mark.parametrize("i", [-75, -1, 1, 2])
@@ -676,6 +681,24 @@ class TestScaleFree:
         assert len(problems) == 260
         for prob in problems:
             assert kkt.verify_kkt(prob, kkt.solve(prob), 1e-9).passed, (prob.m, prob.n, prob.delta)
+
+    @pytest.mark.parametrize("k", [-600, -1, 8, 530])
+    def test_objective_scales_exactly(self, k):
+        # the cost is read on (q - p) / 2^e: scaled_objective is p's own at
+        # every size, and objective is 4^k times p's, inf past the float
+        # range (not -inf or nan, as (q - p)^T M (q - p) summed there)
+        c = 2.0**k
+        for prob in corpus_problems()[::5]:
+            q = kkt.solve(prob).q.coeffs
+            big = rescaled(prob, c)
+            assert kkt.scaled_objective(big, c * q) == kkt.scaled_objective(prob, q)
+            zero = np.zeros_like(q)
+            with np.errstate(over="ignore"):
+                cost = kkt.objective(big, c * q)
+                assert cost >= 0.0 and cost == float(np.ldexp(kkt.objective(prob, q), 2 * k))
+                scale = kkt.objective(big, zero)
+                assert scale == float(np.ldexp(kkt.objective(prob, zero), 2 * k))
+            assert scale == math.inf if k == 530 else math.isfinite(scale)
 
     def test_zero_target(self):
         # scale 0: no division by it, and every residual is exactly 0
